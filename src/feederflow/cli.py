@@ -22,7 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import ClosedFormProfile, injections_from_grid
-from .dispatch import DispatchPlan, synthesize, synthesize_tree, uniform_baseline
+# synthesize is not called here, but it stays importable from this module:
+# perfbench/layers.py wraps it by name in this namespace
+from .dispatch import DispatchPlan, synthesize, synthesize_tree, uniform_baseline  # noqa: F401
 from .grid import GridTree, power_density, validate_grid
 from .gridio import (
     GridFileError,
@@ -94,8 +96,6 @@ def _out_dir(args) -> Path:
 def _make_plan(grid: GridTree, pref: float, mode: str) -> DispatchPlan:
     if mode == "uniform":
         return uniform_baseline(grid, pref)
-    if grid.is_single_feeder():
-        return synthesize(grid, pref, mode=mode)
     return synthesize_tree(grid, pref, mode=mode)
 
 

@@ -1,28 +1,37 @@
 """Spatial charging/discharging dispatch that delivers a requested total power.
 
-The active pass works station by station from the feeder end toward the
-bank: each station absorbs the loads strictly beyond it plus any residual
-forwarded from the previous station, clamps to its derated bounds and
-forwards the excess; a refinement pass then walks back from the
-bank-nearest station until the requested total is met exactly.  The
-reactive pass assigns each station the value that locally cancels the
-voltage-gradient jump of the loads beyond it, clamped to the power-factor
-cone of its active set point.
+One kernel dispatches a single feeder and a feeder tree alike: a single
+feeder is the tree with one segment.  Segments run in post order (children,
+in declared order, before their parent), and on each one the active pass
+works station by station from the segment's far end toward the bank: each
+station absorbs the loads beyond it plus any residual handed to it, clamps
+to its derated bounds and forwards the excess.  A residual left at a
+segment's near end is handed to the nearest bank-side station on the path
+to the bank, or dropped at the bank when there is none.  A refinement pass
+then walks every station from the bank outward until the requested total is
+met exactly.
+
+The ``literal`` reactive mode runs the same clamp-and-forward pass with the
+plain per-load update g/b*(p_i - P_load), including its overwrite of the
+running value, inside the power-factor cone of the station's own active set
+point.  ``principle`` mode instead accumulates the running sum of
+(G*P + B*Q) over everything beyond the current point, child subtrees
+included, and drives it toward zero, which differs once caps stop binding.
+Active dispatch is identical in both modes.
 
 Residual forwarding is logged as HandOff events so a plan can be audited:
 every forwarded amount reappears as part of some station's seed or is
 explicitly dropped at the bank.
 
-The ``literal`` reactive mode runs the plain per-load update loop,
-including its overwrite of the running value; ``principle`` mode
-instead accumulates the running sum of (G*P + B*Q) over everything beyond
-the current point and drives it toward zero, which differs once caps stop
-binding.  Active dispatch is identical in both modes.
+Plans are keyed by device id, so devices built in code need a non-empty id;
+validate_grid rejects an unnamed one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .grid import EFFECTIVE_BOUND_FACTOR, PF_FLOOR, GridTree
 
@@ -123,67 +132,165 @@ class DispatchPlan:
 
 
 # ---------------------------------------------------------------------------
-# single-feeder passes (stations and loads listed from the feeder end toward
-# the bank; the order of arithmetic is load-bearing, tests pin it bit for bit)
+# the kernel: segments in post order, devices on each listed from the far end
+# toward the bank; stations are indexed in that concatenated order.  The order
+# of arithmetic is load-bearing, tests pin it bit for bit.
+# ---------------------------------------------------------------------------
+
+class _Leg(NamedTuple):
+    """One segment's share of a dispatch."""
+
+    id: str
+    stations: list[StationState]       # far end first
+    loads: list[LoadPoint]             # far end first
+    g: float
+    b: float
+    taps: tuple[tuple[float, str], ...] = ()    # (junction xi, child leg id)
+    # station id that takes a residual left at the near end; None at a root
+    bank_side: Callable[[], str | None] = lambda: None
+
+
+def _forward(quantity, legs, bounds, update, trace):
+    """One far-to-near clamp-and-forward pass over every leg.
+
+    Each station is seeded with the hand-offs it received from child legs
+    (summed in trace order) plus the residual forwarded by the previous
+    station.  It then absorbs the loads strictly beyond it, value =
+    update(value, k, load), until the value leaves bounds[k] = (lo, hi),
+    where it clamps and forwards the excess.  A station that consumes no load
+    keeps its seed unclamped.  Returns (values, seeds) in station order.
+    """
+    incoming: dict[str, list[float]] = {}
+    values: list[float] = []
+    seeds: list[float] = []
+    for leg in legs:
+        residual = 0.0
+        src = ""
+        j = 0
+        for st in leg.stations:
+            k = len(values)
+            seed = 0.0
+            for amount in incoming.pop(st.station_id, ()):  # hand-offs arrived earlier
+                seed = seed + amount
+            if residual != 0.0:
+                trace.append(HandOff(quantity, residual, src, st.station_id))
+                seed = seed + residual
+                residual = 0.0
+            seeds.append(seed)
+            lo, hi = bounds[k]
+            value = seed
+            while j < len(leg.loads) and leg.loads[j].xi_km > st.xi_km:
+                value = update(value, k, leg.loads[j])
+                j += 1
+                if value > hi:
+                    residual = value - hi
+                    value = hi
+                elif value < lo:
+                    residual = value - lo
+                    value = lo
+                else:
+                    continue
+                src = st.station_id  # clamped: the excess goes bank-ward
+                break
+            values.append(value)
+        if residual != 0.0:
+            target = leg.bank_side()
+            trace.append(HandOff(quantity, residual, src, target))
+            if target is not None:
+                incoming.setdefault(target, []).append(residual)
+    assert not incoming, "hand-off targeted an already-processed station"
+    return values, seeds
+
+
+def _principle(legs, p):
+    """Per-station Q driving the running sum of g*P + b*Q beyond it to zero.
+
+    The sum covers the whole subtree beyond the walk point, each device
+    weighted with its own segment's parameters; at a tied position loads
+    (and child taps) count as beyond the station.
+    """
+    q = [0.0] * len(p)
+    subtree: dict[str, float] = {}
+    base = 0
+    for leg in legs:
+        g, b = leg.g, leg.b
+        events = (
+            [(xi, 0, subtree[child]) for xi, child in leg.taps]
+            + [(ld.xi_km, 1, ld) for ld in leg.loads]
+            + [(st.xi_km, 2, base + i) for i, st in enumerate(leg.stations)]
+        )
+        events.sort(key=lambda t: (-t[0], t[1]))
+        run = 0.0
+        for _xi, kind, item in events:
+            if kind == 0:
+                run += item
+            elif kind == 1:
+                run += g * item.p_pu + b * item.q_pu
+            else:
+                cap = station_q_cap(p[item])
+                raw = -(run + g * p[item]) / b
+                q[item] = min(max(raw, -cap), cap)
+                run += g * p[item] + b * q[item]
+        subtree[leg.id] = run
+        base += len(leg.stations)
+    return q
+
+
+def _refine(stations, p, order, p_run):
+    """Place the undelivered request p_run, visiting stations in `order`
+    (bank-nearest first) and filling each up to its derated bound.
+
+    Updates p in place and returns what could not be placed.
+    """
+    for k in order:
+        if p_run == 0.0:
+            break
+        st = stations[k]
+        if p[k] + p_run > st.p_max_eff:
+            p_run = p_run - st.p_max_eff + p[k]
+            p[k] = st.p_max_eff
+        elif p[k] + p_run < st.p_min_eff:
+            p_run = p_run - st.p_min_eff + p[k]
+            p[k] = st.p_min_eff
+        else:
+            p[k] = p[k] + p_run
+            p_run = 0.0
+    return p_run
+
+
+def _active(legs, order, p_ref, trace):
+    """Two-pass active dispatch. Returns (p, leftover, seeds) in station order."""
+    stations = [st for leg in legs for st in leg.stations]
+    p, seeds = _forward("P", legs, [(st.p_min_eff, st.p_max_eff) for st in stations],
+                        lambda value, _k, load: value - load.p_pu, trace)
+    for value in p:
+        p_ref = p_ref - value
+    return p, _refine(stations, p, order, p_ref), seeds
+
+
+def _reactive(legs, p, mode, trace):
+    """Reactive set points for fixed active dispatch. Returns (q, seeds)."""
+    if mode == "principle":
+        return _principle(legs, p), [0.0] * len(p)
+    if mode != "literal":
+        raise ValueError(f"unknown mode {mode!r}; expected 'literal' or 'principle'")
+    caps = [station_q_cap(p_k) for p_k in p]
+    g_over_b = [leg.g / leg.b for leg in legs for _ in leg.stations]
+    return _forward("Q", legs, [(-cap, cap) for cap in caps],
+                    lambda _value, k, load: g_over_b[k] * (p[k] - load.p_pu), trace)
+
+
+# ---------------------------------------------------------------------------
+# single-feeder passes: the kernel on one leg (stations and loads listed from
+# the feeder end toward the bank)
 # ---------------------------------------------------------------------------
 
 def active_dispatch(stations, loads, p_ref: float):
     """Two-pass active dispatch. Returns (p far-to-near, leftover, trace, seeds)."""
-    ns = len(stations)
-    p = [0.0] * ns
-    seeds = [0.0] * ns
     trace: list[HandOff] = []
-    i = 0
-    j = 0
-    residual = 0.0
-    src = ""
-    while i < ns:
-        st = stations[i]
-        if residual != 0.0:
-            p[i] = residual
-            trace.append(HandOff("P", residual, src, st.station_id))
-            residual = 0.0
-        else:
-            p[i] = 0.0
-        seeds[i] = p[i]
-        p_max = st.p_max_eff
-        p_min = st.p_min_eff
-        while j < len(loads) and loads[j].xi_km > st.xi_km:
-            p[i] = p[i] - loads[j].p_pu
-            if p[i] > p_max:
-                residual = p[i] - p_max
-                p[i] = p_max
-                src = st.station_id
-                j += 1
-                break
-            elif p[i] < p_min:
-                residual = p[i] - p_min
-                p[i] = p_min
-                src = st.station_id
-                j += 1
-                break
-            j += 1
-        p_ref = p_ref - p[i]
-        i += 1
-    if residual != 0.0:
-        trace.append(HandOff("P", residual, src, None))
-    i = ns - 1
-    while p_ref != 0.0 and i >= 0:
-        st = stations[i]
-        p_max = st.p_max_eff
-        p_min = st.p_min_eff
-        if p[i] + p_ref > p_max:
-            p_ref = p_ref - p_max + p[i]
-            p[i] = p_max
-            i -= 1
-        elif p[i] + p_ref < p_min:
-            p_ref = p_ref - p_min + p[i]
-            p[i] = p_min
-            i -= 1
-        else:
-            p[i] = p[i] + p_ref
-            p_ref = 0.0
-    return p, p_ref, trace, seeds
+    p, leftover, seeds = _active([_Leg("", stations, loads, 0.0, 0.0)],
+                                 range(len(stations) - 1, -1, -1), p_ref, trace)
+    return p, leftover, trace, seeds
 
 
 def reactive_dispatch(p_values, stations, loads, g: float, b: float, mode: str = "literal"):
@@ -194,142 +301,81 @@ def reactive_dispatch(p_values, stations, loads, g: float, b: float, mode: str =
     """
     if not b > 0.0:
         raise ValueError("B must be positive to size reactive compensation")
-    if mode == "literal":
-        return _reactive_literal(p_values, stations, loads, g, b)
-    if mode == "principle":
-        return _reactive_principle(p_values, stations, loads, g, b)
-    raise ValueError(f"unknown mode {mode!r}; expected 'literal' or 'principle'")
-
-
-def _reactive_literal(p_values, stations, loads, g, b):
-    ns = len(stations)
-    q = [0.0] * ns
-    seeds = [0.0] * ns
     trace: list[HandOff] = []
-    i = 0
-    j = 0
-    residual = 0.0
-    src = ""
-    while i < ns:
-        st = stations[i]
-        if residual != 0.0:
-            q[i] = residual
-            trace.append(HandOff("Q", residual, src, st.station_id))
-            residual = 0.0
-        else:
-            q[i] = 0.0
-        seeds[i] = q[i]
-        q_max = station_q_cap(p_values[i])
-        q_min = -q_max
-        while j < len(loads) and loads[j].xi_km > st.xi_km:
-            q[i] = g / b * (p_values[i] - loads[j].p_pu)
-            if q[i] > q_max:
-                residual = q[i] - q_max
-                q[i] = q_max
-                src = st.station_id
-                j += 1
-                break
-            elif q[i] < q_min:
-                residual = q[i] - q_min
-                q[i] = q_min
-                src = st.station_id
-                j += 1
-                break
-            j += 1
-        i += 1
-    if residual != 0.0:
-        trace.append(HandOff("Q", residual, src, None))
+    q, seeds = _reactive([_Leg("", stations, loads, g, b)], p_values, mode, trace)
     return q, trace, seeds
-
-
-def _reactive_principle(p_values, stations, loads, g, b):
-    # merge devices far-to-near; loads at a tied position count as "beyond"
-    events = sorted(
-        [(ld.xi_km, 0, k) for k, ld in enumerate(loads)]
-        + [(st.xi_km, 1, k) for k, st in enumerate(stations)],
-        key=lambda t: (-t[0], t[1]),
-    )
-    q = [0.0] * len(stations)
-    run = 0.0  # sum of g*P + b*Q over everything beyond the walk position
-    for _xi, kind, k in events:
-        if kind == 0:
-            run += g * loads[k].p_pu + b * loads[k].q_pu
-        else:
-            p_i = p_values[k]
-            cap = station_q_cap(p_i)
-            raw = -(run + g * p_i) / b
-            q[k] = min(max(raw, -cap), cap)
-            run += g * p_i + b * q[k]
-    return q, [], [0.0] * len(stations)
 
 
 # ---------------------------------------------------------------------------
 # grid-level entry points
 # ---------------------------------------------------------------------------
 
-def _station_states(grid: GridTree, devices) -> list[StationState]:
-    out = []
-    for d in devices:
-        sid = d.id or f"station@{d.segment}:{d.xi_km}"
-        out.append(StationState(sid, d.xi_km, d.p_min_pu, d.p_max_pu))
-    return out
+def _legs(grid: GridTree) -> list[_Leg]:
+    """The grid's segments in post order, devices sorted far end first."""
+    stations: dict[str, list[StationState]] = {s.id: [] for s in grid.segments}
+    loads: dict[str, list[LoadPoint]] = {s.id: [] for s in grid.segments}
+    for d in grid.devices:
+        if d.kind == "station":
+            stations[d.segment].append(StationState(d.id, d.xi_km, d.p_min_pu, d.p_max_pu))
+        else:
+            loads[d.segment].append(LoadPoint(d.id, d.xi_km, d.p_pu, d.q_pu))
+    for found in stations.values():
+        found.sort(key=lambda st: (-st.xi_km, st.station_id))
+    for found in loads.values():
+        found.sort(key=lambda ld: (-ld.xi_km, ld.load_id))
+
+    def bank_side_target(seg) -> str | None:
+        """Nearest bank-side station for a residual leaving seg's near end."""
+        while seg.parent is not None:
+            pos = grid.segment_start_km(seg.id)
+            candidates = [st for st in stations[seg.parent] if st.xi_km <= pos]
+            if candidates:
+                return max(candidates, key=lambda st: st.xi_km).station_id
+            seg = grid.segment(seg.parent)
+        return None
+
+    legs: list[_Leg] = []
+
+    def visit(seg) -> None:
+        children = grid.children_of(seg.id)
+        for child in children:
+            visit(child)
+        legs.append(_Leg(seg.id, stations[seg.id], loads[seg.id],
+                         seg.g_pu_per_km, seg.b_pu_per_km,
+                         tuple((grid.segment_start_km(c.id), c.id) for c in children),
+                         partial(bank_side_target, seg)))
+
+    for root in grid.roots():
+        visit(root)
+    return legs
 
 
-def _load_points(devices) -> list[LoadPoint]:
-    out = []
-    for d in devices:
-        lid = d.id or f"load@{d.segment}:{d.xi_km}"
-        out.append(LoadPoint(lid, d.xi_km, d.p_pu, d.q_pu))
-    return out
-
-
-def _plan_rows(order, p_by, q_by):
-    rows = []
-    for st in order:
-        p_i = p_by[st.station_id]
-        rows.append(
-            StationDispatch(
-                station_id=st.station_id,
-                xi_km=st.xi_km,
-                p_pu=p_i,
-                q_pu=q_by[st.station_id],
-                p_min_eff=st.p_min_eff,
-                p_max_eff=st.p_max_eff,
-                q_cap=station_q_cap(p_i),
-            )
-        )
-    return tuple(rows)
+def _row(st: StationState, p_i: float, q_i: float) -> StationDispatch:
+    return StationDispatch(
+        station_id=st.station_id,
+        xi_km=st.xi_km,
+        p_pu=p_i,
+        q_pu=q_i,
+        p_min_eff=st.p_min_eff,
+        p_max_eff=st.p_max_eff,
+        q_cap=station_q_cap(p_i),
+    )
 
 
 def synthesize(grid: GridTree, p_ref: float, mode: str = "literal") -> DispatchPlan:
-    """Dispatch a single straight feeder."""
-    grid.validated()
+    """Dispatch a single straight feeder: the one-segment synthesize_tree."""
     if not grid.is_single_feeder():
         raise ValueError("synthesize handles a single feeder; use synthesize_tree")
-    stations = sorted(_station_states(grid, grid.stations()), key=lambda s: (-s.xi_km, s.station_id))
-    loads = sorted(_load_points(grid.loads()), key=lambda l: (-l.xi_km, l.load_id))
-    seg = grid.segments[0]
-    p, leftover, trace_p, seeds_p = active_dispatch(stations, loads, p_ref)
-    q, trace_q, seeds_q = reactive_dispatch(
-        p, stations, loads, seg.g_pu_per_km, seg.b_pu_per_km, mode=mode
-    )
-    p_by = {st.station_id: p[i] for i, st in enumerate(stations)}
-    q_by = {st.station_id: q[i] for i, st in enumerate(stations)}
-    bank_first = list(reversed(stations))
-    return DispatchPlan(
-        stations=_plan_rows(bank_first, p_by, q_by),
-        p_ref=p_ref,
-        leftover_p=leftover,
-        trace=tuple(trace_p) + tuple(trace_q),
-        seeds_p=tuple((st.station_id, seeds_p[i]) for i, st in enumerate(stations)),
-        seeds_q=tuple((st.station_id, seeds_q[i]) for i, st in enumerate(stations)),
-    )
+    return synthesize_tree(grid, p_ref, mode)
 
 
 def uniform_baseline(grid: GridTree, p_ref: float, power_factor: float = PF_FLOOR) -> DispatchPlan:
     """Every station gets P_ref/N and the matching leading reactive power."""
     grid.validated()
-    stations = sorted(_station_states(grid, grid.stations()), key=lambda s: (s.xi_km, s.station_id))
+    stations = sorted(
+        (StationState(d.id, d.xi_km, d.p_min_pu, d.p_max_pu) for d in grid.stations()),
+        key=lambda s: (s.xi_km, s.station_id),
+    )
     if not stations:
         raise ValueError("uniform baseline needs at least one station")
     if not 0.0 < power_factor <= 1.0:
@@ -337,11 +383,9 @@ def uniform_baseline(grid: GridTree, p_ref: float, power_factor: float = PF_FLOO
     n = len(stations)
     p_i = p_ref / n
     q_i = p_i * math.tan(math.acos(power_factor))
-    p_by = {st.station_id: p_i for st in stations}
-    q_by = {st.station_id: q_i for st in stations}
-    leftover = p_ref - math.fsum(p_by.values())
+    leftover = p_ref - math.fsum(p_i for _ in stations)
     return DispatchPlan(
-        stations=_plan_rows(stations, p_by, q_by),
+        stations=tuple(_row(st, p_i, q_i) for st in stations),
         p_ref=p_ref,
         leftover_p=leftover,
     )
@@ -358,207 +402,22 @@ def synthesize_tree(grid: GridTree, p_ref: float, mode: str = "literal") -> Disp
     bank, so the requested total is met whenever aggregate capacity allows.
     """
     grid.validated()
-    post = _post_order(grid)
-    sta_by_seg = {
-        s.id: sorted(
-            _station_states(grid, [d for d in grid.devices_on(s.id) if d.kind == "station"]),
-            key=lambda t: (-t.xi_km, t.station_id),
-        )
-        for s in grid.segments
-    }
-    load_by_seg = {
-        s.id: sorted(
-            _load_points([d for d in grid.devices_on(s.id) if d.kind == "load"]),
-            key=lambda t: (-t.xi_km, t.load_id),
-        )
-        for s in grid.segments
-    }
-
-    def bank_side_target(seg_id: str) -> StationState | None:
-        """Nearest bank-side station for a residual leaving seg's near end."""
-        seg = grid.segment(seg_id)
-        while seg.parent is not None:
-            pos = grid.segment_start_km(seg.id)
-            candidates = [st for st in sta_by_seg[seg.parent] if st.xi_km <= pos]
-            if candidates:
-                return max(candidates, key=lambda st: st.xi_km)
-            seg = grid.segment(seg.parent)
-        return None
-
+    legs = _legs(grid)
+    stations = [st for leg in legs for st in leg.stations]
+    order = sorted(range(len(stations)),
+                   key=lambda k: (stations[k].xi_km, stations[k].station_id))
     trace: list[HandOff] = []
-    incoming: dict[str, list[float]] = {}
-    p_by: dict[str, float] = {}
-    seeds_p: list[tuple[str, float]] = []
-    p_run = p_ref
-    for seg in post:
-        stations = sta_by_seg[seg.id]
-        loads = load_by_seg[seg.id]
-        residual = 0.0
-        src = ""
-        j = 0
-        for st in stations:
-            seed = 0.0
-            for amount in incoming.pop(st.station_id, ()):  # hand-offs arrived earlier
-                seed = seed + amount
-            if residual != 0.0:
-                trace.append(HandOff("P", residual, src, st.station_id))
-                seed = seed + residual
-                residual = 0.0
-            seeds_p.append((st.station_id, seed))
-            p_i = seed
-            p_max = st.p_max_eff
-            p_min = st.p_min_eff
-            while j < len(loads) and loads[j].xi_km > st.xi_km:
-                p_i = p_i - loads[j].p_pu
-                if p_i > p_max:
-                    residual = p_i - p_max
-                    p_i = p_max
-                    src = st.station_id
-                    j += 1
-                    break
-                elif p_i < p_min:
-                    residual = p_i - p_min
-                    p_i = p_min
-                    src = st.station_id
-                    j += 1
-                    break
-                j += 1
-            p_by[st.station_id] = p_i
-            p_run = p_run - p_i
-        if residual != 0.0:
-            tgt = bank_side_target(seg.id)
-            trace.append(HandOff("P", residual, src, tgt.station_id if tgt else None))
-            if tgt is not None:
-                incoming.setdefault(tgt.station_id, []).append(residual)
-    assert not incoming, "hand-off targeted an already-processed station"
-
-    all_stations = sorted(
-        (st for s in grid.segments for st in sta_by_seg[s.id]),
-        key=lambda st: (st.xi_km, st.station_id),
-    )
-    i = 0
-    while p_run != 0.0 and i < len(all_stations):
-        st = all_stations[i]
-        cur = p_by[st.station_id]
-        if cur + p_run > st.p_max_eff:
-            p_run = p_run - st.p_max_eff + cur
-            p_by[st.station_id] = st.p_max_eff
-            i += 1
-        elif cur + p_run < st.p_min_eff:
-            p_run = p_run - st.p_min_eff + cur
-            p_by[st.station_id] = st.p_min_eff
-            i += 1
-        else:
-            p_by[st.station_id] = cur + p_run
-            p_run = 0.0
-    leftover = p_run
-
-    if mode == "literal":
-        q_by, seeds_q = _tree_reactive_literal(grid, post, sta_by_seg, load_by_seg,
-                                               p_by, bank_side_target, trace)
-    elif mode == "principle":
-        q_by, seeds_q = _tree_reactive_principle(grid, post, sta_by_seg, load_by_seg, p_by)
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected 'literal' or 'principle'")
-
+    p, leftover, seeds_p = _active(legs, order, p_ref, trace)
+    q, seeds_q = _reactive(legs, p, mode, trace)
+    ids = [st.station_id for st in stations]
     return DispatchPlan(
-        stations=_plan_rows(all_stations, p_by, q_by),
+        stations=tuple(_row(stations[k], p[k], q[k]) for k in order),
         p_ref=p_ref,
         leftover_p=leftover,
         trace=tuple(trace),
-        seeds_p=tuple(seeds_p),
-        seeds_q=tuple(seeds_q),
+        seeds_p=tuple(zip(ids, seeds_p)),
+        seeds_q=tuple(zip(ids, seeds_q)),
     )
-
-
-def _post_order(grid: GridTree):
-    order = []
-
-    def visit(seg) -> None:
-        for child in grid.children_of(seg.id):
-            visit(child)
-        order.append(seg)
-
-    for root in grid.roots():
-        visit(root)
-    return order
-
-
-def _tree_reactive_literal(grid, post, sta_by_seg, load_by_seg, p_by, bank_side_target, trace):
-    incoming: dict[str, list[float]] = {}
-    q_by: dict[str, float] = {}
-    seeds_q: list[tuple[str, float]] = []
-    for seg in post:
-        g, b = seg.g_pu_per_km, seg.b_pu_per_km
-        stations = sta_by_seg[seg.id]
-        loads = load_by_seg[seg.id]
-        residual = 0.0
-        src = ""
-        j = 0
-        for st in stations:
-            seed = 0.0
-            for amount in incoming.pop(st.station_id, ()):
-                seed = seed + amount
-            if residual != 0.0:
-                trace.append(HandOff("Q", residual, src, st.station_id))
-                seed = seed + residual
-                residual = 0.0
-            seeds_q.append((st.station_id, seed))
-            q_i = seed
-            q_max = station_q_cap(p_by[st.station_id])
-            q_min = -q_max
-            while j < len(loads) and loads[j].xi_km > st.xi_km:
-                q_i = g / b * (p_by[st.station_id] - loads[j].p_pu)
-                if q_i > q_max:
-                    residual = q_i - q_max
-                    q_i = q_max
-                    src = st.station_id
-                    j += 1
-                    break
-                elif q_i < q_min:
-                    residual = q_i - q_min
-                    q_i = q_min
-                    src = st.station_id
-                    j += 1
-                    break
-                j += 1
-            q_by[st.station_id] = q_i
-        if residual != 0.0:
-            tgt = bank_side_target(seg.id)
-            trace.append(HandOff("Q", residual, src, tgt.station_id if tgt else None))
-            if tgt is not None:
-                incoming.setdefault(tgt.station_id, []).append(residual)
-    assert not incoming, "hand-off targeted an already-processed station"
-    return q_by, seeds_q
-
-
-def _tree_reactive_principle(grid, post, sta_by_seg, load_by_seg, p_by):
-    # run = sum of (g*P + b*Q) over the whole subtree beyond the walk point,
-    # each device weighted with its own segment's parameters
-    subtree: dict[str, float] = {}
-    q_by: dict[str, float] = {}
-    for seg in post:
-        g, b = seg.g_pu_per_km, seg.b_pu_per_km
-        events = (
-            [(st.xi_km, 2, st) for st in sta_by_seg[seg.id]]
-            + [(ld.xi_km, 1, ld) for ld in load_by_seg[seg.id]]
-            + [(grid.segment_start_km(c.id), 0, c) for c in grid.children_of(seg.id)]
-        )
-        events.sort(key=lambda t: (-t[0], t[1]))
-        run = 0.0
-        for _xi, kind, item in events:
-            if kind == 0:
-                run += subtree[item.id]
-            elif kind == 1:
-                run += g * item.p_pu + b * item.q_pu
-            else:
-                p_i = p_by[item.station_id]
-                cap = station_q_cap(p_i)
-                raw = -(run + g * p_i) / b
-                q_by[item.station_id] = min(max(raw, -cap), cap)
-                run += g * p_i + b * q_by[item.station_id]
-        subtree[seg.id] = run
-    return q_by, [(st.station_id, 0.0) for seg in post for st in sta_by_seg[seg.id]]
 
 
 def audit_trace(plan: DispatchPlan) -> float:

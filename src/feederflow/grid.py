@@ -206,6 +206,12 @@ class GridTree:
         return self
 
 
+def _nonfinite(what: str, item, names: tuple[str, ...]) -> list[str]:
+    """A violation for each of item's named numbers that is nan or infinite."""
+    return [f"{what}: {name} must be finite, got {getattr(item, name)}"
+            for name in names if not math.isfinite(getattr(item, name))]
+
+
 def validate_grid(grid: GridTree) -> GridValidationReport:
     """Collect every structural violation instead of failing on the first."""
     bad: list[str] = []
@@ -216,7 +222,9 @@ def validate_grid(grid: GridTree) -> GridValidationReport:
         seen_ids.add(s.id)
         if not (s.length_km > 0.0 and math.isfinite(s.length_km)):
             bad.append(f"segment {s.id!r}: length must be positive, got {s.length_km}")
-        if not (s.g_pu_per_km > 0.0 and s.b_pu_per_km > 0.0):
+        if not (math.isfinite(s.g_pu_per_km) and math.isfinite(s.b_pu_per_km)):
+            bad += _nonfinite(f"segment {s.id!r}", s, ("g_pu_per_km", "b_pu_per_km"))
+        elif not (s.g_pu_per_km > 0.0 and s.b_pu_per_km > 0.0):
             bad.append(f"segment {s.id!r}: G and B must be positive")
         if s.parent is not None:
             if s.parent == s.id:
@@ -239,10 +247,13 @@ def validate_grid(grid: GridTree) -> GridValidationReport:
     positions: dict[str, list[tuple[float, str]]] = {}
     for d in grid.devices:
         label = d.id or f"{d.kind}@{d.segment}:{d.xi_km}"
-        if d.id:
-            if d.id in dev_ids:
-                bad.append(f"device id {d.id!r} is duplicated")
-            dev_ids.add(d.id)
+        if not d.id:
+            # plans and densities are keyed by id: an unnamed station would
+            # be dispatched but never placed in the density
+            bad.append(f"device {label}: id must be non-empty")
+        elif d.id in dev_ids:
+            bad.append(f"device id {d.id!r} is duplicated")
+        dev_ids.add(d.id)
         if d.kind not in ("load", "station"):
             bad.append(f"device {label}: unknown kind {d.kind!r}")
             continue
@@ -260,10 +271,14 @@ def validate_grid(grid: GridTree) -> GridValidationReport:
             )
         positions.setdefault(d.segment, []).append((d.xi_km, label))
         if d.kind == "load":
-            if d.p_pu > 0.0:
+            if not (math.isfinite(d.p_pu) and math.isfinite(d.q_pu)):
+                bad += _nonfinite(f"device {label}", d, ("p_pu", "q_pu"))
+            elif d.p_pu > 0.0:
                 bad.append(f"device {label}: load active power must be <= 0, got {d.p_pu}")
         else:
-            if not (d.p_min_pu <= 0.0 <= d.p_max_pu):
+            if not (math.isfinite(d.p_min_pu) and math.isfinite(d.p_max_pu)):
+                bad += _nonfinite(f"device {label}", d, ("p_min_pu", "p_max_pu"))
+            elif not (d.p_min_pu <= 0.0 <= d.p_max_pu):
                 bad.append(
                     f"device {label}: station bounds [{d.p_min_pu}, {d.p_max_pu}] must straddle 0"
                 )

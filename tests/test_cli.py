@@ -40,6 +40,14 @@ devices:
   - {kind: station, segment: m, xi_km: 3.5, p_min_pu: -0.05, p_max_pu: 0.05}
 """
 
+NON_FINITE = """\
+segments:
+  - {id: m, length_km: 5.0, g_pu_per_km: .inf, b_pu_per_km: 6.856}
+devices:
+  - {kind: load, segment: m, xi_km: 4.0, p_pu: .nan}
+  - {kind: station, segment: m, xi_km: 1.0, p_min_pu: -0.03, p_max_pu: .inf}
+"""
+
 # the bundled loads doubled: deep sag, linearization visibly off
 HEAVY_LOADS = """\
 segments:
@@ -63,6 +71,18 @@ def test_validate_reports_violations(tmp_path, capsys):
     path.write_text(BAD_BOUNDS)
     assert main(["validate", "--grid", str(path)]) == 1
     assert "straddle 0" in capsys.readouterr().out
+
+
+def test_validate_rejects_non_finite_numbers(tmp_path, capsys):
+    path = tmp_path / "nonfinite.yaml"
+    path.write_text(NON_FINITE)
+    assert main(["validate", "--grid", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "ok" not in out.splitlines()
+    for field in ("g_pu_per_km", "p_pu", "p_max_pu"):
+        assert f"{field} must be finite" in out, field
+    assert main(["run", "--grid", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "g_pu_per_km must be finite" in capsys.readouterr().err
 
 
 def test_missing_grid_is_io_error(capsys):

@@ -11,9 +11,13 @@ from feederflow import (
     GridTree,
     PerUnitBase,
     power_density,
+    synthesize,
     to_per_unit,
     validate_grid,
 )
+
+INF = float("inf")
+NAN = float("nan")
 
 
 def make_single(devices, length=5.0, g=3.881, b=6.856):
@@ -102,6 +106,39 @@ def test_validate_collects_every_violation():
         "unknown segment 'nope'",
     ):
         assert needle in text, needle
+
+
+def test_validate_rejects_unnamed_device():
+    # plans are keyed by id: an unnamed station would be dispatched but
+    # left out of the density and its bound and cone checks
+    grid = make_single([
+        Device("load", "main", 4.0, "l", p_pu=-0.05),
+        Device("station", "main", 2.0, p_min_pu=-0.1, p_max_pu=0.1),
+    ])
+    assert validate_grid(grid).violations == ("device station@main:2.0: id must be non-empty",)
+    with pytest.raises(ValueError, match="station@main:2.0: id must be non-empty"):
+        synthesize(grid, 0.05)
+
+
+@pytest.mark.parametrize("changes,violation", [
+    pytest.param({"g": INF}, "segment 'main': g_pu_per_km must be finite, got inf", id="G"),
+    pytest.param({"b": NAN}, "segment 'main': b_pu_per_km must be finite, got nan", id="B"),
+    pytest.param({"load": {"p_pu": NAN}}, "device l: p_pu must be finite, got nan",
+                 id="load-p"),
+    pytest.param({"load": {"p_pu": -0.05, "q_pu": -INF}},
+                 "device l: q_pu must be finite, got -inf", id="load-q"),
+    pytest.param({"station": {"p_min_pu": -INF, "p_max_pu": 0.1}},
+                 "device s: p_min_pu must be finite, got -inf", id="station-p-min"),
+    pytest.param({"station": {"p_min_pu": -0.1, "p_max_pu": INF}},
+                 "device s: p_max_pu must be finite, got inf", id="station-p-max"),
+])
+def test_validate_rejects_non_finite_numbers(changes, violation):
+    grid = make_single([
+        Device("load", "main", 4.0, "l", **changes.get("load", {"p_pu": -0.05})),
+        Device("station", "main", 2.0, "s",
+               **changes.get("station", {"p_min_pu": -0.1, "p_max_pu": 0.1})),
+    ], g=changes.get("g", 3.881), b=changes.get("b", 6.856))
+    assert validate_grid(grid).violations == (violation,)
 
 
 def test_validated_raises_with_all_messages():

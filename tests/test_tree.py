@@ -2,11 +2,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from feederflow import (
+    FEEDER_TREE_PREF,
     Device,
     FeederSegment,
     GridTree,
+    HandOff,
     PerUnitBase,
     audit_trace,
     power_density,
@@ -209,3 +212,153 @@ def test_tree_principle_mode_stays_in_cone(feeder_tree):
     assert plan.total_p() == 0.01  # active pass identical in both modes
     for row in plan.stations:
         assert abs(row.q_pu) <= station_q_cap(row.p_pu)
+
+
+# -- bundled tree golden, recorded bit for bit --------------------------------
+
+# bank-nearest first: (station id, p_pu, literal q_pu, principle q_pu)
+TREE_ROWS = (
+    ("a-st-1", -0.0140625, -0.006810779599282301, 0.006810779599282301),
+    ("b-st-1", 0.00013671875000000056, 6.621591277080045e-05, 6.621591277080045e-05),
+    ("a-st-2", 0.00048828125, 0.0002364854027528578, -0.0),
+    ("b-st-2", 0.0009765625, 0.0004729708055057156, -0.0),
+    ("a-st-3", 0.00048828125, 0.0002364854027528578, -0.0),
+    ("b-st-3", 0.0009765625, 0.0004729708055057156, -0.0),
+    ("a-st-4", 0.00048828125, 0.0002364854027528578, -0.0),
+    ("b-st-4", 0.0009765625, 0.0004729708055057156, -0.0),
+    ("a-st-5", 0.00048828125, 0.0002364854027528578, -0.0),
+    ("b-st-5", 0.0009765625, 0.0004729708055057156, -0.0),
+    ("a-st-6", 0.0020507812499999997, 0.0009932386915620026, -0.0008845074812967577),
+    ("a2-st-1", 0.00048828125, 0.0002364854027528578, -0.0),
+    ("a1-st-1", 0.0140625, 0.006810779599282301, 0.0013157894736842105),
+    ("a2-st-2", 0.00048828125, 0.0002364854027528578, -0.0),
+    ("a2-st-3", 0.00048828125, 0.0002364854027528578, -0.0),
+    ("a2-st-4", 0.00048828125, 0.0002364854027528578, -0.0),
+)
+# post order, far end first within each segment
+TREE_SEEDS_P = (
+    ("a1-st-1", 0.0),
+    ("a2-st-4", 0.0),
+    ("a2-st-3", 0.0),
+    ("a2-st-2", 0.0),
+    ("a2-st-1", 0.0),
+    ("a-st-6", 0.0015624999999999997),
+    ("a-st-5", 0.0),
+    ("a-st-4", 0.0),
+    ("a-st-3", 0.0),
+    ("a-st-2", 0.0),
+    ("a-st-1", 0.0),
+    ("b-st-5", 0.0),
+    ("b-st-4", 0.0),
+    ("b-st-3", 0.0),
+    ("b-st-2", 0.0),
+    ("b-st-1", 0.0),
+)
+TREE_SEEDS_Q_LITERAL = (
+    ("a1-st-1", 0.0),
+    ("a2-st-4", 0.0),
+    ("a2-st-3", 0.000585883018299774),
+    ("a2-st-2", 0.000585883018299774),
+    ("a2-st-1", 0.000585883018299774),
+    ("a-st-6", 0.012196156050596423),
+    ("a-st-5", 0.00044408596554522894),
+    ("a-st-4", 0.00031633177305761596),
+    ("a-st-3", 0.00031633177305761596),
+    ("a-st-2", 0.00031633177305761596),
+    ("a-st-1", 0.00031633177305761596),
+    ("b-st-5", 0.0),
+    ("b-st-4", 0.0006326635461152319),
+    ("b-st-3", 0.0006326635461152319),
+    ("b-st-2", 0.0006326635461152319),
+    ("b-st-1", 0.0006326635461152319),
+)
+TREE_TRACE_LITERAL = (
+    HandOff("P", 0.0015624999999999997, "a1-st-1", "a-st-6"),
+    HandOff("Q", 0.011610273032296649, "a1-st-1", "a-st-6"),
+    HandOff("Q", 0.000585883018299774, "a2-st-4", "a2-st-3"),
+    HandOff("Q", 0.000585883018299774, "a2-st-3", "a2-st-2"),
+    HandOff("Q", 0.000585883018299774, "a2-st-2", "a2-st-1"),
+    HandOff("Q", 0.000585883018299774, "a2-st-1", "a-st-6"),
+    HandOff("Q", 0.00044408596554522894, "a-st-6", "a-st-5"),
+    HandOff("Q", 0.00031633177305761596, "a-st-5", "a-st-4"),
+    HandOff("Q", 0.00031633177305761596, "a-st-4", "a-st-3"),
+    HandOff("Q", 0.00031633177305761596, "a-st-3", "a-st-2"),
+    HandOff("Q", 0.00031633177305761596, "a-st-2", "a-st-1"),
+    HandOff("Q", -0.0008733791444832844, "a-st-1", None),
+    HandOff("Q", 0.0006326635461152319, "b-st-5", "b-st-4"),
+    HandOff("Q", 0.0006326635461152319, "b-st-4", "b-st-3"),
+    HandOff("Q", 0.0006326635461152319, "b-st-3", "b-st-2"),
+    HandOff("Q", 0.0006326635461152319, "b-st-2", "b-st-1"),
+    HandOff("Q", 0.0005639956676531399, "b-st-1", None),
+)
+
+
+def _exact(values):
+    """repr of the whole tuple: unlike ==, it also tells -0.0 from 0.0."""
+    return repr(tuple(values))
+
+
+@pytest.mark.parametrize("mode", ["literal", "principle"])
+def test_bundled_tree_plan_frozen_exact(feeder_tree, mode):
+    plan = synthesize_tree(feeder_tree, FEEDER_TREE_PREF, mode=mode)
+    q_col = 2 if mode == "literal" else 3
+    assert _exact((row.station_id, row.p_pu, row.q_pu) for row in plan.stations) == _exact(
+        (row[0], row[1], row[q_col]) for row in TREE_ROWS)
+    assert _exact(plan.seeds_p) == _exact(TREE_SEEDS_P)
+    if mode == "literal":
+        seeds_q, trace = TREE_SEEDS_Q_LITERAL, TREE_TRACE_LITERAL
+    else:
+        # principle mode forwards no Q, so it seeds nothing and logs only P
+        seeds_q = tuple((sid, 0.0) for sid, _ in TREE_SEEDS_P)
+        trace = tuple(ev for ev in TREE_TRACE_LITERAL if ev.quantity == "P")
+    assert _exact(plan.seeds_q) == _exact(seeds_q)
+    assert _exact(plan.trace) == _exact(trace)
+    assert repr(plan.leftover_p) == "0.0"
+
+
+# -- randomized trees ------------------------------------------------------------
+
+@st.composite
+def random_tree(draw):
+    """1-6 segments, each with at least one station and one load strictly inside."""
+    segs = []
+    start = {}
+    devices = []
+    for k in range(draw(st.integers(min_value=1, max_value=6))):
+        sid = f"s{k}"
+        length = draw(st.floats(0.5, 3.0))
+        g = draw(st.floats(0.5, 8.0))
+        b = draw(st.floats(0.5, 8.0))
+        if k == 0:
+            segs.append(FeederSegment(sid, length, g, b))
+            start[sid] = 0.0
+        else:
+            parent = segs[draw(st.integers(min_value=0, max_value=k - 1))]
+            offset = parent.length_km * draw(st.floats(0.05, 1.0))
+            segs.append(FeederSegment(sid, length, g, b, parent=parent.id, offset_km=offset))
+            start[sid] = start[parent.id] + offset
+        extra = draw(st.lists(st.sampled_from(["station", "load"]), max_size=4))
+        kinds = draw(st.permutations(["station", "load"] + extra))
+        for i, kind in enumerate(kinds):
+            xi = start[sid] + length * (i + 1) / (len(kinds) + 1)
+            if kind == "station":
+                raw = draw(st.floats(0.001, 0.2))
+                lo_scale = draw(st.floats(0.1, 1.0))
+                devices.append(Device("station", sid, xi, f"{sid}-d{i}",
+                                      p_min_pu=-raw * lo_scale, p_max_pu=raw))
+            else:
+                devices.append(Device("load", sid, xi, f"{sid}-d{i}",
+                                      p_pu=-draw(st.floats(0.0, 0.3)),
+                                      q_pu=draw(st.floats(-0.1, 0.1))))
+    grid = GridTree(PerUnitBase(1.0, 1.0), tuple(segs), tuple(devices))
+    return grid, draw(st.floats(-0.5, 0.5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_tree())
+def test_property_random_tree_audits_and_conserves(case):
+    grid, p_ref = case
+    for mode in ("literal", "principle"):
+        plan = synthesize_tree(grid, p_ref, mode=mode)
+        assert audit_trace(plan) == 0.0
+        assert plan.total_p() + plan.leftover_p == pytest.approx(p_ref, abs=1e-12)
