@@ -36,6 +36,10 @@ PF_FLOOR = 0.9
 # device power, far below the 1e-6 quadrature tolerance.
 KERNEL_CUTOFF_SIGMAS = 6.0
 
+# DensityField.sample evaluates kernels this many devices at a time, which
+# bounds its temporary arrays to about this many windows of samples.
+DENSITY_BLOCK_DEVICES = 256
+
 
 @dataclass(frozen=True)
 class PerUnitBase:
@@ -133,7 +137,9 @@ class GridTree:
 
     Construction never raises on semantic problems; run validate_grid (or
     the ``validated`` helper) before handing a tree to the solver or the
-    dispatch passes.
+    dispatch passes.  ``validated`` remembers a passing result on the
+    instance; segments and devices are stored as tuples so that it cannot
+    go stale.
     """
 
     base: PerUnitBase
@@ -142,8 +148,11 @@ class GridTree:
     _seg_by_id: dict = field(init=False, repr=False, compare=False)
     _start_km: dict = field(init=False, repr=False, compare=False)
     _children: dict = field(init=False, repr=False, compare=False)
+    _valid: bool = field(init=False, repr=False, compare=False, default=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "segments", tuple(self.segments))
+        object.__setattr__(self, "devices", tuple(self.devices))
         object.__setattr__(self, "_seg_by_id", {s.id: s for s in self.segments})
         # resolve cumulative start offsets; segments in a parent cycle or
         # with an unknown parent stay unresolved and are reported later
@@ -200,9 +209,16 @@ class GridTree:
         return tuple(d for d in self.devices if d.kind == "station")
 
     def validated(self) -> "GridTree":
+        """self if the grid is valid, else ValueError naming every violation.
+
+        Only a passing result is cached: an invalid grid raises every time.
+        """
+        if self._valid:
+            return self
         report = validate_grid(self)
         if not report.ok:
             raise ValueError("invalid grid: " + "; ".join(report.violations))
+        object.__setattr__(self, "_valid", True)
         return self
 
 
@@ -297,14 +313,16 @@ class DensityField:
     at its position and truncated at +-6 sigma.  Kernels never spill across
     junctions: a device's mass stays on its own segment, so positions closer
     than ~6 sigma to a segment end lose tail mass.
+
+    Sampling costs O(devices x window), not O(devices x points): each device
+    is evaluated only on the samples inside its own cut-off window.
     """
 
     def __init__(self, grid: GridTree, station_power, sigma_km: float):
         if not (sigma_km > 0.0 and math.isfinite(sigma_km)):
             raise ValueError(f"sigma must be positive, got {sigma_km}")
         self.sigma_km = sigma_km
-        self._by_segment: dict[str, list[tuple[float, float, float]]] = {}
-        centres: dict[str, list[float]] = {}
+        cols: dict[str, tuple[list[float], list[float], list[float]]] = {}
         for d in grid.devices:
             if d.kind == "load":
                 p, q = d.p_pu, d.q_pu
@@ -312,9 +330,18 @@ class DensityField:
                 p, q = station_power[d.id]
             else:
                 continue  # idle station
-            self._by_segment.setdefault(d.segment, []).append((d.xi_km, p, q))
-            centres.setdefault(d.segment, []).append(d.xi_km)
-        for seg_id, xs in centres.items():
+            if d.segment not in cols:
+                cols[d.segment] = ([], [], [])
+            xs, ps, qs = cols[d.segment]
+            xs.append(d.xi_km)
+            ps.append(p)
+            qs.append(q)
+        # (centre, p, q) arrays per segment, in device declaration order
+        self._by_segment: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {
+            seg_id: tuple(np.array(c, dtype=float) for c in seg_cols)
+            for seg_id, seg_cols in cols.items()
+        }
+        for seg_id, (xs, _, _) in cols.items():
             xs.sort()
             gaps = [b - a for a, b in zip(xs, xs[1:])]
             if gaps and sigma_km > min(gaps) / 2.0:
@@ -325,20 +352,48 @@ class DensityField:
                 )
 
     def sample(self, seg_id: str, x_km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate (p, q) at cumulative positions x_km on one segment."""
+        """Evaluate (p, q) at cumulative positions x_km on one segment.
+
+        x_km may be in any order and may repeat positions.  Each sample sums
+        its kernels in device declaration order, so the result does not
+        depend on how the samples are ordered or grouped into calls.
+        """
         x = np.asarray(x_km, dtype=float)
-        p = np.zeros_like(x)
-        q = np.zeros_like(x)
+        p = np.zeros(x.shape)
+        q = np.zeros(x.shape)
+        devices = self._by_segment.get(seg_id)
+        if devices is None or x.size == 0:
+            return p, q
+        order = np.argsort(x, axis=None, kind="stable")
+        xs = x.ravel()[order]
+        two_var = 2.0 * self.sigma_km ** 2
         norm = 1.0 / math.sqrt(2.0 * math.pi * self.sigma_km ** 2)
         cut = KERNEL_CUTOFF_SIGMAS * self.sigma_km
-        for xi, pw, qw in self._by_segment.get(seg_id, ()):
-            dx = x - xi
-            mask = np.abs(dx) <= cut
-            if not mask.any():
+        centres, pw, qw = devices
+        # windows are padded by a few ulps, so that rounding in xi +- cut
+        # cannot drop a sample (or a copy of a repeated one) that the
+        # |dx| <= cut test below keeps
+        pad = 4.0 * np.spacing(np.abs(centres) + cut)
+        lo = np.searchsorted(xs, centres - cut - pad, side="left")
+        hi = np.searchsorted(xs, centres + cut + pad, side="right")
+        counts = hi - lo
+        p_flat, q_flat = p.reshape(-1), q.reshape(-1)
+        for b in range(0, centres.size, DENSITY_BLOCK_DEVICES):
+            blk = slice(b, b + DENSITY_BLOCK_DEVICES)
+            n = counts[blk]
+            total = int(n.sum())
+            if total == 0:
                 continue
-            kern = norm * np.exp(-dx[mask] ** 2 / (2.0 * self.sigma_km ** 2))
-            p[mask] += pw * kern
-            q[mask] += qw * kern
+            # flattened (device, sample) pairs, device-major
+            dev = np.repeat(np.arange(b, b + n.size), n)
+            pos = np.arange(total) + np.repeat(lo[blk] - (np.cumsum(n) - n), n)
+            dx = xs[pos] - centres[dev]
+            keep = np.abs(dx) <= cut
+            dev, dx = dev[keep], dx[keep]
+            kern = norm * np.exp(-dx ** 2 / two_var)
+            idx = order[pos[keep]]
+            np.add.at(p_flat, idx, pw[dev] * kern)
+            np.add.at(q_flat, idx, qw[dev] * kern)
         return p, q
 
 

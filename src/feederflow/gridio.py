@@ -54,6 +54,10 @@ __all__ = [
 PROFILE_HEADER = "segment_id,x_km,theta_rad,v_pu,s,w"
 DISPATCH_HEADER = "station_id,xi_km,p_pu,q_pu,p_min_eff,p_max_eff,q_cap"
 
+# libyaml's parser when PyYAML was built with it (several times faster on
+# large grids), else the pure-Python one; both resolve tags the same way
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class GridFileError(Exception):
     """Unreadable or malformed grid file (I/O, YAML syntax, schema)."""
@@ -105,7 +109,7 @@ def load_grid(path: str | Path) -> GridTree:
     except OSError as exc:
         raise GridFileError(f"{path}: cannot read: {exc}") from exc
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise GridFileError(f"{path}: YAML syntax error: {exc}") from exc
     return parse_grid(doc, source=str(path))

@@ -9,7 +9,8 @@ iterated to a fixed point in v.  The partially linearized system has no v
 feedback, so it converges on the second sweep by construction.
 
 Integration is the explicit second-order midpoint rule on a uniform mesh
-per segment; densities are pre-sampled at mesh nodes and midpoints.  All
+per segment; densities are pre-sampled at mesh nodes and midpoints, in one
+call per segment.  All
 recurrences reduce to cumulative sums, so sweeps are plain vector ops.
 """
 from __future__ import annotations
@@ -58,9 +59,12 @@ class VoltageCollapseError(SolverError):
 class SolverSettings:
     """Mesh and iteration controls.
 
-    step_km=None meshes each segment with length/2000; scheme_order may be
-    1 (Euler) or 2 (midpoint, default).  The mesh must resolve the density
-    kernels: step <= sigma/2 is enforced against the supplied field.
+    step_km=None meshes each segment with min(length/2000, sigma/2), where
+    sigma is the width of the supplied density's kernels (length/2000 when
+    no density is given), so any feeder length resolves its kernels.  An
+    explicit step_km must itself satisfy step <= sigma/2, which is enforced
+    against the supplied field.  scheme_order may be 1 (Euler) or 2
+    (midpoint, default).
     """
 
     step_km: float | None = None
@@ -144,22 +148,33 @@ class _Edge:
         self.s = np.zeros(self.n + 1)
         self.w = np.zeros(self.n + 1)
 
-    def sample_density(self, density: DensityField | None) -> None:
-        if density is None:
-            z = np.zeros(self.n + 1)
-            zm = np.zeros(self.n)
-            self.p_nodes, self.q_nodes, self.p_mids, self.q_mids = z, z.copy(), zm, zm.copy()
-        else:
-            self.p_nodes, self.q_nodes = density.sample(self.seg_id, self.x_nodes)
-            mids = self.x_nodes[:-1] + 0.5 * self.h
-            self.p_mids, self.q_mids = density.sample(self.seg_id, mids)
+
+def _sample_density(chain: list[_Edge], density: DensityField | None) -> None:
+    """Sample one segment's density in a single call, at the nodes and
+    midpoints of all its edges interleaved, and hand each edge its share."""
+    pts = []
+    for e in chain:
+        x = np.empty(2 * e.n + 1)
+        x[0::2] = e.x_nodes
+        x[1::2] = e.x_nodes[:-1] + 0.5 * e.h
+        pts.append(x)
+    if density is None:
+        p = q = np.zeros(sum(len(x) for x in pts))
+    else:
+        p, q = density.sample(chain[0].seg_id, np.concatenate(pts))
+    k = 0
+    for e, x in zip(chain, pts):
+        pe, qe = p[k:k + len(x)], q[k:k + len(x)]
+        e.p_nodes, e.q_nodes = pe[0::2].copy(), qe[0::2].copy()
+        e.p_mids, e.q_mids = pe[1::2].copy(), qe[1::2].copy()
+        k += len(x)
 
 
 def _rev_cumsum(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a[::-1])[::-1]
 
 
-def _build_edges(grid: GridTree, settings: SolverSettings):
+def _build_edges(grid: GridTree, settings: SolverSettings, sigma_km: float | None):
     """Split segments at interior taps and wire up the junction tree."""
     edges: list[_Edge] = []
     by_segment: dict[str, list[_Edge]] = {}
@@ -172,7 +187,11 @@ def _build_edges(grid: GridTree, settings: SolverSettings):
         if s.parent is not None:
             taps[s.parent].append(s.offset_km)
     for s in grid.segments:
-        step = settings.step_km if settings.step_km is not None else s.length_km / 2000.0
+        step = settings.step_km
+        if step is None:
+            step = s.length_km / 2000.0
+            if sigma_km is not None:
+                step = min(step, sigma_km / 2.0)
         cuts = sorted({off for off in taps[s.id] if 0.0 < off < s.length_km})
         bounds = [0.0] + cuts + [s.length_km]
         start = grid.segment_start_km(s.id)
@@ -216,16 +235,17 @@ def _build_edges(grid: GridTree, settings: SolverSettings):
 def _solve(grid: GridTree, density: DensityField | None, settings: SolverSettings,
            nonlinear: bool) -> VoltageProfile:
     grid.validated()
-    edges, by_segment, roots, post = _build_edges(grid, settings)
-    if density is not None:
+    sigma_km = density.sigma_km if density is not None else None
+    edges, by_segment, roots, post = _build_edges(grid, settings, sigma_km)
+    if sigma_km is not None:
         coarsest = max(e.h for e in edges)
-        if coarsest > density.sigma_km / 2.0 + 1e-15:
+        if coarsest > sigma_km / 2.0 + 1e-15:
             raise ValueError(
-                f"mesh step {coarsest} km exceeds sigma/2={density.sigma_km / 2.0}: "
+                f"mesh step {coarsest} km exceeds sigma/2={sigma_km / 2.0}: "
                 "the density kernels would be under-resolved; lower step_km"
             )
-    for e in edges:
-        e.sample_density(density)
+    for chain in by_segment.values():
+        _sample_density(chain, density)
 
     sweeps = 0
     change = np.inf

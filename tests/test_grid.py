@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import feederflow.grid as grid_module
 from feederflow import (
     Device,
     DensityField,
@@ -147,6 +149,48 @@ def test_validated_raises_with_all_messages():
         grid.validated()
 
 
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The grids that validate_grid is called on while the test runs."""
+    calls = []
+    real = grid_module.validate_grid
+    monkeypatch.setattr(grid_module, "validate_grid", lambda g: calls.append(g) or real(g))
+    return calls
+
+
+def test_validated_caches_a_passing_result(validate_calls):
+    grid = make_single([Device("load", "main", 2.0, "l", p_pu=-0.1)])
+    assert grid.validated() is grid
+    assert grid.validated() is grid
+    assert validate_calls == [grid]
+
+
+def test_validated_never_caches_an_invalid_grid(validate_calls):
+    grid = make_single([Device("load", "main", 9.0, "l", p_pu=-0.1)])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="strictly inside"):
+            grid.validated()
+    assert validate_calls == [grid] * 3
+
+
+def test_validate_grid_ignores_the_cache():
+    grid = make_single([Device("load", "main", 9.0, "l", p_pu=-0.1)])
+    object.__setattr__(grid, "_valid", True)
+    assert not validate_grid(grid).ok
+
+
+def test_grid_stores_segments_and_devices_as_tuples():
+    # a list handed to the constructor could be mutated after validation
+    segs = [FeederSegment("main", 5.0, 3.881, 6.856)]
+    devs = [Device("load", "main", 2.0, "l", p_pu=-0.1)]
+    grid = GridTree(PerUnitBase(1.0, 1.0), segs, devs).validated()
+    devs.append(Device("load", "main", 9.0, "bad", p_pu=-0.1))
+    assert grid.segments == tuple(segs)
+    assert grid.devices == (devs[0],)
+    assert grid == GridTree(PerUnitBase(1.0, 1.0), tuple(segs), (devs[0],))
+    hash(grid)
+
+
 def test_offset_must_lie_on_parent():
     grid = GridTree(
         PerUnitBase(1.0, 1.0),
@@ -240,3 +284,79 @@ def test_power_density_checks_bounds_and_cone():
         power_density(grid, {"s": (0.05, 0.05)})
     # at the cone boundary, q = p*tan(acos(0.9)) is accepted
     power_density(grid, {"s": (0.05, 0.05 * math.tan(math.acos(0.9)))})
+
+
+# -- windowed sampling against a per-device mask loop -------------------------
+
+def _mask_loop(kernels, sigma, x):
+    """Reference: every kernel masks the whole sample array, in turn."""
+    x = np.asarray(x, dtype=float)
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    norm = 1.0 / math.sqrt(2.0 * math.pi * sigma ** 2)
+    cut = 6.0 * sigma
+    for xi, pw, qw in kernels:
+        dx = x - xi
+        mask = np.abs(dx) <= cut
+        kern = norm * np.exp(-dx[mask] ** 2 / (2.0 * sigma ** 2))
+        p[mask] += pw * kern
+        q[mask] += qw * kern
+    return p, q
+
+
+@st.composite
+def sampled_segment(draw):
+    """A segment with loads, dispatched and idle stations, a neighbour
+    segment whose devices must be ignored, and sample positions that are
+    unsorted, repeated, outside the segment and on kernel cut-offs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    length = draw(st.floats(0.5, 5.0))
+    sigma = draw(st.floats(0.01, 0.3))
+    many = draw(st.booleans())
+    n = 2 * grid_module.DENSITY_BLOCK_DEVICES + 3 if many else draw(st.integers(0, 30))
+    kinds = rng.choice(["load", "station", "idle"], size=n)
+    devices, power, kernels = [], {}, []
+    for k, (kind, xi) in enumerate(zip(kinds, rng.uniform(0.0, length, n))):
+        xi = float(xi)
+        p, q = float(rng.uniform(-0.1, 0.1)), float(rng.uniform(-0.05, 0.05))
+        if kind == "load":
+            devices.append(Device("load", "main", xi, f"d{k}", p_pu=p, q_pu=q))
+            kernels.append((xi, p, q))
+        else:
+            devices.append(Device("station", "main", xi, f"d{k}", p_min_pu=-1.0, p_max_pu=1.0))
+            if kind == "station":
+                power[f"d{k}"] = (p, q)
+                kernels.append((xi, p, q))
+    devices.append(Device("load", "lat", length + 0.5, "other", p_pu=-0.3, q_pu=0.1))
+    mesh = np.linspace(-0.5, length + 0.5, draw(st.integers(0, 400)))
+    # kernel cut-offs and their floating-point neighbours
+    edges = np.array([xi + s * 6.0 * sigma for xi, _, _ in kernels[:20] for s in (-1.0, 1.0)])
+    edges = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    x = np.concatenate([mesh, mesh[: draw(st.integers(0, 20))], edges, edges])
+    grid = GridTree(
+        PerUnitBase(1.0, 1.0),
+        (FeederSegment("main", length, 1.0, 2.0),
+         FeederSegment("lat", 1.0, 1.0, 2.0, parent="main", offset_km=length)),
+        tuple(devices),
+    )
+    return grid, power, sigma, kernels, rng.permutation(x)
+
+
+@pytest.mark.filterwarnings("ignore:sigma=")
+@settings(max_examples=60, deadline=None)
+@given(sampled_segment())
+def test_property_sample_equals_mask_loop_bit_for_bit(case):
+    grid, power, sigma, kernels, x = case
+    p, q = DensityField(grid, power, sigma).sample("main", x)
+    p_ref, q_ref = _mask_loop(kernels, sigma, x)
+    assert np.array_equal(p, p_ref)
+    assert np.array_equal(q, q_ref)
+
+
+def test_sample_empty_and_deviceless():
+    grid = make_single([Device("load", "main", 2.5, "l", p_pu=-0.1)])
+    field = DensityField(grid, None, 0.05)
+    p, q = field.sample("main", np.array([]))
+    assert p.shape == q.shape == (0,)
+    p, q = field.sample("elsewhere", np.array([2.5, 2.5]))
+    assert np.array_equal(p, [0.0, 0.0]) and np.array_equal(q, [0.0, 0.0])

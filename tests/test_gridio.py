@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import yaml
 
 from feederflow import (
     GridFileError,
@@ -14,6 +15,7 @@ from feederflow import (
 from feederflow.gridio import (
     DISPATCH_HEADER,
     PROFILE_HEADER,
+    YAML_LOADER,
     fmt_float,
     write_dispatch_csv,
     write_metrics_json,
@@ -88,6 +90,18 @@ def test_missing_file_raises():
 def test_yaml_syntax_error(tmp_path):
     with pytest.raises(GridFileError, match="YAML syntax"):
         load_grid(write_tmp(tmp_path, "segments: [\n"))
+
+
+@pytest.mark.parametrize("name", ["single_feeder", "feeder_tree"])
+def test_libyaml_and_python_loaders_agree(name):
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    assert YAML_LOADER is yaml.CSafeLoader
+    text = bundled_grid_path(name).read_text(encoding="utf-8")
+    fast = yaml.load(text, Loader=yaml.CSafeLoader)
+    slow = yaml.load(text, Loader=yaml.SafeLoader)
+    assert fast == slow
+    assert repr(fast) == repr(slow)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import pytest
 from feederflow import (
     ClosedFormProfile,
     ConvergenceError,
+    DensityField,
     Device,
     FeederSegment,
     GridTree,
@@ -122,10 +123,42 @@ def test_mesh_must_resolve_kernel(single_feeder):
     density = power_density(single_feeder, None, sigma_km=0.05)
     with pytest.raises(ValueError, match="sigma|resolve|step"):
         solve_nonlinear(single_feeder, density, SolverSettings(step_km=0.05))
-    # default mesh (L/2000) under-resolves a very narrow kernel
+    # an L/2000 mesh under-resolves a very narrow kernel; the default mesh
+    # refines itself to sigma/2 instead
     narrow = power_density(single_feeder, None, sigma_km=0.004)
     with pytest.raises(ValueError):
-        solve_nonlinear(single_feeder, narrow)
+        solve_nonlinear(single_feeder, narrow, SolverSettings(step_km=5.0 / 2000))
+    x = solve_nonlinear(single_feeder, narrow).segments[0].x_km
+    assert len(x) == 2501  # step 5 km / 2500 = sigma/2
+
+
+def test_default_mesh_resolves_kernels_on_a_long_feeder():
+    # length/2000 = 0.03 km would exceed sigma/2 = 0.025 km
+    grid = make_single([Device("load", "main", 45.0, "l", p_pu=-0.01)], length=60.0)
+    prof = solve_nonlinear(grid, power_density(grid, None, sigma_km=0.05), SolverSettings())
+    assert len(prof.segments[0].x_km) == 2401  # step 60 km / 2400 = sigma/2
+
+
+def test_bundled_meshes_keep_their_size(single_feeder, feeder_tree):
+    # sizes recorded before the default step learned about sigma
+    for grid in (single_feeder, feeder_tree):
+        for density in (None, power_density(grid, None)):
+            prof = solve_nonlinear(grid, density)
+            assert [len(sp.x_km) for sp in prof.segments] == [2001] * len(grid.segments)
+
+
+def test_density_sampled_once_per_segment(feeder_tree, monkeypatch):
+    calls = []
+    real = DensityField.sample
+
+    def counting(self, seg_id, x_km):
+        calls.append((seg_id, len(x_km)))
+        return real(self, seg_id, x_km)
+
+    monkeypatch.setattr(DensityField, "sample", counting)
+    solve_nonlinear(feeder_tree, power_density(feeder_tree, None))
+    # nodes and midpoints of each segment's 2000 cells, in one call
+    assert calls == [(s.id, 4001) for s in feeder_tree.segments]
 
 
 def test_scheme_orders_both_converge_order2_closer():

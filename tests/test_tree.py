@@ -1,4 +1,5 @@
 """Branched-feeder dispatch: hand-off routing, audit, and flat-feeder parity."""
+import hashlib
 import math
 
 import pytest
@@ -6,13 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from feederflow import (
     FEEDER_TREE_PREF,
+    SINGLE_FEEDER_PREF,
     Device,
     FeederSegment,
     GridTree,
     HandOff,
     PerUnitBase,
     audit_trace,
+    load_feeder_tree,
+    load_single_feeder,
     power_density,
+    solve_nonlinear,
     station_q_cap,
     synthesize,
     synthesize_tree,
@@ -314,6 +319,58 @@ def test_bundled_tree_plan_frozen_exact(feeder_tree, mode):
     assert _exact(plan.seeds_q) == _exact(seeds_q)
     assert _exact(plan.trace) == _exact(trace)
     assert repr(plan.leftover_p) == "0.0"
+
+
+# sha256 of the raw bytes of every profile array: literal plan at the
+# bundled request, sigma 0.05 km, default solver settings
+PROFILE_SHA256 = {
+    "single_feeder": {
+        ("main", "x_km"): "633805a8a49c4965e2475daa4e857567f0f8619e250d5315e326343bdf62c6ea",
+        ("main", "theta_rad"): "ef912d0636626da3c6f4662e87160ecd44046395957184f4894b0b051126bb7f",
+        ("main", "v_pu"): "28e3c776da86243e2a4b446cdeab467f127cfcaf4480d1371aa988e9851663e3",
+        ("main", "s"): "a594972d9c3fb05d82b568efe2fddc1e3e2774f88fc1cf912c342e7b70703aa4",
+        ("main", "w"): "cb3b7d25441c01ae63e69335a969f661c4ed9edd4f2a500ca6ea25fb28c435ac",
+    },
+    "feeder_tree": {
+        ("trunk", "x_km"): "e9f9c65d5aa43630b0daacc01f78dea837a7a3421f0fc0f4599805ef97c82a4f",
+        ("trunk", "theta_rad"): "4db9cc83253d76f52f07dee452746a2118b11589000f3c3a1524915666e00ba0",
+        ("trunk", "v_pu"): "1baf2bfc1b7e443d5605261440d5c2163943d1b5530c87fa86096ddf7d73e30b",
+        ("trunk", "s"): "ac9f399822af75b4bb85259ca808c7d538ac251d38db33824e82d902c208668d",
+        ("trunk", "w"): "d9fd3c0364775c4a3772c8a247e71221d5d113aa05cf32649d2c51a90915f26e",
+        ("fdrA", "x_km"): "0e0d2fa2756598159d45881e94d5ad99691f7bb8c0b52d1915abe09052af914f",
+        ("fdrA", "theta_rad"): "b5e8f4c0061c785fdaafa4d2e7313ac5c96dcd84fbdda7ab383678fcd1b74709",
+        ("fdrA", "v_pu"): "6eb00b141acdaef4c5e35652d90e8f019a4ca9693d0d6d2f73b1adda781c9cab",
+        ("fdrA", "s"): "2e0f11540ec9761e2ba30b9c4a559c3848d6dfb6ad1dbb71ee21533dd5299a56",
+        ("fdrA", "w"): "ffc26bfc2cb5a2de0659ded131d2f7a7631869c56276cc699e64745c53fb2b19",
+        ("fdrB", "x_km"): "9aa34a2f1ad75ac8a6b9016253c2fb67460d8e2de8d751551cbf775b71ab09b0",
+        ("fdrB", "theta_rad"): "2090e5aa814f6a763b37bb37230002b41903bccadabf9ea5471c661ffbf10590",
+        ("fdrB", "v_pu"): "4ab3b97eba16d2feef78e8cd3946abf225d27d1b8e493191c36b9e87fd254479",
+        ("fdrB", "s"): "fd307323e9142eeb70ad69a95fdf50e8001f8c04e9a515dcd8aaf6ee242242bb",
+        ("fdrB", "w"): "08b24bf1c0be92c08f21ab244f06805631d4c85b01e0971b1d4fc10dbe7052e4",
+        ("fdrA1", "x_km"): "ee5cb9b4e9baafb58a6300250f26cb980526f0925bdb20a4330ae48bdc73bbf5",
+        ("fdrA1", "theta_rad"): "3b62e93208b7ac614a94ce3f6f7205150d8cb6751b3790ea8c933b742003bd6e",
+        ("fdrA1", "v_pu"): "a90056a9ee234d4538e810d3d58a9ec4162f25dc12614fa3123bc270aed11d9f",
+        ("fdrA1", "s"): "9a48b14e9bd4d2f8811b23b6d1484ba5dcc89de744e4935c0402a56c9c1580de",
+        ("fdrA1", "w"): "ecc30f6e9ddbcf830548923b00f848f4f89c1734c332202837466b2fb6162c48",
+        ("fdrA2", "x_km"): "ddb901f3dc1b7d31e92b871bb7964423352d175f16e7e88bd615644275ce39c0",
+        ("fdrA2", "theta_rad"): "2dbaece94f7f01f0b3bae7b5f1e55b6263e4e7f3d1f59daf335ab61c75037ff8",
+        ("fdrA2", "v_pu"): "38e4929c79cb708a4ca51bb170dc691499c086b9041c52b66ce100d58452645b",
+        ("fdrA2", "s"): "6efb7af7782751c8b02b168c1d53d967affaee28a5752126d2ba0de986c002dc",
+        ("fdrA2", "w"): "9044ce7cffcd61d61578bea419eed85e8e51786bb23aca2ade551640915374cc",
+    },
+}
+
+
+@pytest.mark.parametrize("name,load,pref", [
+    ("single_feeder", load_single_feeder, SINGLE_FEEDER_PREF),
+    ("feeder_tree", load_feeder_tree, FEEDER_TREE_PREF),
+])
+def test_bundled_profiles_frozen_exact(name, load, pref):
+    grid = load()
+    profile = solve_nonlinear(grid, power_density(grid, synthesize_tree(grid, pref)))
+    got = {(sp.segment_id, f): hashlib.sha256(getattr(sp, f).tobytes()).hexdigest()
+           for sp in profile.segments for f in ("x_km", "theta_rad", "v_pu", "s", "w")}
+    assert got == PROFILE_SHA256[name]
 
 
 # -- randomized trees ------------------------------------------------------------
