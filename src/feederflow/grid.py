@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -336,11 +337,15 @@ class DensityField:
             xs.append(d.xi_km)
             ps.append(p)
             qs.append(q)
-        # (centre, p, q) arrays per segment, in device declaration order
-        self._by_segment: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {
-            seg_id: tuple(np.array(c, dtype=float) for c in seg_cols)
-            for seg_id, seg_cols in cols.items()
-        }
+        # one (centre, p, q) array for all active devices, grouped by segment
+        # and in declaration order within each, and each segment's columns
+        counts = [len(c[0]) for c in cols.values()]
+        xpq = np.empty((3, sum(counts)))
+        for k in range(3):
+            xpq[k] = np.fromiter(chain.from_iterable(c[k] for c in cols.values()), float, xpq.shape[1])
+        ends = list(accumulate(counts))
+        self._xpq = xpq
+        self._columns = {seg_id: slice(a, b) for seg_id, a, b in zip(cols, [0, *ends], ends)}
         for seg_id, (xs, _, _) in cols.items():
             xs.sort()
             gaps = [b - a for a, b in zip(xs, xs[1:])]
@@ -361,15 +366,15 @@ class DensityField:
         x = np.asarray(x_km, dtype=float)
         p = np.zeros(x.shape)
         q = np.zeros(x.shape)
-        devices = self._by_segment.get(seg_id)
-        if devices is None or x.size == 0:
+        columns = self._columns.get(seg_id)
+        if columns is None or x.size == 0:
             return p, q
         order = np.argsort(x, axis=None, kind="stable")
         xs = x.ravel()[order]
         two_var = 2.0 * self.sigma_km ** 2
         norm = 1.0 / math.sqrt(2.0 * math.pi * self.sigma_km ** 2)
         cut = KERNEL_CUTOFF_SIGMAS * self.sigma_km
-        centres, pw, qw = devices
+        centres, pw, qw = self._xpq[:, columns]
         # windows are padded by a few ulps, so that rounding in xi +- cut
         # cannot drop a sample (or a copy of a repeated one) that the
         # |dx| <= cut test below keeps

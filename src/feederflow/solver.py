@@ -5,16 +5,26 @@ variable s and gradient w = dv/dx.  s and w obey terminal conditions (both
 zero at every open end), v and theta are pinned at the bank, so one sweep
 integrates s, w from the terminals toward the bank (summing both across
 junctions) and then v, theta from the bank outward, and the pair is
-iterated to a fixed point in v.  The partially linearized system has no v
-feedback, so it converges on the second sweep by construction.
+iterated to a fixed point in v (the sweep of Shirmohammadi et al. 1988).
 
-Integration is the explicit second-order midpoint rule on a uniform mesh
-per segment; densities are pre-sampled at mesh nodes and midpoints, in one
-call per segment.  All
-recurrences reduce to cumulative sums, so sweeps are plain vector ops.
+Segments are split at interior taps into edges with a uniform mesh each.
+Every state lives in one padded (edges, max_cells + 1) array, node j of an
+edge in column j of its row, so a sweep is a fixed number of whole-array
+operations whatever the number of edges: the midpoint rule's recurrences
+are row-wise cumulative sums, and only the junction values (s, w at each
+edge's far end, v, theta at its start) come from scalar loops over the
+edges in post-order and pre-order.  Pad cells of a reversed cumsum's input
+hold -0.0, the exact identity of IEEE addition, so every value is bit for
+bit what a cumsum over the edge alone gives.  s does not depend on v and
+theta does not feed back, so both are integrated once.  The partially
+linearized system is the nonlinear one with the v feedback pinned at 1
+(exact: 1.0**3 and x / 1.0 are exact), so it converges on the second sweep.
+Densities are sampled at mesh nodes and midpoints, in one call per segment.
 """
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,14 +73,13 @@ class SolverSettings:
     sigma is the width of the supplied density's kernels (length/2000 when
     no density is given), so any feeder length resolves its kernels.  An
     explicit step_km must itself satisfy step <= sigma/2, which is enforced
-    against the supplied field.  scheme_order may be 1 (Euler) or 2
-    (midpoint, default).
+    against the supplied field.  Integration is the second-order midpoint
+    rule.
     """
 
     step_km: float | None = None
     tol_v: float = 1e-9
     max_sweeps: int = 100
-    scheme_order: int = 2
     theta_bank_rad: float = 0.0
     collapse_floor_pu: float = 0.5
 
@@ -81,8 +90,6 @@ class SolverSettings:
             raise ValueError("tol_v must be positive")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
-        if self.scheme_order not in (1, 2):
-            raise ValueError(f"scheme_order must be 1 or 2, got {self.scheme_order}")
 
 
 @dataclass(frozen=True)
@@ -125,227 +132,203 @@ class VoltageProfile:
         return min(float(sp.v_pu.min()) for sp in self.segments)
 
 
-class _Edge:
-    """Uniform-mesh integration cell chain between two junction points."""
+class _Mesh:
+    """Edges in rows, segments in declared order and each segment's edges
+    bank side first; kids[e] lists the rows fed from e's far end, the next
+    edge of its segment first, then tapped segments in declared order."""
 
-    __slots__ = (
-        "seg_id", "x0", "x1", "g", "b", "z2", "n", "h",
-        "x_nodes", "p_nodes", "q_nodes", "p_mids", "q_mids",
-        "children", "v", "theta", "s", "w",
-    )
+    def __init__(self, grid: GridTree, settings: SolverSettings, sigma_km: float | None):
+        taps: dict[str, list[float]] = {s.id: [] for s in grid.segments}
+        for s in grid.segments:
+            if s.parent is not None:
+                taps[s.parent].append(s.offset_km)
+        self.rows: dict[str, range] = {}
+        x0, x1, n, h, line, kids, roots = [], [], [], [], [], [], []
+        for s in grid.segments:
+            step = settings.step_km
+            if step is None:
+                step = s.length_km / 2000.0
+                if sigma_km is not None:
+                    step = min(step, sigma_km / 2.0)
+            cuts = sorted({off for off in taps[s.id] if 0.0 < off < s.length_km})
+            bounds = [0.0] + cuts + [s.length_km]
+            start = grid.segment_start_km(s.id)
+            first = len(n)
+            for a, b in zip(bounds, bounds[1:]):
+                x0.append(start + a)
+                x1.append(start + b)
+                n.append(max(2, math.ceil((x1[-1] - x0[-1]) / step - 1e-12)))
+                h.append((x1[-1] - x0[-1]) / n[-1])
+                line.append((s.g_pu_per_km, s.b_pu_per_km, s.z2))
+                kids.append([len(n)])
+            kids[-1] = []
+            self.rows[s.id] = range(first, len(n))
+            if s.parent is None:
+                roots.append(first)
+        # attach each child segment's first edge at the right point of the parent
+        for s in grid.segments:
+            if s.parent is None:
+                continue
+            x_att = grid.segment_start_km(s.parent) + s.offset_km
+            rows = self.rows[s.parent]
+            # far ends rise along a segment: skip those well short of x_att
+            near = bisect.bisect_left(x1, x_att - 2e-12, rows.start, rows.stop)
+            host = next((e for e in range(near, rows.stop) if abs(x1[e] - x_att) < 1e-12), None)
+            if host is None:
+                raise ValueError(
+                    f"segment {s.id!r}: attachment at {x_att} km does not match a junction"
+                )
+            kids[host].append(self.rows[s.id].start)
+        # post-order, children strictly before parents
+        self.post: list[int] = []
+        stack = [(r, False) for r in reversed(roots)]
+        while stack:
+            e, done = stack.pop()
+            if done:
+                self.post.append(e)
+            else:
+                stack.append((e, True))
+                stack.extend((c, False) for c in reversed(kids[e]))
+        self.roots, self.kids, self.n, self.h = roots, kids, n, h
+        self.cells = max(n)
+        self.last = (np.arange(len(n)), np.array(n))    # the far-end node of each row
+        cols = np.arange(self.cells)
+        self.pad = np.flatnonzero(cols >= self.last[1][:, None])
+        self.h_col = np.array(h)[:, None]
+        self.g, self.b, self.z2 = (c[:, None] for c in np.array(line).T)
+        self.x = np.array(x0)[:, None] + self.h_col * np.arange(self.cells + 1)
 
-    def __init__(self, seg, x0: float, x1: float, step: float):
-        self.seg_id = seg.id
-        self.x0, self.x1 = x0, x1
-        self.g, self.b, self.z2 = seg.g_pu_per_km, seg.b_pu_per_km, seg.z2
-        length = x1 - x0
-        self.n = max(2, int(np.ceil(length / step - 1e-12)))
-        self.h = length / self.n
-        self.x_nodes = x0 + self.h * np.arange(self.n + 1)
-        self.children: list[_Edge] = []
-        self.v = np.ones(self.n + 1)
-        self.theta = np.zeros(self.n + 1)
-        self.s = np.zeros(self.n + 1)
-        self.w = np.zeros(self.n + 1)
+    def segment_ends(self, valid: np.ndarray) -> list[int]:
+        """Where each segment's entries end in the row-major flattening of
+        the True cells of valid."""
+        return np.cumsum(valid.sum(axis=1))[[r.stop - 1 for r in self.rows.values()]].tolist()
+
+    def backward(self, f: np.ndarray) -> np.ndarray:
+        """Integrate f (per cell) from every far end toward the bank; an
+        edge's far-end value is the sum of its children's near-end values."""
+        f.reshape(-1)[self.pad] = -0.0
+        rc = np.cumsum(f[:, ::-1], axis=1)[:, ::-1]
+        total = rc[:, 0].tolist()
+        end = [0.0] * len(total)
+        near = [0.0] * len(total)
+        for e in self.post:
+            acc = 0.0
+            for c in self.kids[e]:
+                acc += near[c]
+            end[e] = acc
+            near[e] = acc - self.h[e] * total[e]
+        out = np.empty((len(end), self.cells + 1))
+        out[:, :-1] = np.array(end)[:, None] - self.h_col * rc
+        out[:, -1] = end    # a pad node on all but the longest rows: keep it finite
+        out[self.last] = end
+        return out
+
+    def forward(self, f: np.ndarray, at_bank: float, scale: bool) -> np.ndarray:
+        """Integrate f (per cell, times h if scale) from the bank outward;
+        an edge starts at its parent's far-end value.  Pad nodes repeat
+        their row's far-end value, so whole-array min and max stay exact."""
+        f.reshape(-1)[self.pad] = -0.0
+        cs = np.cumsum(f, axis=1)
+        total = cs[self.last[0], self.last[1] - 1].tolist()
+        h = self.h if scale else [1.0] * len(total)
+        start = [at_bank] * len(total)
+        for e in reversed(self.post):
+            end = start[e] + h[e] * total[e]
+            for c in self.kids[e]:
+                start[c] = end
+        out = np.empty((len(start), self.cells + 1))
+        out[:, 0] = start
+        out[:, 1:] = np.array(start)[:, None] + (self.h_col * cs if scale else cs)
+        return out
 
 
-def _sample_density(chain: list[_Edge], density: DensityField | None) -> None:
-    """Sample one segment's density in a single call, at the nodes and
-    midpoints of all its edges interleaved, and hand each edge its share."""
-    pts = []
-    for e in chain:
-        x = np.empty(2 * e.n + 1)
-        x[0::2] = e.x_nodes
-        x[1::2] = e.x_nodes[:-1] + 0.5 * e.h
-        pts.append(x)
-    if density is None:
-        p = q = np.zeros(sum(len(x) for x in pts))
-    else:
-        p, q = density.sample(chain[0].seg_id, np.concatenate(pts))
-    k = 0
-    for e, x in zip(chain, pts):
-        pe, qe = p[k:k + len(x)], q[k:k + len(x)]
-        e.p_nodes, e.q_nodes = pe[0::2].copy(), qe[0::2].copy()
-        e.p_mids, e.q_mids = pe[1::2].copy(), qe[1::2].copy()
-        k += len(x)
+def _mid(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a[:, :-1] + a[:, 1:])
 
 
-def _rev_cumsum(a: np.ndarray) -> np.ndarray:
-    return np.cumsum(a[::-1])[::-1]
-
-
-def _build_edges(grid: GridTree, settings: SolverSettings, sigma_km: float | None):
-    """Split segments at interior taps and wire up the junction tree."""
-    edges: list[_Edge] = []
-    by_segment: dict[str, list[_Edge]] = {}
-    roots: list[_Edge] = []
-    # child attachment offsets per segment, local coordinates
-    taps: dict[str, list[float]] = {}
-    for s in grid.segments:
-        taps[s.id] = []
-    for s in grid.segments:
-        if s.parent is not None:
-            taps[s.parent].append(s.offset_km)
-    for s in grid.segments:
-        step = settings.step_km
-        if step is None:
-            step = s.length_km / 2000.0
-            if sigma_km is not None:
-                step = min(step, sigma_km / 2.0)
-        cuts = sorted({off for off in taps[s.id] if 0.0 < off < s.length_km})
-        bounds = [0.0] + cuts + [s.length_km]
-        start = grid.segment_start_km(s.id)
-        chain = [
-            _Edge(s, start + a, start + b, step)
-            for a, b in zip(bounds, bounds[1:])
-        ]
-        for prev, nxt in zip(chain, chain[1:]):
-            prev.children.append(nxt)
-        by_segment[s.id] = chain
-        edges.extend(chain)
-        if s.parent is None:
-            roots.append(chain[0])
-    # attach each child segment's first edge at the right point of the parent
-    for s in grid.segments:
-        if s.parent is None:
-            continue
-        parent_chain = by_segment[s.parent]
-        x_att = grid.segment_start_km(s.parent) + s.offset_km
-        host = None
-        for e in parent_chain:
-            if abs(e.x1 - x_att) < 1e-12:
-                host = e
-                break
-        if host is None:
-            raise ValueError(
-                f"segment {s.id!r}: attachment at {x_att} km does not match a junction"
-            )
-        host.children.append(by_segment[s.id][0])
-    # post-order: children strictly before parents
-    post: list[_Edge] = []
-    def visit(e: _Edge) -> None:
-        for c in e.children:
-            visit(c)
-        post.append(e)
-    for r in roots:
-        visit(r)
-    return edges, by_segment, roots, post
+def _sample_density(mesh: _Mesh, density: DensityField | None):
+    """Sample each segment's density in a single call, at the nodes and
+    midpoints of all its edges interleaved; return (p, q) at the midpoints."""
+    p = np.zeros((len(mesh.n), 2 * mesh.cells + 1))
+    q = np.zeros_like(p)
+    if density is not None:
+        x = np.empty_like(p)
+        x[:, 0::2] = mesh.x
+        x[:, 1::2] = mesh.x[:, :-1] + 0.5 * mesh.h_col
+        valid = np.arange(x.shape[1]) <= 2 * mesh.last[1][:, None]
+        ends = mesh.segment_ends(valid)
+        x = x[valid]
+        pq = [density.sample(seg_id, x[a:b]) for seg_id, a, b in zip(mesh.rows, [0, *ends], ends)]
+        p[valid] = np.concatenate([c[0] for c in pq])
+        q[valid] = np.concatenate([c[1] for c in pq])
+    return p[:, 1::2], q[:, 1::2]
 
 
 def _solve(grid: GridTree, density: DensityField | None, settings: SolverSettings,
            nonlinear: bool) -> VoltageProfile:
     grid.validated()
     sigma_km = density.sigma_km if density is not None else None
-    edges, by_segment, roots, post = _build_edges(grid, settings, sigma_km)
+    mesh = _Mesh(grid, settings, sigma_km)
     if sigma_km is not None:
-        coarsest = max(e.h for e in edges)
+        coarsest = max(mesh.h)
         if coarsest > sigma_km / 2.0 + 1e-15:
             raise ValueError(
                 f"mesh step {coarsest} km exceeds sigma/2={sigma_km / 2.0}: "
                 "the density kernels would be under-resolved; lower step_km"
             )
-    for chain in by_segment.values():
-        _sample_density(chain, density)
+    p, q = _sample_density(mesh, density)
+    gp_bq = mesh.g * p + mesh.b * q
+    s = mesh.backward((mesh.b * p - mesh.g * q) / mesh.z2)
+    s_mid = _mid(s)
+    s_mid2 = s_mid ** 2
+    v = np.ones_like(s)
+    v_mid = np.ones_like(s_mid)       # the linearized system's fixed feedback
 
     sweeps = 0
     change = np.inf
     for sweeps in range(1, settings.max_sweeps + 1):
-        v_old = [e.v for e in edges]
-        # terminal-to-bank: s then w, junction values are sums over children
-        for e in post:
-            s_end = 0.0
-            w_end = 0.0
-            for c in e.children:
-                s_end += c.s[0]
-                w_end += c.w[0]
-            h, z2 = e.h, e.z2
-            if settings.scheme_order == 2:
-                fs = (e.b * e.p_mids - e.g * e.q_mids) / z2
-                s = np.empty(e.n + 1)
-                s[-1] = s_end
-                s[:-1] = s_end - h * _rev_cumsum(fs)
-                s_mid = 0.5 * (s[:-1] + s[1:])
-                v_mid = 0.5 * (e.v[:-1] + e.v[1:])
-                if nonlinear:
-                    fw = s_mid ** 2 / v_mid ** 3 - (e.g * e.p_mids + e.b * e.q_mids) / (v_mid * z2)
-                else:
-                    fw = s_mid ** 2 - (e.g * e.p_mids + e.b * e.q_mids) / z2
-            else:
-                fs = (e.b * e.p_nodes[1:] - e.g * e.q_nodes[1:]) / z2
-                s = np.empty(e.n + 1)
-                s[-1] = s_end
-                s[:-1] = s_end - h * _rev_cumsum(fs)
-                sr, vr = s[1:], e.v[1:]
-                if nonlinear:
-                    fw = sr ** 2 / vr ** 3 - (e.g * e.p_nodes[1:] + e.b * e.q_nodes[1:]) / (vr * z2)
-                else:
-                    fw = sr ** 2 - (e.g * e.p_nodes[1:] + e.b * e.q_nodes[1:]) / z2
-            w = np.empty(e.n + 1)
-            w[-1] = w_end
-            w[:-1] = w_end - h * _rev_cumsum(fw)
-            e.s, e.w = s, w
-        # bank-to-terminal: v then theta, continuity across junctions
-        stack = [(r, 1.0, settings.theta_bank_rad) for r in roots]
-        while stack:
-            e, v0, th0 = stack.pop()
-            h = e.h
-            v = np.empty(e.n + 1)
-            v[0] = v0
-            if settings.scheme_order == 2:
-                v[1:] = v0 + h * np.cumsum(0.5 * (e.w[:-1] + e.w[1:]))
-                s_mid = 0.5 * (e.s[:-1] + e.s[1:])
-                v_mid = 0.5 * (v[:-1] + v[1:])
-                dth = -h * s_mid / v_mid ** 2 if nonlinear else -h * s_mid
-            else:
-                v[1:] = v0 + h * np.cumsum(e.w[:-1])
-                dth = -h * e.s[:-1] / v[:-1] ** 2 if nonlinear else -h * e.s[:-1]
-            th = np.empty(e.n + 1)
-            th[0] = th0
-            th[1:] = th0 + np.cumsum(dth)
-            e.v, e.theta = v, th
-            for c in e.children:
-                stack.append((c, v[-1], th[-1]))
-        v_min = min(float(e.v.min()) for e in edges)
+        if nonlinear:
+            v_mid = _mid(v)
+        w = mesh.backward(s_mid2 / v_mid ** 3 - gp_bq / (v_mid * mesh.z2))
+        v_old, v = v, mesh.forward(_mid(w), 1.0, scale=True)
+        v_min = float(v.min())
         if v_min < settings.collapse_floor_pu:
             raise VoltageCollapseError(v_min, settings.collapse_floor_pu)
-        change = max(float(np.max(np.abs(e.v - vo))) for e, vo in zip(edges, v_old))
+        change = float(np.max(np.abs(v - v_old)))
         if change <= settings.tol_v:
             break
     else:
         raise ConvergenceError(settings.max_sweeps, change, settings.tol_v)
 
-    return _assemble_profile(grid, by_segment, sweeps, change)
+    if nonlinear:
+        v_mid = _mid(v)
+    theta = mesh.forward(-mesh.h_col * s_mid / v_mid ** 2, settings.theta_bank_rad, scale=False)
+    return _assemble_profile(mesh, (mesh.x, theta, v, s, w), sweeps, change)
 
 
-def _assemble_profile(grid: GridTree, by_segment, sweeps: int, change: float) -> VoltageProfile:
-    seg_profiles = []
-    terminal_v = []
-    term_s = 0.0
-    term_w = 0.0
-    junc_s = 0.0
-    junc_w = 0.0
-    junc_v = 0.0
-    for s in grid.segments:
-        chain = by_segment[s.id]
-        xs = np.concatenate([e.x_nodes for e in chain])
-        th = np.concatenate([e.theta for e in chain])
-        v = np.concatenate([e.v for e in chain])
-        sv = np.concatenate([e.s for e in chain])
-        wv = np.concatenate([e.w for e in chain])
-        seg_profiles.append(SegmentProfile(s.id, xs, th, v, sv, wv))
+def _assemble_profile(mesh: _Mesh, states, sweeps: int, change: float) -> VoltageProfile:
+    valid = np.arange(mesh.cells + 1) <= mesh.last[1][:, None]
+    ends = mesh.segment_ends(valid)
+    flat = [a[valid] for a in states]
+    seg_profiles = [SegmentProfile(seg_id, *(f[a:b] for f in flat))
+                    for seg_id, a, b in zip(mesh.rows, [0, *ends], ends)]
     # conservation diagnostics straight off the converged arrays
-    all_edges = [e for s in grid.segments for e in by_segment[s.id]]
-    for e in all_edges:
-        if not e.children:
-            terminal_v.append((e.seg_id, float(e.v[-1])))
-            term_s = max(term_s, abs(float(e.s[-1])))
-            term_w = max(term_w, abs(float(e.w[-1])))
+    _, _, v, s, w = states
+    v_end, s_end, w_end = (a[mesh.last].tolist() for a in (v, s, w))
+    v0, s0, w0 = (a[:, 0].tolist() for a in (v, s, w))
+    seg_of = {e: seg_id for seg_id, rows in mesh.rows.items() for e in rows}
+    terminal_v = []
+    term_s = term_w = junc_s = junc_w = junc_v = 0.0
+    for e, kids in enumerate(mesh.kids):
+        if not kids:
+            terminal_v.append((seg_of[e], v_end[e]))
+            term_s = max(term_s, abs(s_end[e]))
+            term_w = max(term_w, abs(w_end[e]))
         else:
-            junc_s = max(junc_s, abs(float(e.s[-1]) - sum(float(c.s[0]) for c in e.children)))
-            junc_w = max(junc_w, abs(float(e.w[-1]) - sum(float(c.w[0]) for c in e.children)))
-            junc_v = max(junc_v, max(abs(float(c.v[0]) - float(e.v[-1])) for c in e.children))
-    root_edges = [by_segment[s.id][0] for s in grid.segments if s.parent is None]
-    bank_residual = max(abs(float(e.v[0]) - 1.0) for e in root_edges)
+            junc_s = max(junc_s, abs(s_end[e] - sum(s0[c] for c in kids)))
+            junc_w = max(junc_w, abs(w_end[e] - sum(w0[c] for c in kids)))
+            junc_v = max(junc_v, max(abs(v0[c] - v_end[e]) for c in kids))
+    bank_residual = max(abs(v0[r] - 1.0) for r in mesh.roots)
     return VoltageProfile(
         segments=tuple(seg_profiles),
         sweeps=sweeps,

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from feederflow import (
-    ClosedFormProfile,
     ConvergenceError,
     DensityField,
     Device,
@@ -11,7 +10,6 @@ from feederflow import (
     PerUnitBase,
     SolverSettings,
     VoltageCollapseError,
-    injections_from_grid,
     power_density,
     solve_linearized,
     solve_nonlinear,
@@ -161,18 +159,16 @@ def test_density_sampled_once_per_segment(feeder_tree, monkeypatch):
     assert calls == [(s.id, 4001) for s in feeder_tree.segments]
 
 
-def test_scheme_orders_both_converge_order2_closer():
-    grid = single_injection_grid()
-    density = power_density(grid, None)
-    cf = ClosedFormProfile(injections_from_grid(grid))
-    lin2 = solve_linearized(grid, density)
-    lin1 = solve_linearized(grid, density, SolverSettings(scheme_order=1))
-    x = lin2.segments[0].x_km
-    mask = np.abs(x - 4.5) >= 0.15
-    err2 = float(np.max(np.abs(lin2.segments[0].v_pu[mask] - cf.amplitude(x[mask]))))
-    err1 = float(np.max(np.abs(lin1.segments[0].v_pu[mask] - cf.amplitude(x[mask]))))
-    assert err2 < err1
-    assert err2 < 5e-4 and err1 < 5e-4
+def test_trunk_with_more_edges_than_the_recursion_limit():
+    # 1100 taps split the trunk into a chain of 1101 edges
+    laterals = tuple(FeederSegment(f"lat{k}", 0.05, 3.881, 6.856, parent="main",
+                                   offset_km=round(0.01 * (k + 1), 6)) for k in range(1100))
+    grid = GridTree(PerUnitBase(1.0, 1.0), (FeederSegment("main", 12.0, 3.881, 6.856),) + laterals,
+                    (Device("load", "main", 11.5, "l0", p_pu=-0.01),))
+    prof = solve_nonlinear(grid, power_density(grid, None, 0.02), SolverSettings(step_km=0.01))
+    assert len(prof.segments) == 1101
+    assert max(prof.junction_s_max, prof.junction_w_max, prof.junction_v_max) <= 1e-9
+    assert prof.v_min() < 1.0
 
 
 def test_settings_validation():
@@ -182,8 +178,6 @@ def test_settings_validation():
         SolverSettings(tol_v=0.0)
     with pytest.raises(ValueError):
         SolverSettings(max_sweeps=0)
-    with pytest.raises(ValueError):
-        SolverSettings(scheme_order=3)
 
 
 def test_profile_accessors(feeder_tree):

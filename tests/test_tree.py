@@ -2,17 +2,22 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from feederflow import (
     FEEDER_TREE_PREF,
     SINGLE_FEEDER_PREF,
+    ConvergenceError,
+    DensityField,
     Device,
     FeederSegment,
     GridTree,
     HandOff,
     PerUnitBase,
+    SolverSettings,
+    VoltageCollapseError,
     audit_trace,
     load_feeder_tree,
     load_single_feeder,
@@ -419,3 +424,203 @@ def test_property_random_tree_audits_and_conserves(case):
         plan = synthesize_tree(grid, p_ref, mode=mode)
         assert audit_trace(plan) == 0.0
         assert plan.total_p() + plan.leftover_p == pytest.approx(p_ref, abs=1e-12)
+
+
+def sibling_permuted(grid, data):
+    """The same tree with each segment's children declared in a drawn order."""
+    children = {}
+    for seg in grid.segments:
+        children.setdefault(seg.parent, []).append(seg)
+    order = []
+
+    def visit(parent):
+        for seg in data.draw(st.permutations(children.get(parent, []))):
+            order.append(seg)
+            visit(seg.id)
+
+    visit(None)
+    return GridTree(grid.base, tuple(order), grid.devices)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_tree(), st.sampled_from(["literal", "principle"]), st.data())
+def test_property_random_tree_solves_and_ignores_sibling_order(case, mode, data):
+    grid, p_ref = case
+    power = synthesize_tree(grid, p_ref, mode=mode).as_power_map()
+    solver_settings = SolverSettings(step_km=0.015)
+    try:
+        profile = solve_nonlinear(grid, DensityField(grid, power, 0.03), solver_settings)
+    except (VoltageCollapseError, ConvergenceError):
+        return
+    assert max(profile.bank_residual, profile.terminal_s_max, profile.terminal_w_max,
+               profile.junction_s_max, profile.junction_w_max, profile.junction_v_max) <= 1e-9
+    fields = ("x_km", "theta_rad", "v_pu", "s", "w")
+    for sp in profile.segments:
+        assert all(np.all(np.isfinite(getattr(sp, f))) for f in fields)
+    permuted = sibling_permuted(grid, data)
+    other = solve_nonlinear(permuted, DensityField(permuted, power, 0.03), solver_settings)
+    for sp in profile.segments:
+        twin = other.by_segment(sp.segment_id)
+        for f in fields:
+            assert np.max(np.abs(getattr(twin, f) - getattr(sp, f))) <= 1e-12, (sp.segment_id, f)
+
+
+# -- many-edge tree golden, recorded bit for bit -----------------------------
+
+# (id, length km, parent, offset km): 32 solver edges of 2, 4, 5, 18, 20,
+# 30, 36, 38 and 40 cells at step 0.05 km.  Two laterals share the tap
+# at trunk 3.0 and one hangs off the trunk's end; A -> A1 -> A1a -> A1a1
+# reaches depth 4.
+MANY_EDGE_SEGMENTS = (
+    ("trunk", 4.0, None, 0.0),
+    ("A", 2.2, "trunk", 0.05),
+    ("A1", 1.0, "A", 0.2),
+    ("A1a", 0.1, "A1", 0.1),
+    ("A1a1", 0.2, "A1a", 0.1),
+    ("A2", 0.2, "A", 2.0),
+    ("B", 0.05, "trunk", 0.25),
+    ("C", 2.0, "trunk", 0.3),
+    ("C1", 0.2, "C", 0.05),
+    ("C2", 0.2, "C", 0.1),
+    ("D", 0.2, "trunk", 0.5),
+    ("E", 3.0, "trunk", 2.5),
+    ("E1", 0.05, "E", 1.5),
+    ("F", 0.2, "trunk", 2.55),
+    ("G", 0.05, "trunk", 2.75),
+    ("H1", 2.0, "trunk", 3.0),
+    ("H2", 0.2, "trunk", 3.0),
+    ("I", 0.2, "trunk", 4.0),
+)
+MANY_EDGE_STEP_KM = 0.05
+MANY_EDGE_SIGMA_KM = 0.1
+
+
+def many_edge_tree():
+    """The tree above with a load at the middle of every segment and a
+    station on each segment of 2 km or more, and the stations' (p, q)."""
+    start = {}
+    segs = []
+    devices = []
+    power = {}
+    for k, (sid, length, parent, offset) in enumerate(MANY_EDGE_SEGMENTS):
+        g, b = 3.881 * (1.0 + 0.01 * k), 6.856 * (1.0 - 0.005 * k)
+        if parent is None:
+            segs.append(FeederSegment(sid, length, g, b))
+            start[sid] = 0.0
+        else:
+            segs.append(FeederSegment(sid, length, g, b, parent=parent, offset_km=offset))
+            start[sid] = start[parent] + offset
+        devices.append(Device("load", sid, start[sid] + 0.5 * length, f"{sid}-load",
+                              p_pu=-0.004 * (1 + k % 3), q_pu=-0.001 * (k % 2)))
+        if length >= 2.0:
+            devices.append(Device("station", sid, start[sid] + 0.25 * length, f"{sid}-st",
+                                  p_min_pu=-0.02, p_max_pu=0.02))
+            power[f"{sid}-st"] = (0.003, 0.001)
+    return GridTree(PerUnitBase(1.0, 1.0), tuple(segs), tuple(devices)), power
+
+
+# sha256 of the raw bytes of every profile array of the many-edge tree
+MANY_EDGE_SHA256 = {
+    ("trunk", "x_km"): "899391eb6e80a7829cf7a883356633ad5a3f49e1038b8162de6a052898ba49c4",
+    ("trunk", "theta_rad"): "3f19e8f93fb305f4726378455dddf642cf65aa78949971e89a7dcbccacec441c",
+    ("trunk", "v_pu"): "2a842d53e684fd774b3bb4e5b2dd637b3ff7f2b20af8f4da47512ae389612c04",
+    ("trunk", "s"): "cdabb9f05f2e7778645a87ea5845c8b30d3798aa2dfa99ac2f9eb0e8387d83fe",
+    ("trunk", "w"): "9745ac9f245fa0a24da2c70e7b88bd042827aca354d3596e47ff9690936fa5db",
+    ("A", "x_km"): "07b81718a7f82529531c46f6bd80a35bf5833e13ea17c8c73500b7c90923e0b7",
+    ("A", "theta_rad"): "50feb3c9d9b5b725c99b874e293135f69e197a429f8a31646289318ae2aeda8e",
+    ("A", "v_pu"): "9dac4b28d926aa15bb674f6509e9bd3b7a8b08266894e21c122b72739d8fa0d4",
+    ("A", "s"): "359e5fdb21d265afa30bdea27e35f16e75cf9cd983f20936fb6eae3faff5b2ce",
+    ("A", "w"): "e02f9d37301d1ba8a21d142825ff84e4ab4d8f6aebaa36cccec972345d211bab",
+    ("A1", "x_km"): "fdaea4b29ee082913039b9d7f465fc00cf79b4f0785f8024d5cc36bb3dde5bdc",
+    ("A1", "theta_rad"): "b46f0a05ff80205bf5491db9c62ff6f0d4907636ccfefdd2194c3f09c58c95a3",
+    ("A1", "v_pu"): "658a35598e837ff9e03f9c23e14c439a7a6112c6831c79d6e2be9627d3ff3a3b",
+    ("A1", "s"): "ee3cd7d0109b8845e0ad5227186bafc1a67cc88f308b38d71a6a8c8323729c68",
+    ("A1", "w"): "fb58ff3284f144a8da00b1252cf3c1381e57b3a11349a0df8d6cf188f3ee8c67",
+    ("A1a", "x_km"): "1137def1eafd6261c698cf105fe1b34aa22c1f62b5b6e7a4de97529ed065d904",
+    ("A1a", "theta_rad"): "9c54a61421dd2e53a93587feaabc31911755c446b35da01122bf0bd0fce6b543",
+    ("A1a", "v_pu"): "a2140ca77a853788070ef5c437c9c29489707691a00eb68fa2778bddcedb0da7",
+    ("A1a", "s"): "e7d713050dfe5d33c6899cb14d45cb7f5a27793c9f39feac69ea9f00d7c27eb5",
+    ("A1a", "w"): "7c593ed6b057caf8713667a7c3cf28d686a9ad43ba73c3b132171939fc0bda87",
+    ("A1a1", "x_km"): "382f64ec814a8002db89fb577dc86ac3a831c97916d9d43cd8ea3e2075070f0e",
+    ("A1a1", "theta_rad"): "f054bfaab0e2008e2343b54e97960b73ac366046f90fd27fbe97c8dccf922f7a",
+    ("A1a1", "v_pu"): "da28f58c4dd523daf4f9f38e1c0084e2aa2e0ed6301b647e48c29cd640aa59ca",
+    ("A1a1", "s"): "24fd2d05af875817756d9d7bf8a74059a6e3103e692884039b908a41b418f084",
+    ("A1a1", "w"): "f259fc4723ea4aed3161c735a76e2066300e885df1a4d04500dddfffe49f0493",
+    ("A2", "x_km"): "9b692faab41f4181a04e64c26b5af582d58c7adda257f297d4b482e1f14afb98",
+    ("A2", "theta_rad"): "8c21fd6aa05ad30122931428678ac988aec45e922a305ffbaeb63aae7ed841a3",
+    ("A2", "v_pu"): "e7f17719a561d2f11e388a0e25a9f36ca1ab2be900bf2225a7fe06279376b7bf",
+    ("A2", "s"): "5153775799fe4dae21229111001c24bbf6cf457d646fb80f54a9f84be6fc4783",
+    ("A2", "w"): "b0b24b508ab1d780a029e10b53c8b5e7d295b8c9d941db15c7a62da116852a63",
+    ("B", "x_km"): "242642e015a2edacb0a7e58cfeab8c1d89e7c8cf848b0c720cad6d0e4696d6fb",
+    ("B", "theta_rad"): "d099206a8de593b302c05ab532feb3dc3bbb55ff4981b90fcd60c3c8b6344187",
+    ("B", "v_pu"): "bcf40d86422b02e306a08d0265f84526487ffe05e18d7c0c036bc4055c72f397",
+    ("B", "s"): "e000bd4a4e8e96723748b1d2359f6f12ba6bdec994a1c75eb5b2f2ea7e01e075",
+    ("B", "w"): "d9e0fc62eb08e73ec88e392b7afc53dd00c0e1b702293d99e225a1597513b600",
+    ("C", "x_km"): "75b6c1c3f3b855db30b964c13ae983adb3c4373aed1007905b8a6dcd29069d21",
+    ("C", "theta_rad"): "538fa65cc082852b4dd0ed86f38ea723b15b4c3980acadb7d6006060473cf4f3",
+    ("C", "v_pu"): "db7a8bcee269f8ebc5329955f7bee30ebc6729d496c30ec875727800996a9eed",
+    ("C", "s"): "03a1dd8b398428d2003aac4f2d7e274546c77f4d758caa0f4412a03b97171743",
+    ("C", "w"): "7c134ed1e3d6d66b730c3727f9ecfae719cdc9e5ecd74f4bbbf62bf0d991dcc0",
+    ("C1", "x_km"): "7847a6139d978d63e4ad9c8064208d4ccfd1cbd786c5bbc20d8e966fab10df1e",
+    ("C1", "theta_rad"): "341e3be216c2cc58203b16b00d8690c2922e74390a516bf8cc777c1252fd6b6f",
+    ("C1", "v_pu"): "f879a6d5d07bac6ef5952d893f924c6e875a7bd550129140cd64390207f2f75c",
+    ("C1", "s"): "1169abe042244c2d76bacaebd2fdcceb4b334381288c0a58535b62449533b7bb",
+    ("C1", "w"): "93afc20bb80340d8e16a7164a5bedf5d6fe3af429a7b225028229f0cc6b4059a",
+    ("C2", "x_km"): "74d0ead84440253b37c47a6cc775f4e141bed90ccad8701cbed4cd3de9583c42",
+    ("C2", "theta_rad"): "f3ec88d83750c94d7f7492ad9c5055e0069744ab3873171e0b7f464983440d36",
+    ("C2", "v_pu"): "aadee1d434770b64c511b78b3a2dee8ab4718a63735fc9aa2aea209a9b332195",
+    ("C2", "s"): "46eebf6f6dfef224aeb91718a8de1466dfdf66d2512377451508315321497eb3",
+    ("C2", "w"): "1aa7b5e4c11ec2ac1a83bb91ec56a80c413849a4de2d5e03b3c7e045420aa6ff",
+    ("D", "x_km"): "2a0073b07e6ff0b33e094a71d32c592f4102e640896eb4fec7a90e4f15c4b4b1",
+    ("D", "theta_rad"): "fd7727125d23027deb66fe064a55e39d03beff0d94184cfc1335609d70ddee42",
+    ("D", "v_pu"): "cd6d140a124e517301bd813cf444d163fa22e08ca65aa07323ab481ab51b7cb2",
+    ("D", "s"): "804c64a398ef3081c2718e9ee079eec1fa6beb7694d61e702c9f06f4bb2d41af",
+    ("D", "w"): "957dceb5c70fb52537b0e75dddb6921e972980c4e291c8c43e12c7ac729407fb",
+    ("E", "x_km"): "498cf54f8fab9747c3ffd9f1ef2e076d29b267c194f47025ddeab51e2c932c78",
+    ("E", "theta_rad"): "66d3068ef64609fceb8192727e573d3c22c20ceb965b85d29668b07c3f8f5a01",
+    ("E", "v_pu"): "aee5adba383801b0d69c05745ef529888f8d65419bf69d35c0fbde7aef013d74",
+    ("E", "s"): "1bef071a5a8d4977954b3d63cd6ffa68cba61ac45f2e2567979001a543245772",
+    ("E", "w"): "c353d6adfe9f202dae2839ed2984f0d973d97131aa239433c2f0eb285c419589",
+    ("E1", "x_km"): "7522f9b1e64b0e98c83115ccf7f6288510c3a0bf50a2f77a20ac5041f6e638c2",
+    ("E1", "theta_rad"): "4d79bb80d0c6e4e3eeec058700205e92b947e29877f12ce04393213d0ac9e6df",
+    ("E1", "v_pu"): "2fd1e5c6434fb95c78127a15379a729716dc32f3700b94980a3abe8ff5f803b9",
+    ("E1", "s"): "8f84d51597081ca6e868832faac44e26e54b9b41a54071542e40ed13145d1276",
+    ("E1", "w"): "db42604cc7c99290c5384d9226f4af32e095610d0ab3493aca322275bbbad5b4",
+    ("F", "x_km"): "a7bcf1bd2fa3c9209c4ca69e0bdfc859351accf8447ec86b8c44770e71806ef3",
+    ("F", "theta_rad"): "57897c94b971b07ebd5484873691ae8a700b6bc68e9619aa19da715b6f8aa669",
+    ("F", "v_pu"): "e10eab5dd9e8ab187f2177330b50d52f27ec42e81c5b0cabe1d59325c9a5ec16",
+    ("F", "s"): "bd1625f4ffe2c73f9584312e6ec50bf055dadc3774307a9f81bb7edd579c5c3d",
+    ("F", "w"): "f2e4be15b1e402d79816e0a4abb6cfac0925c4ecf5094d75687aa83bb197b600",
+    ("G", "x_km"): "3c5978eb5defa31852cd14995f023d16a1c346706879f28af8873b88183d712b",
+    ("G", "theta_rad"): "7eb318d18f041e1746579242f1acbb6c63645320e71ae675e51b4d604d0a2148",
+    ("G", "v_pu"): "0e76c652c1173cc460552e711eb870e7d9592aaf0b87913188bae0fbd5b5b5f9",
+    ("G", "s"): "5985ddca88282c33698ae1fc6e463170ee6235d29aca475d634ffe09fdeffa6a",
+    ("G", "w"): "6c6d03200b3581108c3442beec428a9d70dbc264696b0b02745ea604eb56fd3d",
+    ("H1", "x_km"): "a2836347d21c4a7ee080b2da18308ce97c2ca10c93e557bfa8f5283a65124cc4",
+    ("H1", "theta_rad"): "7a841895e896043305efb108493fcd0852e11dfa4014dd5bd509e7148a71da07",
+    ("H1", "v_pu"): "e797d96fcb99839014e0608098f2be9a01e59fd90f579b8a76fb60c6dd06b8cd",
+    ("H1", "s"): "5c97465f7400ae4f3b336a5099ee2b520e64693f39adde195d32ecb7486212af",
+    ("H1", "w"): "42c7b6e8f6197a154965e5a1c0c5a33c0e7af68bc0b980aa987027ae75947039",
+    ("H2", "x_km"): "3b93b1d158a09b79cf3f8589dc02e78825d90683b3cffdbb18278a53e3dca64c",
+    ("H2", "theta_rad"): "1e80ea9536bc6139141e05f6c67d2a6aba35853854b93f620ed4fecd876ab4d4",
+    ("H2", "v_pu"): "d4ff114ab587e2b6b8e855559a2d2d4a372dec091c4f293c17e5e330b314efea",
+    ("H2", "s"): "1b92d601c7e85a5d1e0c6a276c553df01fbed0a6b79b4c1bdb8241b4b72bf15a",
+    ("H2", "w"): "d737a3722b500b7b3d3637aeb12d7d213a46324311fa4522e0e45e6bd7afdb5c",
+    ("I", "x_km"): "c15c996044ed0219692b5f187da43b56c73f29cd61c87820e54c287820f40eed",
+    ("I", "theta_rad"): "bf0363afaac7f12b7091556defc8793b932ca82c528befd9598c67cb8e264d8e",
+    ("I", "v_pu"): "b5d1d01676ebe5bf071d0bff173c5337940b94d7b6afe124a33d24d2c9c6e3b0",
+    ("I", "s"): "2651a840664b789987ca6372e01004b55b85397ecf6ae85b880be013d1f0d463",
+    ("I", "w"): "7a539446760c91f62e5490d3966d111a121031381fdbaacab1b49f3c1a9bbd96",
+}
+
+
+def test_many_edge_profiles_frozen_exact():
+    grid, power = many_edge_tree()
+    profile = solve_nonlinear(grid, power_density(grid, power, MANY_EDGE_SIGMA_KM),
+                              SolverSettings(step_km=MANY_EDGE_STEP_KM))
+    got = {(sp.segment_id, f): hashlib.sha256(getattr(sp, f).tobytes()).hexdigest()
+           for sp in profile.segments for f in ("x_km", "theta_rad", "v_pu", "s", "w")}
+    assert got == MANY_EDGE_SHA256
+    assert (profile.sweeps, repr(profile.last_change)) == (5, "3.4453662145494945e-11")
+    trunk = profile.by_segment("trunk")
+    assert np.count_nonzero(trunk.x_km == 3.0) == 2  # the tap is sampled twice
