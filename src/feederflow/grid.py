@@ -38,8 +38,13 @@ PF_FLOOR = 0.9
 KERNEL_CUTOFF_SIGMAS = 6.0
 
 # DensityField.sample evaluates kernels this many devices at a time, which
-# bounds its temporary arrays to about this many windows of samples.
+# bounds its temporary arrays to about this many windows of samples, and
+# fewer when the windows are wide: a block holds about DENSITY_BLOCK_PAIRS
+# (device, sample) pairs on average, so that its arrays (96 KiB of float64)
+# stay below the 128 KiB above which glibc's malloc maps fresh pages for
+# every array, page faults that cost more than the kernels on a fine mesh.
 DENSITY_BLOCK_DEVICES = 256
+DENSITY_BLOCK_PAIRS = 12288
 
 
 @dataclass(frozen=True)
@@ -316,7 +321,9 @@ class DensityField:
     than ~6 sigma to a segment end lose tail mass.
 
     Sampling costs O(devices x window), not O(devices x points): each device
-    is evaluated only on the samples inside its own cut-off window.
+    is evaluated only on the samples inside its own cut-off window.  One
+    call can sample every segment of a tree, each segment's samples given
+    as a run, with one sort and one kernel pass for all of them.
     """
 
     def __init__(self, grid: GridTree, station_power, sigma_km: float):
@@ -356,47 +363,72 @@ class DensityField:
                     stacklevel=3,
                 )
 
-    def sample(self, seg_id: str, x_km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate (p, q) at cumulative positions x_km on one segment.
+    def sample(self, runs, x_km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Evaluate (p, q) at cumulative positions x_km, one or more segments
+        in a single call.
 
-        x_km may be in any order and may repeat positions.  Each sample sums
-        its kernels in device declaration order, so the result does not
-        depend on how the samples are ordered or grouped into calls.
+        runs is a segment id, when every sample lies on that segment, or a
+        sequence of (segment id, n_points) runs that covers x_km in order;
+        a segment may appear in several runs.  Within a run x_km may be in
+        any order and may repeat positions.  Each sample sums its own
+        segment's kernels in device declaration order, so the result does
+        not depend on how the samples are ordered or grouped into runs or
+        calls.
         """
         x = np.asarray(x_km, dtype=float)
+        if isinstance(runs, str):
+            runs = ((runs, x.size),)
+        n_run = np.array([n for _, n in runs], dtype=np.intp)
+        if n_run.sum() != x.size:
+            raise ValueError(f"runs cover {n_run.sum()} samples, x_km has {x.size}")
         p = np.zeros(x.shape)
         q = np.zeros(x.shape)
-        columns = self._columns.get(seg_id)
-        if columns is None or x.size == 0:
+        columns = [self._columns.get(seg_id, slice(0, 0)) for seg_id, _ in runs]
+        n_dev = np.array([c.stop - c.start for c in columns], dtype=np.intp)
+        if x.size == 0 or not n_dev.any():
             return p, q
-        order = np.argsort(x, axis=None, kind="stable")
-        xs = x.ravel()[order]
+        # each run's devices, in declaration order
+        centres, pw, qw = np.concatenate([self._xpq[:, c] for c in columns], axis=1)
+        cut = KERNEL_CUTOFF_SIGMAS * self.sigma_km
+        # On a tree the x ranges of segments overlap, so each run is shifted
+        # by its own multiple of a power of two at least four times any
+        # |centre| plus the cut-off.  Shifted, the samples within reach of
+        # one run's kernels lie far from every other run's, so a window
+        # holds only its own run's samples; a sample of another run that
+        # still falls in one fails the |dx| <= cut test, which uses the
+        # unshifted positions.
+        reach = float(np.abs(centres).max()) + cut
+        shift = 2.0 ** math.ceil(math.log2(4.0 * reach)) * np.arange(len(columns), dtype=float)
+        x_flat, p_flat, q_flat = x.reshape(-1), p.reshape(-1), q.reshape(-1)
+        keys = np.repeat(shift, n_run)
+        keys += x_flat
+        ckeys = centres + np.repeat(shift, n_dev)
+        order = np.argsort(keys, kind="stable")
         two_var = 2.0 * self.sigma_km ** 2
         norm = 1.0 / math.sqrt(2.0 * math.pi * self.sigma_km ** 2)
-        cut = KERNEL_CUTOFF_SIGMAS * self.sigma_km
-        centres, pw, qw = self._xpq[:, columns]
-        # windows are padded by a few ulps, so that rounding in xi +- cut
-        # cannot drop a sample (or a copy of a repeated one) that the
-        # |dx| <= cut test below keeps
-        pad = 4.0 * np.spacing(np.abs(centres) + cut)
-        lo = np.searchsorted(xs, centres - cut - pad, side="left")
-        hi = np.searchsorted(xs, centres + cut + pad, side="right")
+        # windows are padded by a few ulps, so that rounding in the shift
+        # and in xi +- cut cannot drop a sample (or a copy of a repeated
+        # one) that the |dx| <= cut test below keeps
+        pad = 8.0 * np.spacing(np.abs(ckeys) + 2.0 * cut)
+        lo = np.searchsorted(keys, ckeys - cut - pad, side="left", sorter=order)
+        hi = np.searchsorted(keys, ckeys + cut + pad, side="right", sorter=order)
         counts = hi - lo
-        p_flat, q_flat = p.reshape(-1), q.reshape(-1)
-        for b in range(0, centres.size, DENSITY_BLOCK_DEVICES):
-            blk = slice(b, b + DENSITY_BLOCK_DEVICES)
+        per_block = DENSITY_BLOCK_PAIRS * centres.size // max(int(counts.sum()), 1)
+        per_block = min(max(per_block, 1), DENSITY_BLOCK_DEVICES)
+        for b in range(0, centres.size, per_block):
+            blk = slice(b, b + per_block)
             n = counts[blk]
             total = int(n.sum())
             if total == 0:
                 continue
             # flattened (device, sample) pairs, device-major
             dev = np.repeat(np.arange(b, b + n.size), n)
-            pos = np.arange(total) + np.repeat(lo[blk] - (np.cumsum(n) - n), n)
-            dx = xs[pos] - centres[dev]
+            idx = order[np.arange(total) + np.repeat(lo[blk] - (np.cumsum(n) - n), n)]
+            dx = x_flat[idx] - centres[dev]
             keep = np.abs(dx) <= cut
-            dev, dx = dev[keep], dx[keep]
+            if not keep.all():    # only samples on or beyond a cut-off
+                dev, dx, idx = dev[keep], dx[keep], idx[keep]
             kern = norm * np.exp(-dx ** 2 / two_var)
-            idx = order[pos[keep]]
             np.add.at(p_flat, idx, pw[dev] * kern)
             np.add.at(q_flat, idx, qw[dev] * kern)
         return p, q
@@ -407,23 +439,34 @@ def power_density(grid: GridTree, plan=None, sigma_km: float = 0.05) -> DensityF
 
     plan may be a DispatchPlan or any mapping station-id -> (p_pu, q_pu);
     None leaves every station idle.  Station values are checked against the
-    derated active bounds and the power-factor cone before being accepted.
+    derated active bounds and the power-factor cone before being accepted;
+    the first offending station in declaration order is named.
     """
     station_power = None
     if plan is not None:
         station_power = plan.as_power_map() if hasattr(plan, "as_power_map") else dict(plan)
-        from .dispatch import station_q_cap  # local import: dispatch imports grid
-
-        tol = 1e-12
-        for d in grid.stations():
-            if d.id not in station_power:
-                continue
-            p, q = station_power[d.id]
-            if not (d.p_min_eff - tol <= p <= d.p_max_eff + tol):
-                raise ValueError(
-                    f"station {d.id!r}: p={p} outside effective bounds "
-                    f"[{d.p_min_eff}, {d.p_max_eff}]"
-                )
-            if abs(q) > station_q_cap(p) + tol:
-                raise ValueError(f"station {d.id!r}: q={q} violates the power-factor cone")
+        placed = [d for d in grid.stations() if d.id in station_power]
+        if placed:
+            tol = 1e-12
+            n = len(placed)
+            p, q = np.fromiter(chain.from_iterable(station_power[d.id] for d in placed),
+                               float, 2 * n).reshape(n, 2).T
+            lo = EFFECTIVE_BOUND_FACTOR * np.fromiter((d.p_min_pu for d in placed), float, n)
+            hi = EFFECTIVE_BOUND_FACTOR * np.fromiter((d.p_max_pu for d in placed), float, n)
+            out_of_bounds = ~((lo - tol <= p) & (p <= hi + tol))
+            pe = p / PF_FLOOR
+            with np.errstate(over="ignore", invalid="ignore"):
+                # the cone of dispatch.station_q_cap, elementwise
+                outside_cone = np.abs(q) > np.sqrt(pe * pe - p * p) + tol
+            bad = out_of_bounds | outside_cone
+            if bad.any():
+                k = int(np.argmax(bad))
+                d = placed[k]
+                p_k, q_k = station_power[d.id]
+                if out_of_bounds[k]:
+                    raise ValueError(
+                        f"station {d.id!r}: p={p_k} outside effective bounds "
+                        f"[{d.p_min_eff}, {d.p_max_eff}]"
+                    )
+                raise ValueError(f"station {d.id!r}: q={q_k} violates the power-factor cone")
     return DensityField(grid, station_power, sigma_km)

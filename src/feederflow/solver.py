@@ -19,7 +19,7 @@ bit what a cumsum over the edge alone gives.  s does not depend on v and
 theta does not feed back, so both are integrated once.  The partially
 linearized system is the nonlinear one with the v feedback pinned at 1
 (exact: 1.0**3 and x / 1.0 are exact), so it converges on the second sweep.
-Densities are sampled at mesh nodes and midpoints, in one call per segment.
+Densities are sampled at mesh nodes and midpoints, in one call per solve.
 """
 from __future__ import annotations
 
@@ -247,8 +247,9 @@ def _mid(a: np.ndarray) -> np.ndarray:
 
 
 def _sample_density(mesh: _Mesh, density: DensityField | None):
-    """Sample each segment's density in a single call, at the nodes and
-    midpoints of all its edges interleaved; return (p, q) at the midpoints."""
+    """Sample every segment's density in a single call, at the nodes and
+    midpoints of all its edges interleaved, one run per segment; return
+    (p, q) at the midpoints."""
     p = np.zeros((len(mesh.n), 2 * mesh.cells + 1))
     q = np.zeros_like(p)
     if density is not None:
@@ -257,10 +258,8 @@ def _sample_density(mesh: _Mesh, density: DensityField | None):
         x[:, 1::2] = mesh.x[:, :-1] + 0.5 * mesh.h_col
         valid = np.arange(x.shape[1]) <= 2 * mesh.last[1][:, None]
         ends = mesh.segment_ends(valid)
-        x = x[valid]
-        pq = [density.sample(seg_id, x[a:b]) for seg_id, a, b in zip(mesh.rows, [0, *ends], ends)]
-        p[valid] = np.concatenate([c[0] for c in pq])
-        q[valid] = np.concatenate([c[1] for c in pq])
+        runs = [(seg_id, b - a) for seg_id, a, b in zip(mesh.rows, [0, *ends], ends)]
+        p[valid], q[valid] = density.sample(runs, x[valid])
     return p[:, 1::2], q[:, 1::2]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from feederflow import (
     to_per_unit,
     validate_grid,
 )
+from feederflow.dispatch import station_q_cap
 
 INF = float("inf")
 NAN = float("nan")
@@ -286,6 +288,61 @@ def test_power_density_checks_bounds_and_cone():
     power_density(grid, {"s": (0.05, 0.05 * math.tan(math.acos(0.9)))})
 
 
+@pytest.mark.parametrize("power, message", [
+    ({"b": (0.05, 0.05), "a": (0.095, 0.0)}, "station 'b': q=0.05 violates the power-factor cone"),
+    ({"b": (-0.5, 0.0), "a": (0.05, 0.05)}, "station 'b': p=-0.5 outside effective bounds"),
+])
+def test_power_density_names_the_first_offending_station(power, message):
+    # b is declared first but sits farther from the bank than a
+    grid = make_single([
+        Device("station", "main", 3.5, "b", p_min_pu=-0.1, p_max_pu=0.1),
+        Device("station", "main", 1.5, "a", p_min_pu=-0.1, p_max_pu=0.1),
+        Device("station", "main", 2.5, "idle", p_min_pu=-0.1, p_max_pu=0.1),
+    ])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        power_density(grid, power)
+
+
+def _station_check_loop(grid, power):
+    """Reference: the per-station check, one station at a time."""
+    for d in grid.stations():
+        if d.id not in power:
+            continue
+        p, q = power[d.id]
+        if not (d.p_min_eff - 1e-12 <= p <= d.p_max_eff + 1e-12):
+            return f"station {d.id!r}: p={p} outside effective bounds [{d.p_min_eff}, {d.p_max_eff}]"
+        if abs(q) > station_q_cap(p) + 1e-12:
+            return f"station {d.id!r}: q={q} violates the power-factor cone"
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 0.2), st.sampled_from([0.0, 1e-13, 1e-11, -1e-13, -1e-11]),
+                          st.sampled_from(["p_max", "p_min", "cone", "inside", "idle"]),
+                          st.booleans()),
+                min_size=1, max_size=12))
+def test_property_station_check_matches_the_loop(stations):
+    """Stations dispatched at, just inside and just outside their derated
+    bounds and the cone's edge, in declaration order unrelated to position."""
+    devices, power = [], {}
+    for k, (raw, nudge, where, q_sign) in enumerate(stations):
+        devices.append(Device("station", "main", 4.5 - 0.3 * k, f"s{k}",
+                              p_min_pu=-raw / 2, p_max_pu=raw))
+        d = devices[-1]
+        p = {"p_max": d.p_max_eff + nudge, "p_min": d.p_min_eff + nudge}.get(where, d.p_max_eff / 2)
+        q = station_q_cap(p) + nudge if where == "cone" else 0.0
+        if where != "idle":
+            power[d.id] = (p, -q if q_sign else q)
+    grid = make_single(devices)
+    expected = _station_check_loop(grid, power)
+    if expected is None:
+        power_density(grid, power)
+    else:
+        with pytest.raises(ValueError) as err:
+            power_density(grid, power)
+        assert str(err.value) == expected
+
+
 # -- windowed sampling against a per-device mask loop -------------------------
 
 def _mask_loop(kernels, sigma, x):
@@ -360,3 +417,71 @@ def test_sample_empty_and_deviceless():
     assert p.shape == q.shape == (0,)
     p, q = field.sample("elsewhere", np.array([2.5, 2.5]))
     assert np.array_equal(p, [0.0, 0.0]) and np.array_equal(q, [0.0, 0.0])
+    with pytest.raises(ValueError, match="runs cover 1 samples, x_km has 2"):
+        field.sample([("main", 1)], np.array([2.5, 2.5]))
+
+
+# -- one call over several segments ------------------------------------------
+
+@st.composite
+def sampled_runs(draw):
+    """A trunk with two laterals tapped at interior points, so the three x
+    ranges overlap, a segment with only idle stations, and runs over them
+    and over a segment id without devices: runs may repeat a segment or be
+    empty, and each one's samples are unsorted and repeated, reach past
+    its segment into the others' ranges and sit on its own and on the other
+    segments' kernel cut-offs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sigma = draw(st.floats(0.01, 0.3))
+    trunk = draw(st.floats(1.0, 5.0))
+    segs = [FeederSegment("trunk", trunk, 1.0, 2.0)]
+    for name in ("a", "b", "quiet"):
+        segs.append(FeederSegment(name, draw(st.floats(0.5, 3.0)), 1.0, 2.0, parent="trunk",
+                                  offset_km=trunk * draw(st.floats(0.1, 1.0))))
+    grid = GridTree(PerUnitBase(1.0, 1.0), tuple(segs), ())
+    many = draw(st.booleans())
+    devices, power, kernels = [], {}, {s.id: [] for s in segs}
+    for k in range(2 * grid_module.DENSITY_BLOCK_DEVICES + 3 if many else draw(st.integers(0, 40))):
+        seg = segs[k % 4]
+        kind = "idle" if seg.id == "quiet" else rng.choice(["load", "station", "idle"])
+        lo, hi = grid.segment_start_km(seg.id), grid.segment_end_km(seg.id)
+        xi = float(rng.uniform(lo, hi))
+        p, q = float(rng.uniform(-0.1, 0.1)), float(rng.uniform(-0.05, 0.05))
+        if kind == "load":
+            devices.append(Device("load", seg.id, xi, f"d{k}", p_pu=p, q_pu=q))
+        else:
+            devices.append(Device("station", seg.id, xi, f"d{k}", p_min_pu=-1.0, p_max_pu=1.0))
+            if kind == "station":
+                power[f"d{k}"] = (p, q)
+        if kind != "idle":
+            kernels[seg.id].append((xi, p, q))
+    grid = GridTree(grid.base, grid.segments, tuple(devices))
+    edges = np.array([xi + s * 6.0 * sigma for ks in kernels.values() for xi, _, _ in ks[:10]
+                      for s in (-1.0, 1.0)])
+    edges = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    ids = draw(st.lists(st.sampled_from(["trunk", "a", "b", "quiet", "ghost"]), min_size=1, max_size=6))
+    runs = []
+    for seg_id in ids:
+        start = grid.segment_start_km(seg_id) if grid.has_segment(seg_id) else 0.0
+        end = grid.segment_end_km(seg_id) if grid.has_segment(seg_id) else trunk
+        mesh = np.linspace(start - 0.5, end + 0.5, draw(st.integers(0, 200)))
+        x = np.concatenate([mesh, mesh[: draw(st.integers(0, 20))], edges, edges])
+        runs.append((seg_id, rng.permutation(x)[: draw(st.integers(0, x.size))]))
+    return grid, power, sigma, kernels, runs
+
+
+@pytest.mark.filterwarnings("ignore:sigma=")
+@settings(max_examples=60, deadline=None)
+@given(sampled_runs())
+def test_property_batched_sample_equals_per_run_calls_bit_for_bit(case):
+    grid, power, sigma, kernels, runs = case
+    field = DensityField(grid, power, sigma)
+    p, q = field.sample([(seg_id, x.size) for seg_id, x in runs],
+                        np.concatenate([x for _, x in runs]))
+    per_run = [field.sample(seg_id, x) for seg_id, x in runs]
+    loop = [_mask_loop(kernels.get(seg_id, []), sigma, x) for seg_id, x in runs]
+    for k, expected in ((0, p), (1, q)):
+        for parts in (per_run, loop):
+            ref = np.concatenate([part[k] for part in parts])
+            assert np.array_equal(expected, ref)
+            assert expected.tobytes() == ref.tobytes()    # the sign of zero counts

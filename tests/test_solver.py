@@ -145,18 +145,19 @@ def test_bundled_meshes_keep_their_size(single_feeder, feeder_tree):
             assert [len(sp.x_km) for sp in prof.segments] == [2001] * len(grid.segments)
 
 
-def test_density_sampled_once_per_segment(feeder_tree, monkeypatch):
+def test_density_sampled_once_per_solve(feeder_tree, monkeypatch):
     calls = []
     real = DensityField.sample
 
-    def counting(self, seg_id, x_km):
-        calls.append((seg_id, len(x_km)))
-        return real(self, seg_id, x_km)
+    def counting(self, runs, x_km):
+        calls.append((list(runs), len(x_km)))
+        return real(self, runs, x_km)
 
     monkeypatch.setattr(DensityField, "sample", counting)
     solve_nonlinear(feeder_tree, power_density(feeder_tree, None))
-    # nodes and midpoints of each segment's 2000 cells, in one call
-    assert calls == [(s.id, 4001) for s in feeder_tree.segments]
+    # nodes and midpoints of every segment's 2000 cells, in one call
+    n = len(feeder_tree.segments)
+    assert calls == [([(s.id, 4001) for s in feeder_tree.segments], n * 4001)]
 
 
 def test_trunk_with_more_edges_than_the_recursion_limit():
