@@ -10,13 +10,8 @@ from .analytic import ClosedFormProfile, PointInjection, PointInjectionSet, inje
 from .dispatch import (
     DispatchPlan,
     HandOff,
-    LoadPoint,
     StationDispatch,
-    StationState,
-    active_dispatch,
     audit_trace,
-    reactive_dispatch,
-    station_q_cap,
     synthesize,
     synthesize_tree,
     uniform_baseline,
@@ -29,6 +24,7 @@ from .grid import (
     GridValidationReport,
     PerUnitBase,
     power_density,
+    station_q_cap,
     to_per_unit,
     validate_grid,
 )
@@ -63,11 +59,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClosedFormProfile", "PointInjection", "PointInjectionSet", "injections_from_grid",
-    "DispatchPlan", "HandOff", "LoadPoint", "StationDispatch", "StationState",
-    "active_dispatch", "audit_trace", "reactive_dispatch", "station_q_cap",
+    "DispatchPlan", "HandOff", "StationDispatch", "audit_trace",
     "synthesize", "synthesize_tree", "uniform_baseline",
     "DensityField", "Device", "FeederSegment", "GridTree", "GridValidationReport",
-    "PerUnitBase", "power_density", "to_per_unit", "validate_grid",
+    "PerUnitBase", "power_density", "station_q_cap", "to_per_unit", "validate_grid",
     "GridFileError", "load_grid", "parse_grid",
     "write_dispatch_csv", "write_metrics_json", "write_profile_csv",
     "MetricsReport", "compute_metrics",

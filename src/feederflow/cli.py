@@ -145,14 +145,13 @@ def cmd_compare(args) -> int:
         "uniform": uniform_baseline(grid, args.pref),
     }
     reports = {}
+    out = _out_dir(args)
     for label, plan in plans.items():
         density = power_density(grid, plan, sigma_km=args.sigma)
         profile = solve_nonlinear(grid, density)
         reports[label] = compute_metrics(profile, plan)
-        out = _out_dir(args)
         write_dispatch_csv(out / f"dispatch_{label}.csv", plan)
         write_profile_csv(out / f"profile_{label}.csv", profile)
-    out = _out_dir(args)
     summary = {label: rep.as_dict() for label, rep in reports.items()}
     summary["flatter_max_dev"] = reports["synthesized"].max_dev < reports["uniform"].max_dev
     summary["flatter_l2_dev"] = reports["synthesized"].l2_dev < reports["uniform"].l2_dev
@@ -187,11 +186,9 @@ def cmd_xcheck(args) -> int:
     seg_lin = lin.segments[0]
     seg_non = non.segments[0]
     x = seg_lin.x_km
-    centres = np.array([d.xi_km for d in grid.devices
-                        if d.kind == "load" or d.id in plan.as_power_map()])
     mask = np.ones(x.shape, dtype=bool)
-    for c in centres:
-        mask &= np.abs(x - c) >= MASK_SIGMAS * args.sigma
+    for inj in closed.inj.injections:   # the loads and the placed stations
+        mask &= np.abs(x - inj.xi_km) >= MASK_SIGMAS * args.sigma
     sup_analytic = float(np.max(np.abs(closed.amplitude(x[mask]) - seg_lin.v_pu[mask])))
     sup_nonlinear = float(np.max(np.abs(seg_lin.v_pu - seg_non.v_pu)))
     payload = {

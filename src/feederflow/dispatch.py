@@ -23,7 +23,9 @@ Residual forwarding is logged as HandOff events so a plan can be audited:
 every forwarded amount reappears as part of some station's seed or is
 explicitly dropped at the bank.
 
-Plans are keyed by device id, so devices built in code need a non-empty id;
+The passes read the grid's own Device records.  A caller with bare station
+and load lists builds a one-segment GridTree and calls synthesize.  Plans
+are keyed by device id, so devices built in code need a non-empty id;
 validate_grid rejects an unnamed one.
 """
 from __future__ import annotations
@@ -33,54 +35,17 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .grid import EFFECTIVE_BOUND_FACTOR, PF_FLOOR, GridTree
+from .grid import PF_FLOOR, Device, GridTree, station_q_cap
 
 __all__ = [
-    "StationState",
-    "LoadPoint",
     "HandOff",
     "StationDispatch",
     "DispatchPlan",
-    "station_q_cap",
-    "active_dispatch",
-    "reactive_dispatch",
     "synthesize",
     "synthesize_tree",
     "uniform_baseline",
     "audit_trace",
 ]
-
-
-def station_q_cap(p_pu: float) -> float:
-    """Reactive limit so that power factor stays >= 0.9 at active power p."""
-    pe = p_pu / PF_FLOOR
-    return math.sqrt(pe * pe - p_pu * p_pu)
-
-
-@dataclass(frozen=True)
-class StationState:
-    """Charging station with raw bounds and grid-code derated bounds."""
-
-    station_id: str
-    xi_km: float
-    p_min_raw: float
-    p_max_raw: float
-
-    @property
-    def p_min_eff(self) -> float:
-        return EFFECTIVE_BOUND_FACTOR * self.p_min_raw
-
-    @property
-    def p_max_eff(self) -> float:
-        return EFFECTIVE_BOUND_FACTOR * self.p_max_raw
-
-
-@dataclass(frozen=True)
-class LoadPoint:
-    load_id: str
-    xi_km: float
-    p_pu: float
-    q_pu: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -141,13 +106,13 @@ class _Leg(NamedTuple):
     """One segment's share of a dispatch."""
 
     id: str
-    stations: list[StationState]       # far end first
-    loads: list[LoadPoint]             # far end first
+    stations: list[Device]             # far end first
+    loads: list[Device]                # far end first
     g: float
     b: float
-    taps: tuple[tuple[float, str], ...] = ()    # (junction xi, child leg id)
+    taps: tuple[tuple[float, str], ...]    # (junction xi, child leg id)
     # station id that takes a residual left at the near end; None at a root
-    bank_side: Callable[[], str | None] = lambda: None
+    bank_side: Callable[[], str | None]
 
 
 def _forward(quantity, legs, bounds, update, trace):
@@ -170,10 +135,10 @@ def _forward(quantity, legs, bounds, update, trace):
         for st in leg.stations:
             k = len(values)
             seed = 0.0
-            for amount in incoming.pop(st.station_id, ()):  # hand-offs arrived earlier
+            for amount in incoming.pop(st.id, ()):  # hand-offs arrived earlier
                 seed = seed + amount
             if residual != 0.0:
-                trace.append(HandOff(quantity, residual, src, st.station_id))
+                trace.append(HandOff(quantity, residual, src, st.id))
                 seed = seed + residual
                 residual = 0.0
             seeds.append(seed)
@@ -190,7 +155,7 @@ def _forward(quantity, legs, bounds, update, trace):
                     value = lo
                 else:
                     continue
-                src = st.station_id  # clamped: the excess goes bank-ward
+                src = st.id  # clamped: the excess goes bank-ward
                 break
             values.append(value)
         if residual != 0.0:
@@ -281,56 +246,24 @@ def _reactive(legs, p, mode, trace):
 
 
 # ---------------------------------------------------------------------------
-# single-feeder passes: the kernel on one leg (stations and loads listed from
-# the feeder end toward the bank)
-# ---------------------------------------------------------------------------
-
-def active_dispatch(stations, loads, p_ref: float):
-    """Two-pass active dispatch. Returns (p far-to-near, leftover, trace, seeds)."""
-    trace: list[HandOff] = []
-    p, leftover, seeds = _active([_Leg("", stations, loads, 0.0, 0.0)],
-                                 range(len(stations) - 1, -1, -1), p_ref, trace)
-    return p, leftover, trace, seeds
-
-
-def reactive_dispatch(p_values, stations, loads, g: float, b: float, mode: str = "literal"):
-    """Reactive set points for fixed active dispatch.
-
-    Returns (q far-to-near, trace, seeds).  Caps come from each station's
-    own active set point; a zero active station therefore gets zero Q.
-    """
-    if not b > 0.0:
-        raise ValueError("B must be positive to size reactive compensation")
-    trace: list[HandOff] = []
-    q, seeds = _reactive([_Leg("", stations, loads, g, b)], p_values, mode, trace)
-    return q, trace, seeds
-
-
-# ---------------------------------------------------------------------------
 # grid-level entry points
 # ---------------------------------------------------------------------------
 
 def _legs(grid: GridTree) -> list[_Leg]:
-    """The grid's segments in post order, devices sorted far end first."""
-    stations: dict[str, list[StationState]] = {s.id: [] for s in grid.segments}
-    loads: dict[str, list[LoadPoint]] = {s.id: [] for s in grid.segments}
-    for d in grid.devices:
-        if d.kind == "station":
-            stations[d.segment].append(StationState(d.id, d.xi_km, d.p_min_pu, d.p_max_pu))
-        else:
-            loads[d.segment].append(LoadPoint(d.id, d.xi_km, d.p_pu, d.q_pu))
-    for found in stations.values():
-        found.sort(key=lambda st: (-st.xi_km, st.station_id))
-    for found in loads.values():
-        found.sort(key=lambda ld: (-ld.xi_km, ld.load_id))
+    """The grid's segments in post order, devices listed far end first."""
+    stations: dict[str, list[Device]] = {s.id: [] for s in grid.segments}
+    loads: dict[str, list[Device]] = {s.id: [] for s in grid.segments}
+    # one sort for the whole grid; each segment's lists keep its order
+    for d in sorted(grid.devices, key=lambda d: (-d.xi_km, d.id)):
+        (stations if d.kind == "station" else loads)[d.segment].append(d)
 
     def bank_side_target(seg) -> str | None:
         """Nearest bank-side station for a residual leaving seg's near end."""
         while seg.parent is not None:
             pos = grid.segment_start_km(seg.id)
-            candidates = [st for st in stations[seg.parent] if st.xi_km <= pos]
-            if candidates:
-                return max(candidates, key=lambda st: st.xi_km).station_id
+            for st in stations[seg.parent]:    # far end first: the first fit is nearest
+                if st.xi_km <= pos:
+                    return st.id
             seg = grid.segment(seg.parent)
         return None
 
@@ -350,9 +283,9 @@ def _legs(grid: GridTree) -> list[_Leg]:
     return legs
 
 
-def _row(st: StationState, p_i: float, q_i: float) -> StationDispatch:
+def _row(st: Device, p_i: float, q_i: float) -> StationDispatch:
     return StationDispatch(
-        station_id=st.station_id,
+        station_id=st.id,
         xi_km=st.xi_km,
         p_pu=p_i,
         q_pu=q_i,
@@ -372,10 +305,7 @@ def synthesize(grid: GridTree, p_ref: float, mode: str = "literal") -> DispatchP
 def uniform_baseline(grid: GridTree, p_ref: float, power_factor: float = PF_FLOOR) -> DispatchPlan:
     """Every station gets P_ref/N and the matching leading reactive power."""
     grid.validated()
-    stations = sorted(
-        (StationState(d.id, d.xi_km, d.p_min_pu, d.p_max_pu) for d in grid.stations()),
-        key=lambda s: (s.xi_km, s.station_id),
-    )
+    stations = sorted(grid.stations(), key=lambda d: (d.xi_km, d.id))
     if not stations:
         raise ValueError("uniform baseline needs at least one station")
     if not 0.0 < power_factor <= 1.0:
@@ -405,11 +335,11 @@ def synthesize_tree(grid: GridTree, p_ref: float, mode: str = "literal") -> Disp
     legs = _legs(grid)
     stations = [st for leg in legs for st in leg.stations]
     order = sorted(range(len(stations)),
-                   key=lambda k: (stations[k].xi_km, stations[k].station_id))
+                   key=lambda k: (stations[k].xi_km, stations[k].id))
     trace: list[HandOff] = []
     p, leftover, seeds_p = _active(legs, order, p_ref, trace)
     q, seeds_q = _reactive(legs, p, mode, trace)
-    ids = [st.station_id for st in stations]
+    ids = [st.id for st in stations]
     return DispatchPlan(
         stations=tuple(_row(stations[k], p[k], q[k]) for k in order),
         p_ref=p_ref,

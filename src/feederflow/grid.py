@@ -25,13 +25,21 @@ __all__ = [
     "to_per_unit",
     "validate_grid",
     "power_density",
+    "station_q_cap",
 ]
 
 # Grid-code policy shared with the dispatch module: station active-power
-# bounds are derated to 90% before any dispatch, and the admissible power
-# factor is [0.9, 1].
+# bounds are derated to 90% before any dispatch (Device.p_min_eff and
+# p_max_eff), and the admissible power factor is [0.9, 1] (station_q_cap).
 EFFECTIVE_BOUND_FACTOR = 0.9
 PF_FLOOR = 0.9
+
+
+def station_q_cap(p_pu: float) -> float:
+    """Reactive limit so that power factor stays >= 0.9 at active power p."""
+    pe = p_pu / PF_FLOOR
+    return math.sqrt(pe * pe - p_pu * p_pu)
+
 
 # Gaussian kernels are cut off here; the discarded tail mass is ~2e-9 of the
 # device power, far below the 1e-6 quadrature tolerance.
@@ -451,13 +459,14 @@ def power_density(grid: GridTree, plan=None, sigma_km: float = 0.05) -> DensityF
             n = len(placed)
             p, q = np.fromiter(chain.from_iterable(station_power[d.id] for d in placed),
                                float, 2 * n).reshape(n, 2).T
-            lo = EFFECTIVE_BOUND_FACTOR * np.fromiter((d.p_min_pu for d in placed), float, n)
-            hi = EFFECTIVE_BOUND_FACTOR * np.fromiter((d.p_max_pu for d in placed), float, n)
+            lo = np.fromiter((d.p_min_eff for d in placed), float, n)
+            hi = np.fromiter((d.p_max_eff for d in placed), float, n)
             out_of_bounds = ~((lo - tol <= p) & (p <= hi + tol))
             pe = p / PF_FLOOR
             with np.errstate(over="ignore", invalid="ignore"):
-                # the cone of dispatch.station_q_cap, elementwise
-                outside_cone = np.abs(q) > np.sqrt(pe * pe - p * p) + tol
+                # the cone of station_q_cap, elementwise; written so that a
+                # NaN q lies outside it
+                outside_cone = ~(np.abs(q) <= np.sqrt(pe * pe - p * p) + tol)
             bad = out_of_bounds | outside_cone
             if bad.any():
                 k = int(np.argmax(bad))

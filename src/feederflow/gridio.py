@@ -266,9 +266,6 @@ def fmt_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-_fmt = fmt_float
-
-
 def _write_lines(path: str | Path, lines: list[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -277,13 +274,14 @@ def write_profile_csv(path: str | Path, profile: VoltageProfile) -> None:
     """One row per mesh sample, segments in declared order, x ascending.
 
     Interior junction positions appear twice per hosting segment (far-side
-    and bank-side s, w)."""
+    and bank-side s, w).  Each value is written as fmt_float writes it:
+    adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is."""
     lines = [PROFILE_HEADER]
     for seg in profile.segments:
-        for x, th, v, s, w in zip(seg.x_km, seg.theta_rad, seg.v_pu, seg.s, seg.w):
-            lines.append(
-                f"{seg.segment_id},{_fmt(x)},{_fmt(th)},{_fmt(v)},{_fmt(s)},{_fmt(w)}"
-            )
+        sid = seg.segment_id
+        cols = [(a + 0.0).tolist() for a in (seg.x_km, seg.theta_rad, seg.v_pu, seg.s, seg.w)]
+        lines += [f"{sid},{x:.12g},{th:.12g},{v:.12g},{s:.12g},{w:.12g}"
+                  for x, th, v, s, w in zip(*cols)]
     _write_lines(path, lines)
 
 
@@ -293,10 +291,10 @@ def write_dispatch_csv(path: str | Path, plan: DispatchPlan) -> None:
     lines = [DISPATCH_HEADER]
     for st in plan.stations:
         lines.append(
-            f"{st.station_id},{_fmt(st.xi_km)},{_fmt(st.p_pu)},{_fmt(st.q_pu)},"
-            f"{_fmt(st.p_min_eff)},{_fmt(st.p_max_eff)},{_fmt(st.q_cap)}"
+            f"{st.station_id},{fmt_float(st.xi_km)},{fmt_float(st.p_pu)},{fmt_float(st.q_pu)},"
+            f"{fmt_float(st.p_min_eff)},{fmt_float(st.p_max_eff)},{fmt_float(st.q_cap)}"
         )
-    lines.append(f"TOTAL,,{_fmt(plan.total_p())},{_fmt(plan.leftover_p)},,,")
+    lines.append(f"TOTAL,,{fmt_float(plan.total_p())},{fmt_float(plan.leftover_p)},,,")
     _write_lines(path, lines)
 
 

@@ -9,12 +9,8 @@ from feederflow import (
     FeederSegment,
     GridTree,
     HandOff,
-    LoadPoint,
     PerUnitBase,
-    StationState,
-    active_dispatch,
     audit_trace,
-    reactive_dispatch,
     station_q_cap,
     synthesize,
     uniform_baseline,
@@ -141,14 +137,19 @@ def test_zero_request_no_loads_is_all_zero():
 def test_pass_two_lifts_partial_station_to_meet_request():
     # pass 1 only covers the load beyond the station; the refinement pass
     # tops the same station up with the rest of the request
-    sta = [StationState("s", 1.0, -0.05, 0.05)]
-    loads = [LoadPoint("l", 2.0, -0.02)]
-    assert sta[0].p_max_eff == 0.9 * 0.05
-    p, leftover, trace, seeds = active_dispatch(sta, loads, 0.03)
-    assert p == [0.02 + 0.01]   # 0.02 from pass 1, lifted by the remaining 0.01
-    assert leftover == 0.0
-    assert seeds == [0.0]
-    assert trace == []          # never clamped, so nothing was forwarded
+    plan = synthesize(make_single([
+        Device("station", "main", 1.0, "s", p_min_pu=-0.05, p_max_pu=0.05),
+        Device("load", "main", 2.0, "l", p_pu=-0.02),
+    ]), 0.03)
+    (row,) = plan.stations
+    assert row.p_max_eff == 0.9 * 0.05
+    assert row.p_pu == 0.02 + 0.01   # 0.02 from pass 1, lifted by the remaining 0.01
+    assert plan.leftover_p == 0.0
+    assert plan.seeds_p == (("s", 0.0),)
+    # never clamped in P, so nothing was forwarded; the Q pass clamps at the
+    # cone and drops its residual at the bank
+    assert [ev for ev in plan.trace if ev.quantity == "P"] == []
+    assert [(ev.quantity, ev.source, ev.target) for ev in plan.trace] == [("Q", "s", None)]
 
 
 def test_infeasible_request_saturates_and_reports_leftover(single_feeder):
@@ -194,34 +195,29 @@ def test_uniform_needs_stations_and_sane_pf():
         uniform_baseline(make_single([Device("station", "main", 1.0, "s", p_min_pu=-1, p_max_pu=1)]), 0.1, power_factor=1.5)
 
 
-def test_reactive_dispatch_validates_inputs():
-    sta = [StationState("s", 1.0, -0.1, 0.1)]
-    with pytest.raises(ValueError, match="B must be positive"):
-        reactive_dispatch([0.0], sta, [], 1.0, 0.0)
-    with pytest.raises(ValueError, match="unknown mode"):
-        reactive_dispatch([0.0], sta, [], 1.0, 2.0, mode="verbatim")
-
-
 def test_unclamped_seed_quirk_is_preserved():
     # a station that receives a residual but has no pending load beyond it
     # keeps the raw seed, even outside its own bounds: the first pass
     # only clamps while consuming loads.  p_ref equals what the first pass
     # delivers, so the refinement pass never runs and the seed survives.
-    sta = [StationState("far", 3.0, -0.001, 0.001), StationState("near", 1.0, -0.0001, 0.0001)]
-    loads = [LoadPoint("l", 3.5, -0.5)]
+    plan = synthesize(make_single([
+        Device("station", "main", 3.0, "far", p_min_pu=-0.001, p_max_pu=0.001),
+        Device("station", "main", 1.0, "near", p_min_pu=-0.0001, p_max_pu=0.0001),
+        Device("load", "main", 3.5, "l", p_pu=-0.5),
+    ]), 0.5)
     hi = 0.9 * 0.001
-    p, leftover, trace, seeds = active_dispatch(sta, loads, 0.5)
-    assert p[0] == hi
-    assert p[1] == 0.5 - hi
-    assert p[1] > 0.9 * 0.0001   # hand-off kept verbatim, far above near's cap
-    assert leftover == 0.0
-    assert seeds == [0.0, 0.5 - hi]
-    assert trace == [HandOff("P", 0.5 - hi, "far", "near")]
+    near, far = plan.stations          # bank-nearest first
+    assert far.p_pu == hi
+    assert near.p_pu == 0.5 - hi
+    assert near.p_pu > 0.9 * 0.0001   # hand-off kept verbatim, far above near's cap
+    assert plan.leftover_p == 0.0
+    assert plan.seeds_p == (("far", 0.0), ("near", 0.5 - hi))
+    p_events = [ev for ev in plan.trace if ev.quantity == "P"]
+    assert p_events == [HandOff("P", 0.5 - hi, "far", "near")]
     # reactive: same structure; the near station's seed is never re-checked
-    q, trace_q, seeds_q = reactive_dispatch(p, sta, loads, 3.881, 6.856)
-    assert q[0] == station_q_cap(p[0])
-    assert q[1] == seeds_q[1]
-    assert q[1] > station_q_cap(p[1])  # out of cone, faithfully so
+    assert far.q_pu == station_q_cap(far.p_pu)
+    assert near.q_pu == dict(plan.seeds_q)["near"]
+    assert near.q_pu > station_q_cap(near.p_pu)  # out of cone, faithfully so
 
 
 # -- randomized properties -----------------------------------------------------

@@ -14,11 +14,11 @@ from feederflow import (
     GridTree,
     PerUnitBase,
     power_density,
+    station_q_cap,
     synthesize,
     to_per_unit,
     validate_grid,
 )
-from feederflow.dispatch import station_q_cap
 
 INF = float("inf")
 NAN = float("nan")
@@ -86,6 +86,7 @@ def test_validate_collects_every_violation():
             FeederSegment("a", 2.0, 1.0, 2.0),
             FeederSegment("a", -1.0, 1.0, 2.0),            # dup id, bad length
             FeederSegment("b", 1.0, 1.0, 2.0, parent="zz", offset_km=0.5),
+            FeederSegment("c", 1.0, 1.0, 0.0),                # B = 0
         ),
         (
             Device("load", "a", 1.0, "l1", p_pu=0.5),       # load must be <= 0
@@ -102,6 +103,7 @@ def test_validate_collects_every_violation():
         "duplicated",
         "length must be positive",
         "unknown parent 'zz'",
+        "segment 'c': G and B must be positive",
         "must be <= 0",
         "overlap at xi=1.0",
         "must lie strictly inside",
@@ -291,6 +293,8 @@ def test_power_density_checks_bounds_and_cone():
 @pytest.mark.parametrize("power, message", [
     ({"b": (0.05, 0.05), "a": (0.095, 0.0)}, "station 'b': q=0.05 violates the power-factor cone"),
     ({"b": (-0.5, 0.0), "a": (0.05, 0.05)}, "station 'b': p=-0.5 outside effective bounds"),
+    # NaN compares False both ways: it must still fall outside the cone
+    ({"b": (0.05, NAN), "a": (0.05, 0.0)}, "station 'b': q=nan violates the power-factor cone"),
 ])
 def test_power_density_names_the_first_offending_station(power, message):
     # b is declared first but sits farther from the bank than a
@@ -311,7 +315,7 @@ def _station_check_loop(grid, power):
         p, q = power[d.id]
         if not (d.p_min_eff - 1e-12 <= p <= d.p_max_eff + 1e-12):
             return f"station {d.id!r}: p={p} outside effective bounds [{d.p_min_eff}, {d.p_max_eff}]"
-        if abs(q) > station_q_cap(p) + 1e-12:
+        if not abs(q) <= station_q_cap(p) + 1e-12:
             return f"station {d.id!r}: q={q} violates the power-factor cone"
     return None
 

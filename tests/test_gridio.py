@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from feederflow import (
     power_density,
     solve_nonlinear,
     synthesize,
+    synthesize_tree,
 )
 from feederflow.gridio import (
     DISPATCH_HEADER,
@@ -178,6 +180,28 @@ def test_profile_csv_layout(tmp_path, single_feeder):
     assert lines[0] == PROFILE_HEADER
     assert lines[1].split(",")[:2] == ["main", "0"]
     assert len(lines) == 1 + prof.segments[0].x_km.size
+
+
+@pytest.mark.parametrize("name", ["single_feeder", "feeder_tree"])
+def test_profile_csv_bytes_match_fmt_float_per_value(tmp_path, name):
+    grid = load_grid(bundled_grid_path(name))
+    prof = solve_nonlinear(grid, power_density(grid, synthesize_tree(grid, 0.1)))
+    # signed zeros and non-finite values next to the solved ones
+    first = prof.segments[0]
+    w = first.w.copy()
+    w[:5] = (-0.0, 0.0, float("nan"), -float("inf"), -1e-300)
+    theta = first.theta_rad.copy()
+    theta[0] = -0.0
+    prof = dataclasses.replace(
+        prof, segments=(dataclasses.replace(first, w=w, theta_rad=theta), *prof.segments[1:]))
+    path = tmp_path / "profile.csv"
+    write_profile_csv(path, prof)
+    expected = [PROFILE_HEADER]
+    for seg in prof.segments:
+        for row in zip(seg.x_km, seg.theta_rad, seg.v_pu, seg.s, seg.w):
+            expected.append(",".join([seg.segment_id, *map(fmt_float, row)]))
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+    assert b"-0," not in path.read_bytes()
 
 
 def test_writers_are_byte_deterministic(tmp_path, single_feeder):
