@@ -1,15 +1,16 @@
 """Spatial charging/discharging dispatch that delivers a requested total power.
 
 One kernel dispatches a single feeder and a feeder tree alike: a single
-feeder is the tree with one segment.  Segments run in post order (children,
-in declared order, before their parent), and on each one the active pass
-works station by station from the segment's far end toward the bank: each
-station absorbs the loads beyond it plus any residual handed to it, clamps
-to its derated bounds and forwards the excess.  A residual left at a
-segment's near end is handed to the nearest bank-side station on the path
-to the bank, or dropped at the bank when there is none.  A refinement pass
-then walks every station from the bank outward until the requested total is
-met exactly.
+feeder is the tree with one segment.  Segments run in the grid's post order
+(GridTree.post_order: children, in declared order, before their parent),
+and on each one the active pass works station by station from the
+segment's far end toward the bank: each station absorbs the loads beyond
+it plus any residual handed to it, clamps to its derated bounds and
+forwards the excess.  A residual left at a segment's near end is handed to
+the nearest bank-side station on the path to the bank, or dropped at the
+bank when there is none; that target depends only on the segment, so it is
+fixed per segment.  A refinement pass then walks every station from the
+bank outward until the requested total is met exactly.
 
 The ``literal`` reactive mode runs the same clamp-and-forward pass with the
 plain per-load update g/b*(p_i - P_load), including its overwrite of the
@@ -32,8 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .grid import PF_FLOOR, Device, GridTree, station_q_cap
 
@@ -111,8 +111,9 @@ class _Leg(NamedTuple):
     g: float
     b: float
     taps: tuple[tuple[float, str], ...]    # (junction xi, child leg id)
-    # station id that takes a residual left at the near end; None at a root
-    bank_side: Callable[[], str | None]
+    # station id that takes a residual left at the near end; None drops it
+    # at the bank
+    bank_side: str | None
 
 
 def _forward(quantity, legs, bounds, update, trace):
@@ -159,10 +160,9 @@ def _forward(quantity, legs, bounds, update, trace):
                 break
             values.append(value)
         if residual != 0.0:
-            target = leg.bank_side()
-            trace.append(HandOff(quantity, residual, src, target))
-            if target is not None:
-                incoming.setdefault(target, []).append(residual)
+            trace.append(HandOff(quantity, residual, src, leg.bank_side))
+            if leg.bank_side is not None:
+                incoming.setdefault(leg.bank_side, []).append(residual)
     assert not incoming, "hand-off targeted an already-processed station"
     return values, seeds
 
@@ -256,31 +256,22 @@ def _legs(grid: GridTree) -> list[_Leg]:
     # one sort for the whole grid; each segment's lists keep its order
     for d in sorted(grid.devices, key=lambda d: (-d.xi_km, d.id)):
         (stations if d.kind == "station" else loads)[d.segment].append(d)
-
-    def bank_side_target(seg) -> str | None:
-        """Nearest bank-side station for a residual leaving seg's near end."""
-        while seg.parent is not None:
+    post = grid.post_order()
+    # a residual leaving a segment's near end goes to the parent's first
+    # station (far end first: the nearest) at or before the junction, else
+    # wherever a residual leaving the parent would go; parents come first
+    bank_side: dict[str, str | None] = {}
+    for seg in reversed(post):
+        target = None
+        if seg.parent is not None:
             pos = grid.segment_start_km(seg.id)
-            for st in stations[seg.parent]:    # far end first: the first fit is nearest
-                if st.xi_km <= pos:
-                    return st.id
-            seg = grid.segment(seg.parent)
-        return None
-
-    legs: list[_Leg] = []
-
-    def visit(seg) -> None:
-        children = grid.children_of(seg.id)
-        for child in children:
-            visit(child)
-        legs.append(_Leg(seg.id, stations[seg.id], loads[seg.id],
-                         seg.g_pu_per_km, seg.b_pu_per_km,
-                         tuple((grid.segment_start_km(c.id), c.id) for c in children),
-                         partial(bank_side_target, seg)))
-
-    for root in grid.roots():
-        visit(root)
-    return legs
+            target = next((st.id for st in stations[seg.parent] if st.xi_km <= pos),
+                          bank_side[seg.parent])
+        bank_side[seg.id] = target
+    return [_Leg(seg.id, stations[seg.id], loads[seg.id], seg.g_pu_per_km, seg.b_pu_per_km,
+                 tuple((grid.segment_start_km(c.id), c.id) for c in grid.children_of(seg.id)),
+                 bank_side[seg.id])
+            for seg in post]
 
 
 def _row(st: Device, p_i: float, q_i: float) -> StationDispatch:
@@ -302,17 +293,16 @@ def synthesize(grid: GridTree, p_ref: float, mode: str = "literal") -> DispatchP
     return synthesize_tree(grid, p_ref, mode)
 
 
-def uniform_baseline(grid: GridTree, p_ref: float, power_factor: float = PF_FLOOR) -> DispatchPlan:
-    """Every station gets P_ref/N and the matching leading reactive power."""
+def uniform_baseline(grid: GridTree, p_ref: float) -> DispatchPlan:
+    """Every station gets P_ref/N and the reactive power of power factor
+    PF_FLOOR, leading."""
     grid.validated()
     stations = sorted(grid.stations(), key=lambda d: (d.xi_km, d.id))
     if not stations:
         raise ValueError("uniform baseline needs at least one station")
-    if not 0.0 < power_factor <= 1.0:
-        raise ValueError(f"power factor must be in (0, 1], got {power_factor}")
     n = len(stations)
     p_i = p_ref / n
-    q_i = p_i * math.tan(math.acos(power_factor))
+    q_i = p_i * math.tan(math.acos(PF_FLOOR))
     leftover = p_ref - math.fsum(p_i for _ in stations)
     return DispatchPlan(
         stations=tuple(_row(st, p_i, q_i) for st in stations),

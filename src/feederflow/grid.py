@@ -149,6 +149,8 @@ class GridValidationReport:
 class GridTree:
     """Tree of segments plus the device list, with derived path offsets.
 
+    The tree order is decided here alone: post_order() lists the segments
+    children first, and dispatch and the solver mesh both read it.
     Construction never raises on semantic problems; run validate_grid (or
     the ``validated`` helper) before handing a tree to the solver or the
     dispatch passes.  ``validated`` remembers a passing result on the
@@ -162,34 +164,35 @@ class GridTree:
     _seg_by_id: dict = field(init=False, repr=False, compare=False)
     _start_km: dict = field(init=False, repr=False, compare=False)
     _children: dict = field(init=False, repr=False, compare=False)
+    _post: tuple = field(init=False, repr=False, compare=False)
     _valid: bool = field(init=False, repr=False, compare=False, default=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "devices", tuple(self.devices))
         object.__setattr__(self, "_seg_by_id", {s.id: s for s in self.segments})
-        # resolve cumulative start offsets; segments in a parent cycle or
-        # with an unknown parent stay unresolved and are reported later
-        start: dict[str, float] = {s.id: 0.0 for s in self.segments if s.parent is None}
         children: dict[str, list[FeederSegment]] = {s.id: [] for s in self.segments}
         for s in self.segments:
             if s.parent is not None and s.parent in children:
                 children[s.parent].append(s)
-        pending = [s for s in self.segments if s.parent is not None]
-        while pending:
-            progressed = False
-            rest = []
-            for s in pending:
-                if s.parent in start:
-                    start[s.id] = start[s.parent] + s.offset_km
-                    progressed = True
-                else:
-                    rest.append(s)
-            pending = rest
-            if not progressed:
-                break
+        # one walk from the roots sets each start offset and the post order;
+        # segments in a parent cycle or under an unknown parent are never
+        # reached and are reported by validate_grid.  Visited ids are
+        # skipped, since a duplicated id can close a cycle through a root.
+        start: dict[str, float] = {}
+        post: list[FeederSegment] = []
+        stack = [(s, False) for s in reversed(self.roots())]
+        while stack:
+            s, done = stack.pop()
+            if done:
+                post.append(s)
+            elif s.id not in start:
+                start[s.id] = 0.0 if s.parent is None else start[s.parent] + s.offset_km
+                stack.append((s, True))
+                stack.extend((c, False) for c in reversed(children[s.id]))
         object.__setattr__(self, "_start_km", start)
         object.__setattr__(self, "_children", children)
+        object.__setattr__(self, "_post", tuple(post))
 
     def segment(self, seg_id: str) -> FeederSegment:
         return self._seg_by_id[seg_id]
@@ -210,11 +213,14 @@ class GridTree:
     def roots(self) -> tuple[FeederSegment, ...]:
         return tuple(s for s in self.segments if s.parent is None)
 
+    def post_order(self) -> tuple[FeederSegment, ...]:
+        """Every segment reachable from the bank, each after its children
+        (in declared order): the one tree order that dispatch and the
+        solver read."""
+        return self._post
+
     def is_single_feeder(self) -> bool:
         return len(self.segments) == 1 and self.segments[0].parent is None
-
-    def devices_on(self, seg_id: str) -> tuple[Device, ...]:
-        return tuple(d for d in self.devices if d.segment == seg_id)
 
     def loads(self) -> tuple[Device, ...]:
         return tuple(d for d in self.devices if d.kind == "load")
@@ -448,7 +454,8 @@ def power_density(grid: GridTree, plan=None, sigma_km: float = 0.05) -> DensityF
     plan may be a DispatchPlan or any mapping station-id -> (p_pu, q_pu);
     None leaves every station idle.  Station values are checked against the
     derated active bounds and the power-factor cone before being accepted;
-    the first offending station in declaration order is named.
+    the first offending station in declaration order is named, with the
+    P (bounds) or Q (cone) hand-offs that a DispatchPlan's trace sent it.
     """
     station_power = None
     if plan is not None:
@@ -473,9 +480,16 @@ def power_density(grid: GridTree, plan=None, sigma_km: float = 0.05) -> DensityF
                 d = placed[k]
                 p_k, q_k = station_power[d.id]
                 if out_of_bounds[k]:
-                    raise ValueError(
-                        f"station {d.id!r}: p={p_k} outside effective bounds "
-                        f"[{d.p_min_eff}, {d.p_max_eff}]"
-                    )
-                raise ValueError(f"station {d.id!r}: q={q_k} violates the power-factor cone")
+                    quantity = "P"
+                    msg = (f"station {d.id!r}: p={p_k} outside effective bounds "
+                           f"[{d.p_min_eff}, {d.p_max_eff}]")
+                else:
+                    quantity = "Q"
+                    msg = f"station {d.id!r}: q={q_k} violates the power-factor cone"
+                # a synthesized plan names the residuals that seeded the station
+                received = [f"{ev.amount} from {ev.source!r}" for ev in getattr(plan, "trace", ())
+                            if ev.quantity == quantity and ev.target == d.id]
+                if received:
+                    msg += f"; {quantity} hand-offs received: " + ", ".join(received)
+                raise ValueError(msg)
     return DensityField(grid, station_power, sigma_km)

@@ -23,7 +23,6 @@ Densities are sampled at mesh nodes and midpoints, in one call per solve.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -42,6 +41,9 @@ __all__ = [
     "solve_linearized",
 ]
 
+# A sweep that takes any voltage below this is in the collapse region.
+COLLAPSE_FLOOR_PU = 0.5
+
 
 class SolverError(Exception):
     """Base class for solve failures."""
@@ -58,9 +60,9 @@ class ConvergenceError(SolverError):
 
 
 class VoltageCollapseError(SolverError):
-    def __init__(self, v_min: float, floor: float):
+    def __init__(self, v_min: float):
         super().__init__(
-            f"voltage collapse region: v dropped to {v_min:.4f} pu (floor {floor})"
+            f"voltage collapse region: v dropped to {v_min:.4f} pu (floor {COLLAPSE_FLOOR_PU})"
         )
         self.v_min = v_min
 
@@ -70,18 +72,16 @@ class SolverSettings:
     """Mesh and iteration controls.
 
     step_km=None meshes each segment with min(length/2000, sigma/2), where
-    sigma is the width of the supplied density's kernels (length/2000 when
-    no density is given), so any feeder length resolves its kernels.  An
-    explicit step_km must itself satisfy step <= sigma/2, which is enforced
-    against the supplied field.  Integration is the second-order midpoint
-    rule.
+    sigma is the width of the supplied density's kernels, so any feeder
+    length resolves its kernels.  An explicit step_km must itself satisfy
+    step <= sigma/2, which is enforced against the supplied field.
+    Integration is the second-order midpoint rule.
     """
 
     step_km: float | None = None
     tol_v: float = 1e-9
     max_sweeps: int = 100
     theta_bank_rad: float = 0.0
-    collapse_floor_pu: float = 0.5
 
     def __post_init__(self) -> None:
         if self.step_km is not None and not self.step_km > 0.0:
@@ -135,60 +135,39 @@ class VoltageProfile:
 class _Mesh:
     """Edges in rows, segments in declared order and each segment's edges
     bank side first; kids[e] lists the rows fed from e's far end, the next
-    edge of its segment first, then tapped segments in declared order."""
+    edge of its segment first, then tapped segments in declared order.
+    Rows are swept in the tree order of GridTree.post_order."""
 
-    def __init__(self, grid: GridTree, settings: SolverSettings, sigma_km: float | None):
-        taps: dict[str, list[float]] = {s.id: [] for s in grid.segments}
-        for s in grid.segments:
-            if s.parent is not None:
-                taps[s.parent].append(s.offset_km)
+    def __init__(self, grid: GridTree, settings: SolverSettings, sigma_km: float):
         self.rows: dict[str, range] = {}
-        x0, x1, n, h, line, kids, roots = [], [], [], [], [], [], []
+        x0, n, h, line, kids, roots = [], [], [], [], [], []
+        far_end: dict[str, dict[float, int]] = {}    # segment -> {far-end offset: row}
         for s in grid.segments:
             step = settings.step_km
             if step is None:
-                step = s.length_km / 2000.0
-                if sigma_km is not None:
-                    step = min(step, sigma_km / 2.0)
-            cuts = sorted({off for off in taps[s.id] if 0.0 < off < s.length_km})
+                step = min(s.length_km / 2000.0, sigma_km / 2.0)
+            cuts = sorted({c.offset_km for c in grid.children_of(s.id) if c.offset_km < s.length_km})
             bounds = [0.0] + cuts + [s.length_km]
             start = grid.segment_start_km(s.id)
             first = len(n)
+            far_end[s.id] = {b: first + k for k, b in enumerate(bounds[1:])}
             for a, b in zip(bounds, bounds[1:]):
                 x0.append(start + a)
-                x1.append(start + b)
-                n.append(max(2, math.ceil((x1[-1] - x0[-1]) / step - 1e-12)))
-                h.append((x1[-1] - x0[-1]) / n[-1])
+                width = start + b - x0[-1]
+                n.append(max(2, math.ceil(width / step - 1e-12)))
+                h.append(width / n[-1])
                 line.append((s.g_pu_per_km, s.b_pu_per_km, s.z2))
                 kids.append([len(n)])
             kids[-1] = []
             self.rows[s.id] = range(first, len(n))
             if s.parent is None:
                 roots.append(first)
-        # attach each child segment's first edge at the right point of the parent
+        # attach each child segment's first edge where the parent was cut
         for s in grid.segments:
-            if s.parent is None:
-                continue
-            x_att = grid.segment_start_km(s.parent) + s.offset_km
-            rows = self.rows[s.parent]
-            # far ends rise along a segment: skip those well short of x_att
-            near = bisect.bisect_left(x1, x_att - 2e-12, rows.start, rows.stop)
-            host = next((e for e in range(near, rows.stop) if abs(x1[e] - x_att) < 1e-12), None)
-            if host is None:
-                raise ValueError(
-                    f"segment {s.id!r}: attachment at {x_att} km does not match a junction"
-                )
-            kids[host].append(self.rows[s.id].start)
-        # post-order, children strictly before parents
-        self.post: list[int] = []
-        stack = [(r, False) for r in reversed(roots)]
-        while stack:
-            e, done = stack.pop()
-            if done:
-                self.post.append(e)
-            else:
-                stack.append((e, True))
-                stack.extend((c, False) for c in reversed(kids[e]))
+            for c in grid.children_of(s.id):
+                kids[far_end[s.id][c.offset_km]].append(self.rows[c.id].start)
+        # any children-first order gives the same bits: the sweeps read kids
+        self.post = [e for s in grid.post_order() for e in reversed(self.rows[s.id])]
         self.roots, self.kids, self.n, self.h = roots, kids, n, h
         self.cells = max(n)
         self.last = (np.arange(len(n)), np.array(n))    # the far-end node of each row
@@ -246,35 +225,33 @@ def _mid(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a[:, :-1] + a[:, 1:])
 
 
-def _sample_density(mesh: _Mesh, density: DensityField | None):
+def _sample_density(mesh: _Mesh, density: DensityField):
     """Sample every segment's density in a single call, at the nodes and
     midpoints of all its edges interleaved, one run per segment; return
     (p, q) at the midpoints."""
     p = np.zeros((len(mesh.n), 2 * mesh.cells + 1))
     q = np.zeros_like(p)
-    if density is not None:
-        x = np.empty_like(p)
-        x[:, 0::2] = mesh.x
-        x[:, 1::2] = mesh.x[:, :-1] + 0.5 * mesh.h_col
-        valid = np.arange(x.shape[1]) <= 2 * mesh.last[1][:, None]
-        ends = mesh.segment_ends(valid)
-        runs = [(seg_id, b - a) for seg_id, a, b in zip(mesh.rows, [0, *ends], ends)]
-        p[valid], q[valid] = density.sample(runs, x[valid])
+    x = np.empty_like(p)
+    x[:, 0::2] = mesh.x
+    x[:, 1::2] = mesh.x[:, :-1] + 0.5 * mesh.h_col
+    valid = np.arange(x.shape[1]) <= 2 * mesh.last[1][:, None]
+    ends = mesh.segment_ends(valid)
+    runs = [(seg_id, b - a) for seg_id, a, b in zip(mesh.rows, [0, *ends], ends)]
+    p[valid], q[valid] = density.sample(runs, x[valid])
     return p[:, 1::2], q[:, 1::2]
 
 
-def _solve(grid: GridTree, density: DensityField | None, settings: SolverSettings,
+def _solve(grid: GridTree, density: DensityField, settings: SolverSettings,
            nonlinear: bool) -> VoltageProfile:
     grid.validated()
-    sigma_km = density.sigma_km if density is not None else None
+    sigma_km = density.sigma_km
     mesh = _Mesh(grid, settings, sigma_km)
-    if sigma_km is not None:
-        coarsest = max(mesh.h)
-        if coarsest > sigma_km / 2.0 + 1e-15:
-            raise ValueError(
-                f"mesh step {coarsest} km exceeds sigma/2={sigma_km / 2.0}: "
-                "the density kernels would be under-resolved; lower step_km"
-            )
+    coarsest = max(mesh.h)
+    if coarsest > sigma_km / 2.0 + 1e-15:
+        raise ValueError(
+            f"mesh step {coarsest} km exceeds sigma/2={sigma_km / 2.0}: "
+            "the density kernels would be under-resolved; lower step_km"
+        )
     p, q = _sample_density(mesh, density)
     gp_bq = mesh.g * p + mesh.b * q
     s = mesh.backward((mesh.b * p - mesh.g * q) / mesh.z2)
@@ -291,8 +268,8 @@ def _solve(grid: GridTree, density: DensityField | None, settings: SolverSetting
         w = mesh.backward(s_mid2 / v_mid ** 3 - gp_bq / (v_mid * mesh.z2))
         v_old, v = v, mesh.forward(_mid(w), 1.0, scale=True)
         v_min = float(v.min())
-        if v_min < settings.collapse_floor_pu:
-            raise VoltageCollapseError(v_min, settings.collapse_floor_pu)
+        if v_min < COLLAPSE_FLOOR_PU:
+            raise VoltageCollapseError(v_min)
         change = float(np.max(np.abs(v - v_old)))
         if change <= settings.tol_v:
             break
@@ -342,13 +319,13 @@ def _assemble_profile(mesh: _Mesh, states, sweeps: int, change: float) -> Voltag
     )
 
 
-def solve_nonlinear(grid: GridTree, density: DensityField | None = None,
+def solve_nonlinear(grid: GridTree, density: DensityField,
                     settings: SolverSettings | None = None) -> VoltageProfile:
     """Solve the full nonlinear system on a validated grid tree."""
     return _solve(grid, density, settings or SolverSettings(), nonlinear=True)
 
 
-def solve_linearized(grid: GridTree, density: DensityField | None = None,
+def solve_linearized(grid: GridTree, density: DensityField,
                      settings: SolverSettings | None = None) -> VoltageProfile:
     """Solve the partially linearized system; single straight feeder only."""
     if not grid.is_single_feeder():

@@ -11,6 +11,7 @@ from feederflow import (
     HandOff,
     PerUnitBase,
     audit_trace,
+    power_density,
     station_q_cap,
     synthesize,
     uniform_baseline,
@@ -191,8 +192,6 @@ def test_uniform_needs_stations_and_sane_pf():
     grid = make_single([Device("load", "main", 1.0, "l", p_pu=-0.1)])
     with pytest.raises(ValueError, match="at least one station"):
         uniform_baseline(grid, 0.1)
-    with pytest.raises(ValueError, match="power factor"):
-        uniform_baseline(make_single([Device("station", "main", 1.0, "s", p_min_pu=-1, p_max_pu=1)]), 0.1, power_factor=1.5)
 
 
 def test_unclamped_seed_quirk_is_preserved():
@@ -200,11 +199,12 @@ def test_unclamped_seed_quirk_is_preserved():
     # keeps the raw seed, even outside its own bounds: the first pass
     # only clamps while consuming loads.  p_ref equals what the first pass
     # delivers, so the refinement pass never runs and the seed survives.
-    plan = synthesize(make_single([
+    grid = make_single([
         Device("station", "main", 3.0, "far", p_min_pu=-0.001, p_max_pu=0.001),
         Device("station", "main", 1.0, "near", p_min_pu=-0.0001, p_max_pu=0.0001),
         Device("load", "main", 3.5, "l", p_pu=-0.5),
-    ]), 0.5)
+    ])
+    plan = synthesize(grid, 0.5)
     hi = 0.9 * 0.001
     near, far = plan.stations          # bank-nearest first
     assert far.p_pu == hi
@@ -218,6 +218,10 @@ def test_unclamped_seed_quirk_is_preserved():
     assert far.q_pu == station_q_cap(far.p_pu)
     assert near.q_pu == dict(plan.seeds_q)["near"]
     assert near.q_pu > station_q_cap(near.p_pu)  # out of cone, faithfully so
+    # the density builder rejects the plan and names the hand-off behind it
+    with pytest.raises(ValueError, match=(r"^station 'near': p=0\.4991 outside effective bounds "
+                                          r".*; P hand-offs received: 0\.4991 from 'far'$")):
+        power_density(grid, plan)
 
 
 # -- randomized properties -----------------------------------------------------

@@ -112,6 +112,16 @@ def test_validate_collects_every_violation():
         "unknown segment 'nope'",
     ):
         assert needle in text, needle
+    # a duplicated id closes a cycle through the root: A, B under A, A under B
+    looped = GridTree(
+        PerUnitBase(1.0, 1.0),
+        (
+            FeederSegment("A", 2.0, 1.0, 2.0),
+            FeederSegment("B", 1.0, 1.0, 2.0, parent="A", offset_km=1.0),
+            FeederSegment("A", 1.0, 1.0, 2.0, parent="B", offset_km=1.0),
+        ),
+    )
+    assert "segment id 'A' is duplicated" in validate_grid(looped).violations
 
 
 def test_validate_rejects_unnamed_device():

@@ -30,8 +30,9 @@ def single_injection_grid():
     return make_single([Device("load", "main", 4.5, "l0", p_pu=-0.06)])
 
 
-def test_zero_density_fixed_point_in_one_sweep(single_feeder):
-    prof = solve_nonlinear(single_feeder)
+def test_zero_density_fixed_point_in_one_sweep():
+    grid = make_single([])
+    prof = solve_nonlinear(grid, power_density(grid, None))
     assert prof.sweeps == 1
     seg = prof.segments[0]
     assert np.all(seg.v_pu == 1.0)
@@ -140,9 +141,8 @@ def test_default_mesh_resolves_kernels_on_a_long_feeder():
 def test_bundled_meshes_keep_their_size(single_feeder, feeder_tree):
     # sizes recorded before the default step learned about sigma
     for grid in (single_feeder, feeder_tree):
-        for density in (None, power_density(grid, None)):
-            prof = solve_nonlinear(grid, density)
-            assert [len(sp.x_km) for sp in prof.segments] == [2001] * len(grid.segments)
+        prof = solve_nonlinear(grid, power_density(grid, None))
+        assert [len(sp.x_km) for sp in prof.segments] == [2001] * len(grid.segments)
 
 
 def test_density_sampled_once_per_solve(feeder_tree, monkeypatch):

@@ -124,6 +124,24 @@ def test_post_order_follows_declared_child_order(feeder_tree):
     assert a1 < a2 < a < b
 
 
+def test_chain_deeper_than_the_recursion_limit():
+    # 1100 segments, each tapping its parent's far end, one station and one
+    # light load on each
+    segments = tuple(FeederSegment(f"s{k}", 0.01, 3.881, 6.856,
+                                   parent=f"s{k - 1}" if k else None,
+                                   offset_km=0.01 if k else 0.0) for k in range(1100))
+    devices = []
+    for k in range(1100):
+        devices += [Device("station", f"s{k}", 0.01 * k + 0.003, f"st{k}", p_min_pu=-0.01, p_max_pu=0.01),
+                    Device("load", f"s{k}", 0.01 * k + 0.007, f"l{k}", p_pu=-1e-5)]
+    grid = GridTree(PerUnitBase(1.0, 1.0), segments, tuple(devices))
+    plan = synthesize_tree(grid, 0.0)
+    assert len(plan.stations) == 1100
+    profile = solve_nonlinear(grid, power_density(grid, plan, 0.001), SolverSettings(step_km=0.0005))
+    assert len(profile.segments) == 1100
+    assert max(profile.junction_s_max, profile.junction_w_max, profile.junction_v_max) <= 1e-9
+
+
 def test_bundled_tree_exact_total(feeder_tree):
     plan = synthesize_tree(feeder_tree, 0.01)
     assert plan.total_p() == 0.01
