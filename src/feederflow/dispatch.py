@@ -286,6 +286,11 @@ def _row(st: Device, p_i: float, q_i: float) -> StationDispatch:
     )
 
 
+def _check_request(p_ref: float) -> None:
+    if not math.isfinite(p_ref):
+        raise ValueError(f"requested power p_ref must be finite, got {p_ref}")
+
+
 def synthesize(grid: GridTree, p_ref: float, mode: str = "literal") -> DispatchPlan:
     """Dispatch a single straight feeder: the one-segment synthesize_tree."""
     if not grid.is_single_feeder():
@@ -294,20 +299,20 @@ def synthesize(grid: GridTree, p_ref: float, mode: str = "literal") -> DispatchP
 
 
 def uniform_baseline(grid: GridTree, p_ref: float) -> DispatchPlan:
-    """Every station gets P_ref/N and the reactive power of power factor
-    PF_FLOOR, leading."""
+    """Every station gets P_ref/N clamped to its derated bounds, and the
+    reactive power of power factor PF_FLOOR, leading, for its own p."""
+    _check_request(p_ref)
     grid.validated()
     stations = sorted(grid.stations(), key=lambda d: (d.xi_km, d.id))
     if not stations:
         raise ValueError("uniform baseline needs at least one station")
-    n = len(stations)
-    p_i = p_ref / n
-    q_i = p_i * math.tan(math.acos(PF_FLOOR))
-    leftover = p_ref - math.fsum(p_i for _ in stations)
+    share = p_ref / len(stations)
+    p = [min(max(share, st.p_min_eff), st.p_max_eff) for st in stations]
+    tan_pf = math.tan(math.acos(PF_FLOOR))
     return DispatchPlan(
-        stations=tuple(_row(st, p_i, q_i) for st in stations),
+        stations=tuple(_row(st, p_i, p_i * tan_pf) for st, p_i in zip(stations, p)),
         p_ref=p_ref,
-        leftover_p=leftover,
+        leftover_p=p_ref - math.fsum(p),
     )
 
 
@@ -321,6 +326,7 @@ def synthesize_tree(grid: GridTree, p_ref: float, mode: str = "literal") -> Disp
     refinement pass then runs over all stations ordered by distance to the
     bank, so the requested total is met whenever aggregate capacity allows.
     """
+    _check_request(p_ref)
     grid.validated()
     legs = _legs(grid)
     stations = [st for leg in legs for st in leg.stations]

@@ -19,7 +19,7 @@ bit what a cumsum over the edge alone gives.  s does not depend on v and
 theta does not feed back, so both are integrated once.  The partially
 linearized system is the nonlinear one with the v feedback pinned at 1
 (exact: 1.0**3 and x / 1.0 are exact), so it converges on the second sweep.
-Densities are sampled at mesh nodes and midpoints, in one call per solve.
+Densities are sampled at cell midpoints only, in one call per solve.
 """
 from __future__ import annotations
 
@@ -43,6 +43,9 @@ __all__ = [
 
 # A sweep that takes any voltage below this is in the collapse region.
 COLLAPSE_FLOOR_PU = 0.5
+# Sweeps stop at a voltage change <= TOL_V pu, or raise after MAX_SWEEPS.
+TOL_V = 1e-9
+MAX_SWEEPS = 100
 
 
 class SolverError(Exception):
@@ -50,9 +53,9 @@ class SolverError(Exception):
 
 
 class ConvergenceError(SolverError):
-    def __init__(self, sweeps: int, last_change: float, tol: float):
+    def __init__(self, sweeps: int, last_change: float):
         super().__init__(
-            f"sweep iteration did not settle: change {last_change:.3e} > tol {tol:.3e} "
+            f"sweep iteration did not settle: change {last_change:.3e} > tol {TOL_V:.3e} "
             f"after {sweeps} sweeps"
         )
         self.sweeps = sweeps
@@ -69,7 +72,7 @@ class VoltageCollapseError(SolverError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Mesh and iteration controls.
+    """Mesh step and bank angle; the sweep limits are TOL_V and MAX_SWEEPS.
 
     step_km=None meshes each segment with min(length/2000, sigma/2), where
     sigma is the width of the supplied density's kernels, so any feeder
@@ -79,17 +82,11 @@ class SolverSettings:
     """
 
     step_km: float | None = None
-    tol_v: float = 1e-9
-    max_sweeps: int = 100
     theta_bank_rad: float = 0.0
 
     def __post_init__(self) -> None:
         if self.step_km is not None and not self.step_km > 0.0:
             raise ValueError(f"step_km must be positive, got {self.step_km}")
-        if not self.tol_v > 0.0:
-            raise ValueError("tol_v must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -226,19 +223,16 @@ def _mid(a: np.ndarray) -> np.ndarray:
 
 
 def _sample_density(mesh: _Mesh, density: DensityField):
-    """Sample every segment's density in a single call, at the nodes and
-    midpoints of all its edges interleaved, one run per segment; return
-    (p, q) at the midpoints."""
-    p = np.zeros((len(mesh.n), 2 * mesh.cells + 1))
+    """Sample every segment's density at the midpoints of all its edges'
+    cells, one run per segment in a single call; pad cells stay 0."""
+    p = np.zeros((len(mesh.n), mesh.cells))
     q = np.zeros_like(p)
-    x = np.empty_like(p)
-    x[:, 0::2] = mesh.x
-    x[:, 1::2] = mesh.x[:, :-1] + 0.5 * mesh.h_col
-    valid = np.arange(x.shape[1]) <= 2 * mesh.last[1][:, None]
+    valid = np.arange(mesh.cells) < mesh.last[1][:, None]
     ends = mesh.segment_ends(valid)
     runs = [(seg_id, b - a) for seg_id, a, b in zip(mesh.rows, [0, *ends], ends)]
+    x = mesh.x[:, :-1] + 0.5 * mesh.h_col
     p[valid], q[valid] = density.sample(runs, x[valid])
-    return p[:, 1::2], q[:, 1::2]
+    return p, q
 
 
 def _solve(grid: GridTree, density: DensityField, settings: SolverSettings,
@@ -260,9 +254,7 @@ def _solve(grid: GridTree, density: DensityField, settings: SolverSettings,
     v = np.ones_like(s)
     v_mid = np.ones_like(s_mid)       # the linearized system's fixed feedback
 
-    sweeps = 0
-    change = np.inf
-    for sweeps in range(1, settings.max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):    # MAX_SWEEPS >= 1 sets both names
         if nonlinear:
             v_mid = _mid(v)
         w = mesh.backward(s_mid2 / v_mid ** 3 - gp_bq / (v_mid * mesh.z2))
@@ -271,10 +263,10 @@ def _solve(grid: GridTree, density: DensityField, settings: SolverSettings,
         if v_min < COLLAPSE_FLOOR_PU:
             raise VoltageCollapseError(v_min)
         change = float(np.max(np.abs(v - v_old)))
-        if change <= settings.tol_v:
+        if change <= TOL_V:
             break
     else:
-        raise ConvergenceError(settings.max_sweeps, change, settings.tol_v)
+        raise ConvergenceError(MAX_SWEEPS, change)
 
     if nonlinear:
         v_mid = _mid(v)

@@ -104,6 +104,27 @@ def test_domain_error_from_run(tmp_path, capsys):
     assert "straddle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pref", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("command", ["run", "compare", "xcheck"])
+def test_non_finite_request_is_domain_error(tmp_path, capsys, command, pref):
+    out = tmp_path / "o"
+    assert main([command, "--grid", SINGLE, f"--pref={pref}", "--out", str(out)]) == 1
+    assert "p_ref must be finite" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_compare_caps_the_uniform_split_at_station_bounds(tmp_path):
+    # -0.3 / 4 stations is beyond every bundled station's derated bound
+    out = tmp_path / "o"
+    assert main(["compare", "--grid", SINGLE, "--pref=-0.3", "--out", str(out)]) == 0
+    data = json.loads((out / "compare.json").read_text())
+    rows = list(csv.DictReader((out / "dispatch_uniform.csv").open()))
+    stations = [r for r in rows if r["station_id"] != "TOTAL"]
+    assert all(float(r["p_min_eff"]) <= float(r["p_pu"]) <= float(r["p_max_eff"])
+               for r in stations)
+    assert data["uniform"]["leftover_p"] < 0.0
+
+
 def test_solver_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "heavy.yaml"
     path.write_text(HEAVY)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import feederflow.solver
 from feederflow import (
     ConvergenceError,
     DensityField,
@@ -97,11 +98,12 @@ def test_theta_fully_decoupled(single_feeder):
     np.testing.assert_allclose(sb.theta_rad - sa.theta_rad, 0.7, rtol=0, atol=1e-12)
 
 
-def test_convergence_error_reports_progress(single_feeder):
+def test_convergence_error_reports_progress(single_feeder, monkeypatch):
     plan = synthesize(single_feeder, 0.1)
     density = power_density(single_feeder, plan)
+    monkeypatch.setattr(feederflow.solver, "MAX_SWEEPS", 2)
     with pytest.raises(ConvergenceError) as exc:
-        solve_nonlinear(single_feeder, density, SolverSettings(max_sweeps=2))
+        solve_nonlinear(single_feeder, density)
     assert exc.value.sweeps == 2
     assert exc.value.last_change > 1e-9
 
@@ -150,14 +152,22 @@ def test_density_sampled_once_per_solve(feeder_tree, monkeypatch):
     real = DensityField.sample
 
     def counting(self, runs, x_km):
-        calls.append((list(runs), len(x_km)))
+        calls.append((list(runs), x_km.copy()))
         return real(self, runs, x_km)
 
     monkeypatch.setattr(DensityField, "sample", counting)
-    solve_nonlinear(feeder_tree, power_density(feeder_tree, None))
-    # nodes and midpoints of every segment's 2000 cells, in one call
-    n = len(feeder_tree.segments)
-    assert calls == [([(s.id, 4001) for s in feeder_tree.segments], n * 4001)]
+    prof = solve_nonlinear(feeder_tree, power_density(feeder_tree, None))
+    # the midpoints of every segment's 2000 cells, in one call
+    (runs, x_km), = calls
+    assert runs == [(s.id, 2000) for s in feeder_tree.segments]
+    # no bundled segment is tapped inside, so each segment is one edge,
+    # of step h as the mesh computes it
+    mids = []
+    for seg, sp in zip(feeder_tree.segments, prof.segments):
+        start = feeder_tree.segment_start_km(seg.id)
+        h = (start + seg.length_km - start) / 2000
+        mids.append(sp.x_km[:-1] + 0.5 * h)
+    assert np.array_equal(x_km, np.concatenate(mids))
 
 
 def test_trunk_with_more_edges_than_the_recursion_limit():
@@ -175,10 +185,6 @@ def test_trunk_with_more_edges_than_the_recursion_limit():
 def test_settings_validation():
     with pytest.raises(ValueError):
         SolverSettings(step_km=0.0)
-    with pytest.raises(ValueError):
-        SolverSettings(tol_v=0.0)
-    with pytest.raises(ValueError):
-        SolverSettings(max_sweeps=0)
 
 
 def test_profile_accessors(feeder_tree):

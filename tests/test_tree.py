@@ -444,6 +444,18 @@ def test_property_random_tree_audits_and_conserves(case):
         assert plan.total_p() + plan.leftover_p == pytest.approx(p_ref, abs=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(random_tree())
+def test_property_random_tree_uniform_split_is_capped(case):
+    grid, p_ref = case
+    plan = uniform_baseline(grid, p_ref)
+    for row in plan.stations:
+        assert row.p_min_eff <= row.p_pu <= row.p_max_eff
+        assert abs(row.q_pu) <= row.q_cap + 1e-12
+    assert plan.total_p() + plan.leftover_p == pytest.approx(p_ref, abs=1e-12)
+    power_density(grid, plan, 0.03)    # the density builder's own checks accept it
+
+
 def sibling_permuted(grid, data):
     """The same tree with each segment's children declared in a drawn order."""
     children = {}
