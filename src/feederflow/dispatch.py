@@ -24,10 +24,11 @@ Residual forwarding is logged as HandOff events so a plan can be audited:
 every forwarded amount reappears as part of some station's seed or is
 explicitly dropped at the bank.
 
-The passes read the grid's own Device records.  A caller with bare station
-and load lists builds a one-segment GridTree and calls synthesize.  Plans
-are keyed by device id, so devices built in code need a non-empty id;
-validate_grid rejects an unnamed one.
+The passes read the grid's own Device records.  What no request changes
+(the legs, the station order and bounds) is built once per grid and kept
+on it.  A caller with bare station and load lists builds a one-segment
+GridTree and calls synthesize.  Plans are keyed by device id, so devices
+built in code need a non-empty id; validate_grid rejects an unnamed one.
 """
 from __future__ import annotations
 
@@ -106,8 +107,8 @@ class _Leg(NamedTuple):
     """One segment's share of a dispatch."""
 
     id: str
-    stations: list[Device]             # far end first
-    loads: list[Device]                # far end first
+    stations: tuple[Device, ...]       # far end first
+    loads: tuple[Device, ...]          # far end first
     g: float
     b: float
     taps: tuple[tuple[float, str], ...]    # (junction xi, child leg id)
@@ -223,25 +224,24 @@ def _refine(stations, p, order, p_run):
     return p_run
 
 
-def _active(legs, order, p_ref, trace):
+def _active(prep, p_ref, trace):
     """Two-pass active dispatch. Returns (p, leftover, seeds) in station order."""
-    stations = [st for leg in legs for st in leg.stations]
-    p, seeds = _forward("P", legs, [(st.p_min_eff, st.p_max_eff) for st in stations],
+    p, seeds = _forward("P", prep.legs, prep.bounds,
                         lambda value, _k, load: value - load.p_pu, trace)
     for value in p:
         p_ref = p_ref - value
-    return p, _refine(stations, p, order, p_ref), seeds
+    return p, _refine(prep.stations, p, prep.order, p_ref), seeds
 
 
-def _reactive(legs, p, mode, trace):
+def _reactive(prep, p, mode, trace):
     """Reactive set points for fixed active dispatch. Returns (q, seeds)."""
     if mode == "principle":
-        return _principle(legs, p), [0.0] * len(p)
+        return _principle(prep.legs, p), [0.0] * len(p)
     if mode != "literal":
         raise ValueError(f"unknown mode {mode!r}; expected 'literal' or 'principle'")
     caps = [station_q_cap(p_k) for p_k in p]
-    g_over_b = [leg.g / leg.b for leg in legs for _ in leg.stations]
-    return _forward("Q", legs, [(-cap, cap) for cap in caps],
+    g_over_b = prep.g_over_b
+    return _forward("Q", prep.legs, [(-cap, cap) for cap in caps],
                     lambda _value, k, load: g_over_b[k] * (p[k] - load.p_pu), trace)
 
 
@@ -268,10 +268,34 @@ def _legs(grid: GridTree) -> list[_Leg]:
             target = next((st.id for st in stations[seg.parent] if st.xi_km <= pos),
                           bank_side[seg.parent])
         bank_side[seg.id] = target
-    return [_Leg(seg.id, stations[seg.id], loads[seg.id], seg.g_pu_per_km, seg.b_pu_per_km,
+    return [_Leg(seg.id, tuple(stations[seg.id]), tuple(loads[seg.id]),
+                 seg.g_pu_per_km, seg.b_pu_per_km,
                  tuple((grid.segment_start_km(c.id), c.id) for c in grid.children_of(seg.id)),
                  bank_side[seg.id])
             for seg in post]
+
+
+class _Prepared(NamedTuple):
+    """What every dispatch of one grid reads: no request changes it."""
+
+    legs: tuple[_Leg, ...]
+    stations: tuple[Device, ...]             # station order: each leg's in turn
+    ids: tuple[str, ...]
+    bounds: tuple[tuple[float, float], ...]  # derated (lo, hi) per station
+    order: tuple[int, ...]                   # station indices, bank-nearest first
+    g_over_b: tuple[float, ...]              # per station, its segment's g / b
+
+
+def _prepare(grid: GridTree) -> _Prepared:
+    """The grid's dispatch legs and station order, built once per grid."""
+    def build() -> _Prepared:
+        legs = tuple(_legs(grid))
+        stations = tuple(st for leg in legs for st in leg.stations)
+        order = sorted(range(len(stations)), key=lambda k: (stations[k].xi_km, stations[k].id))
+        return _Prepared(legs, stations, tuple(st.id for st in stations),
+                         tuple((st.p_min_eff, st.p_max_eff) for st in stations), tuple(order),
+                         tuple(leg.g / leg.b for leg in legs for _ in leg.stations))
+    return grid._cached("dispatch", None, build)
 
 
 def _row(st: Device, p_i: float, q_i: float) -> StationDispatch:
@@ -303,7 +327,8 @@ def uniform_baseline(grid: GridTree, p_ref: float) -> DispatchPlan:
     reactive power of power factor PF_FLOOR, leading, for its own p."""
     _check_request(p_ref)
     grid.validated()
-    stations = sorted(grid.stations(), key=lambda d: (d.xi_km, d.id))
+    stations = grid._cached("uniform", None,
+                            lambda: tuple(sorted(grid.stations(), key=lambda d: (d.xi_km, d.id))))
     if not stations:
         raise ValueError("uniform baseline needs at least one station")
     share = p_ref / len(stations)
@@ -328,21 +353,17 @@ def synthesize_tree(grid: GridTree, p_ref: float, mode: str = "literal") -> Disp
     """
     _check_request(p_ref)
     grid.validated()
-    legs = _legs(grid)
-    stations = [st for leg in legs for st in leg.stations]
-    order = sorted(range(len(stations)),
-                   key=lambda k: (stations[k].xi_km, stations[k].id))
+    prep = _prepare(grid)
     trace: list[HandOff] = []
-    p, leftover, seeds_p = _active(legs, order, p_ref, trace)
-    q, seeds_q = _reactive(legs, p, mode, trace)
-    ids = [st.id for st in stations]
+    p, leftover, seeds_p = _active(prep, p_ref, trace)
+    q, seeds_q = _reactive(prep, p, mode, trace)
     return DispatchPlan(
-        stations=tuple(_row(stations[k], p[k], q[k]) for k in order),
+        stations=tuple(_row(prep.stations[k], p[k], q[k]) for k in prep.order),
         p_ref=p_ref,
         leftover_p=leftover,
         trace=tuple(trace),
-        seeds_p=tuple(zip(ids, seeds_p)),
-        seeds_q=tuple(zip(ids, seeds_q)),
+        seeds_p=tuple(zip(prep.ids, seeds_p)),
+        seeds_q=tuple(zip(prep.ids, seeds_q)),
     )
 
 

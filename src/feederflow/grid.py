@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,14 +46,19 @@ def station_q_cap(p_pu: float) -> float:
 # device power, far below the 1e-6 quadrature tolerance.
 KERNEL_CUTOFF_SIGMAS = 6.0
 
-# DensityField.sample evaluates kernels this many devices at a time, which
-# bounds its temporary arrays to about this many windows of samples, and
-# fewer when the windows are wide: a block holds about DENSITY_BLOCK_PAIRS
-# (device, sample) pairs on average, so that its arrays (96 KiB of float64)
-# stay below the 128 KiB above which glibc's malloc maps fresh pages for
-# every array, page faults that cost more than the kernels on a fine mesh.
+# The kernel pair search of DensityField.sample evaluates kernels this many
+# devices at a time, which bounds its temporary arrays to about this many
+# windows of samples, and fewer when the windows are wide: a block holds
+# about DENSITY_BLOCK_PAIRS (device, sample) pairs on average, so that its
+# arrays (96 KiB of float64) stay below the 128 KiB above which glibc's
+# malloc maps fresh pages for every array, page faults that cost more than
+# the kernels on a fine mesh.
 DENSITY_BLOCK_DEVICES = 256
 DENSITY_BLOCK_PAIRS = 12288
+
+# A GridTree caches at most this many meshes, density layouts, ... of each
+# kind, so that sweeping sigma or the placed stations cannot grow it.
+CACHED_PER_KIND = 8
 
 
 @dataclass(frozen=True)
@@ -153,9 +159,24 @@ class GridTree:
     children first, and dispatch and the solver mesh both read it.
     Construction never raises on semantic problems; run validate_grid (or
     the ``validated`` helper) before handing a tree to the solver or the
-    dispatch passes.  ``validated`` remembers a passing result on the
-    instance; segments and devices are stored as tuples so that it cannot
-    go stale.
+    dispatch passes.
+
+    The instance remembers what depends only on the grid, so that repeated
+    requests pay only for what their plan changes.  ``validated`` keeps a
+    passing result, and a private cache fills on first use:
+
+    - the solver mesh, keyed by (step_km, sigma), with its sample runs,
+      midpoints and valid-cell masks;
+    - the density layout, keyed by the set of placed stations: the device
+      columns, the loads' p and q, the station slots and derated bounds,
+      the spacing warnings, and the kernel pairs of its last sampling;
+    - the dispatch legs, station order and bounds, and the uniform split's
+      station order.
+
+    Each kind keeps at most CACHED_PER_KIND entries.  The cache cannot go
+    stale: segments and devices are stored as frozen records in tuples.
+    A ``dataclasses.replace`` copy, a pickle and a ``copy`` start with an
+    empty cache.
     """
 
     base: PerUnitBase
@@ -166,6 +187,7 @@ class GridTree:
     _children: dict = field(init=False, repr=False, compare=False)
     _post: tuple = field(init=False, repr=False, compare=False)
     _valid: bool = field(init=False, repr=False, compare=False, default=False)
+    _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -193,6 +215,24 @@ class GridTree:
         object.__setattr__(self, "_start_km", start)
         object.__setattr__(self, "_children", children)
         object.__setattr__(self, "_post", tuple(post))
+        object.__setattr__(self, "_cache", {})
+
+    def __getstate__(self) -> dict:
+        # a pickle or copy carries the grid, not the arrays it has prepared
+        return {**self.__dict__, "_cache": {}}
+
+    def _cached(self, kind: str, key, build):
+        """build() for (kind, key), built on first use and kept; a kind that
+        holds CACHED_PER_KIND entries starts over.  Every step is one dict
+        call, so threads sharing a grid at worst build a value twice."""
+        entries = self._cache.setdefault(kind, {})
+        value = entries.get(key)
+        if value is None:
+            value = build()
+            if len(entries) >= CACHED_PER_KIND:
+                entries.clear()
+            entries[key] = value
+        return value
 
     def segment(self, seg_id: str) -> FeederSegment:
         return self._seg_by_id[seg_id]
@@ -326,6 +366,151 @@ def validate_grid(grid: GridTree) -> GridValidationReport:
     return GridValidationReport(tuple(bad))
 
 
+def _check_sigma(sigma_km: float) -> None:
+    if not (sigma_km > 0.0 and math.isfinite(sigma_km)):
+        raise ValueError(f"sigma must be positive, got {sigma_km}")
+
+
+class _Pairs(NamedTuple):
+    """The (device, sample) pairs of one sampling, found for this sigma,
+    these runs and these x.  They are device-major: device k, layout column
+    cols[k], owns the next kept[k] pairs, each a sample index idx and a
+    kernel value kern."""
+
+    sigma_km: float
+    runs: list
+    x: np.ndarray
+    idx: np.ndarray
+    kern: np.ndarray
+    cols: np.ndarray
+    kept: np.ndarray
+
+
+class _Layout:
+    """The density columns of one set of placed stations on a grid.
+
+    Loads and placed stations are grouped by segment, in the order of each
+    segment's first such device, and keep declaration order within it.
+    xpq holds each column's centre and the loads' p and q; a plan writes its
+    stations' p and q at slots.  stations (and ids) are the placed stations
+    in declaration order, lo and hi their derated bounds, and min_gaps each
+    segment's closest device spacing.  pairs holds the kernel pairs of the
+    layout's last sampling: one set at most.
+    """
+
+    def __init__(self, grid: GridTree, placed: bytes):
+        self.stations = tuple(d for d, on in zip(grid.stations(), placed) if on)
+        self.ids = tuple(d.id for d in self.stations)
+        cols: dict[str, list[tuple[Device, int]]] = {}    # (device, station rank or -1)
+        flags, rank = iter(placed), iter(range(len(self.stations)))
+        for d in grid.devices:
+            if d.kind == "load":
+                cols.setdefault(d.segment, []).append((d, -1))
+            elif d.kind == "station" and next(flags):
+                cols.setdefault(d.segment, []).append((d, next(rank)))
+        order = [entry for entries in cols.values() for entry in entries]
+        self.xpq = np.zeros((3, len(order)))
+        self.xpq[0] = [d.xi_km for d, _ in order]
+        self.xpq[1] = [d.p_pu if r < 0 else 0.0 for d, r in order]
+        self.xpq[2] = [d.q_pu if r < 0 else 0.0 for d, r in order]
+        self.slots = np.empty(len(self.stations), dtype=np.intp)
+        for col, (_, r) in enumerate(order):
+            if r >= 0:
+                self.slots[r] = col
+        ends = list(accumulate(len(entries) for entries in cols.values()))
+        self.columns = {seg_id: slice(a, b) for seg_id, a, b in zip(cols, [0, *ends], ends)}
+        n = len(self.stations)
+        self.lo = np.fromiter((d.p_min_eff for d in self.stations), float, n)
+        self.hi = np.fromiter((d.p_max_eff for d in self.stations), float, n)
+        self.min_gaps = []
+        for seg_id, entries in cols.items():
+            xs = sorted(d.xi_km for d, _ in entries)
+            gaps = [b - a for a, b in zip(xs, xs[1:])]
+            if gaps:
+                self.min_gaps.append((seg_id, min(gaps)))
+        self.pairs: _Pairs | None = None
+
+    def station_pq(self, station_power) -> np.ndarray:
+        """The placed stations' p and q, from station_power, as two rows;
+        each station's value must unpack into exactly (p, q)."""
+        if not self.ids:    # station_power may be None
+            return np.empty((2, 0))
+        p, q = zip(*map(station_power.__getitem__, self.ids), strict=True)
+        return np.array((p, q), dtype=float)
+
+
+def _layout(grid: GridTree, station_power) -> _Layout:
+    """The grid's cached layout for the stations that station_power places."""
+    ids = grid._cached("station ids", None, lambda: tuple(d.id for d in grid.stations()))
+    power = () if station_power is None else station_power
+    placed = bytes(map(power.__contains__, ids))
+    return grid._cached("layout", placed, lambda: _Layout(grid, placed))
+
+
+def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -> _Pairs:
+    """Every (device, sample) pair of x within the cut-off, each run's
+    samples against its own segment's columns, device-major with devices in
+    declaration order."""
+    n_run = np.array([n for _, n in runs], dtype=np.intp)
+    columns = [layout.columns.get(seg_id, slice(0, 0)) for seg_id, _ in runs]
+    n_dev = np.array([c.stop - c.start for c in columns], dtype=np.intp)
+    if x.size == 0 or not n_dev.any():
+        return _Pairs(sigma_km, runs, x.copy(), np.empty(0, dtype=np.int32), np.empty(0),
+                      np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+    # each run's devices as layout columns, in declaration order
+    cols = np.concatenate([np.arange(c.start, c.stop) for c in columns])
+    centres = layout.xpq[0, cols]
+    cut = KERNEL_CUTOFF_SIGMAS * sigma_km
+    # On a tree the x ranges of segments overlap, so each run is shifted
+    # by its own multiple of a power of two at least four times any
+    # |centre| plus the cut-off.  Shifted, the samples within reach of
+    # one run's kernels lie far from every other run's, so a window
+    # holds only its own run's samples; a sample of another run that
+    # still falls in one fails the |dx| <= cut test, which uses the
+    # unshifted positions.
+    reach = float(np.abs(centres).max()) + cut
+    shift = 2.0 ** math.ceil(math.log2(4.0 * reach)) * np.arange(len(columns), dtype=float)
+    keys = np.repeat(shift, n_run)
+    keys += x
+    ckeys = centres + np.repeat(shift, n_dev)
+    order = np.argsort(keys, kind="stable")
+    two_var = 2.0 * sigma_km ** 2
+    norm = 1.0 / math.sqrt(2.0 * math.pi * sigma_km ** 2)
+    # windows are padded by a few ulps, so that rounding in the shift
+    # and in xi +- cut cannot drop a sample (or a copy of a repeated
+    # one) that the |dx| <= cut test below keeps
+    pad = 8.0 * np.spacing(np.abs(ckeys) + 2.0 * cut)
+    lo = np.searchsorted(keys, ckeys - cut - pad, side="left", sorter=order)
+    hi = np.searchsorted(keys, ckeys + cut + pad, side="right", sorter=order)
+    counts = hi - lo
+    found = int(counts.sum())
+    idx_all = np.empty(found, dtype=np.int32)
+    kern_all = np.empty(found)
+    kept = counts.copy()    # per device, once the |dx| <= cut test has run
+    m = 0
+    per_block = DENSITY_BLOCK_PAIRS * centres.size // max(found, 1)
+    per_block = min(max(per_block, 1), DENSITY_BLOCK_DEVICES)
+    for b in range(0, centres.size, per_block):
+        blk = slice(b, b + per_block)
+        n = counts[blk]
+        total = int(n.sum())
+        if total == 0:
+            continue
+        # flattened (device, sample) pairs, device-major
+        dev = np.repeat(np.arange(b, b + n.size), n)
+        idx = order[np.arange(total) + np.repeat(lo[blk] - (np.cumsum(n) - n), n)]
+        dx = x[idx] - centres[dev]
+        keep = np.abs(dx) <= cut
+        if not keep.all():    # only samples on or beyond a cut-off
+            dev, dx, idx = dev[keep], dx[keep], idx[keep]
+            kept[blk] = np.bincount(dev - b, minlength=n.size)
+        k = m + idx.size
+        idx_all[m:k] = idx
+        kern_all[m:k] = norm * np.exp(-dx ** 2 / two_var)
+        m = k
+    return _Pairs(sigma_km, runs, x.copy(), idx_all[:m], kern_all[:m], cols, kept)
+
+
 class DensityField:
     """Per-segment coarse-grained p(x), q(x) built from point devices.
 
@@ -334,47 +519,38 @@ class DensityField:
     junctions: a device's mass stays on its own segment, so positions closer
     than ~6 sigma to a segment end lose tail mass.
 
-    Sampling costs O(devices x window), not O(devices x points): each device
-    is evaluated only on the samples inside its own cut-off window.  One
-    call can sample every segment of a tree, each segment's samples given
-    as a run, with one sort and one kernel pass for all of them.
+    The columns come from the grid's cached layout for the placed stations,
+    so a construction only writes the stations' p and q.  Sampling costs
+    O(devices x window), not O(devices x points): each device is evaluated
+    only on the samples inside its own cut-off window.  One call can sample
+    every segment of a tree, each segment's samples given as a run, with one
+    sort and one kernel pass for all of them.  The (device, sample, kernel)
+    pairs are kept on the layout and replayed with this field's powers
+    while sigma, the runs and x stay the same, so a repeated solve of a new
+    plan evaluates no kernel.
     """
 
     def __init__(self, grid: GridTree, station_power, sigma_km: float):
-        if not (sigma_km > 0.0 and math.isfinite(sigma_km)):
-            raise ValueError(f"sigma must be positive, got {sigma_km}")
+        _check_sigma(sigma_km)
+        layout = _layout(grid, station_power)
+        p, q = layout.station_pq(station_power)
+        self._setup(layout, p, q, sigma_km, stacklevel=4)
+
+    def _setup(self, layout: _Layout, p: np.ndarray, q: np.ndarray, sigma_km: float,
+               stacklevel: int) -> None:
+        """Take the layout's columns with the placed stations at (p, q);
+        the spacing warnings point stacklevel frames up."""
         self.sigma_km = sigma_km
-        cols: dict[str, tuple[list[float], list[float], list[float]]] = {}
-        for d in grid.devices:
-            if d.kind == "load":
-                p, q = d.p_pu, d.q_pu
-            elif station_power is not None and d.id in station_power:
-                p, q = station_power[d.id]
-            else:
-                continue  # idle station
-            if d.segment not in cols:
-                cols[d.segment] = ([], [], [])
-            xs, ps, qs = cols[d.segment]
-            xs.append(d.xi_km)
-            ps.append(p)
-            qs.append(q)
-        # one (centre, p, q) array for all active devices, grouped by segment
-        # and in declaration order within each, and each segment's columns
-        counts = [len(c[0]) for c in cols.values()]
-        xpq = np.empty((3, sum(counts)))
-        for k in range(3):
-            xpq[k] = np.fromiter(chain.from_iterable(c[k] for c in cols.values()), float, xpq.shape[1])
-        ends = list(accumulate(counts))
-        self._xpq = xpq
-        self._columns = {seg_id: slice(a, b) for seg_id, a, b in zip(cols, [0, *ends], ends)}
-        for seg_id, (xs, _, _) in cols.items():
-            xs.sort()
-            gaps = [b - a for a, b in zip(xs, xs[1:])]
-            if gaps and sigma_km > min(gaps) / 2.0:
+        self._layout = layout
+        self._pq = layout.xpq[1:].copy()
+        self._pq[0, layout.slots] = p
+        self._pq[1, layout.slots] = q
+        for seg_id, gap in layout.min_gaps:
+            if sigma_km > gap / 2.0:
                 warnings.warn(
                     f"sigma={sigma_km} km exceeds half the minimum device spacing "
-                    f"({min(gaps)} km) on segment {seg_id!r}: kernels overlap strongly",
-                    stacklevel=3,
+                    f"({gap} km) on segment {seg_id!r}: kernels overlap strongly",
+                    stacklevel=stacklevel,
                 )
 
     def sample(self, runs, x_km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -392,59 +568,22 @@ class DensityField:
         x = np.asarray(x_km, dtype=float)
         if isinstance(runs, str):
             runs = ((runs, x.size),)
-        n_run = np.array([n for _, n in runs], dtype=np.intp)
-        if n_run.sum() != x.size:
-            raise ValueError(f"runs cover {n_run.sum()} samples, x_km has {x.size}")
+        runs = [(seg_id, int(n)) for seg_id, n in runs]
+        covered = sum(n for _, n in runs)
+        if covered != x.size:
+            raise ValueError(f"runs cover {covered} samples, x_km has {x.size}")
+        x_flat = x.reshape(-1)
+        pairs = self._layout.pairs
+        if (pairs is None or pairs.sigma_km != self.sigma_km or pairs.runs != runs
+                or not np.array_equal(pairs.x, x_flat)):
+            pairs = self._layout.pairs = _kernel_pairs(self._layout, self.sigma_km, runs, x_flat)
         p = np.zeros(x.shape)
         q = np.zeros(x.shape)
-        columns = [self._columns.get(seg_id, slice(0, 0)) for seg_id, _ in runs]
-        n_dev = np.array([c.stop - c.start for c in columns], dtype=np.intp)
-        if x.size == 0 or not n_dev.any():
-            return p, q
-        # each run's devices, in declaration order
-        centres, pw, qw = np.concatenate([self._xpq[:, c] for c in columns], axis=1)
-        cut = KERNEL_CUTOFF_SIGMAS * self.sigma_km
-        # On a tree the x ranges of segments overlap, so each run is shifted
-        # by its own multiple of a power of two at least four times any
-        # |centre| plus the cut-off.  Shifted, the samples within reach of
-        # one run's kernels lie far from every other run's, so a window
-        # holds only its own run's samples; a sample of another run that
-        # still falls in one fails the |dx| <= cut test, which uses the
-        # unshifted positions.
-        reach = float(np.abs(centres).max()) + cut
-        shift = 2.0 ** math.ceil(math.log2(4.0 * reach)) * np.arange(len(columns), dtype=float)
-        x_flat, p_flat, q_flat = x.reshape(-1), p.reshape(-1), q.reshape(-1)
-        keys = np.repeat(shift, n_run)
-        keys += x_flat
-        ckeys = centres + np.repeat(shift, n_dev)
-        order = np.argsort(keys, kind="stable")
-        two_var = 2.0 * self.sigma_km ** 2
-        norm = 1.0 / math.sqrt(2.0 * math.pi * self.sigma_km ** 2)
-        # windows are padded by a few ulps, so that rounding in the shift
-        # and in xi +- cut cannot drop a sample (or a copy of a repeated
-        # one) that the |dx| <= cut test below keeps
-        pad = 8.0 * np.spacing(np.abs(ckeys) + 2.0 * cut)
-        lo = np.searchsorted(keys, ckeys - cut - pad, side="left", sorter=order)
-        hi = np.searchsorted(keys, ckeys + cut + pad, side="right", sorter=order)
-        counts = hi - lo
-        per_block = DENSITY_BLOCK_PAIRS * centres.size // max(int(counts.sum()), 1)
-        per_block = min(max(per_block, 1), DENSITY_BLOCK_DEVICES)
-        for b in range(0, centres.size, per_block):
-            blk = slice(b, b + per_block)
-            n = counts[blk]
-            total = int(n.sum())
-            if total == 0:
-                continue
-            # flattened (device, sample) pairs, device-major
-            dev = np.repeat(np.arange(b, b + n.size), n)
-            idx = order[np.arange(total) + np.repeat(lo[blk] - (np.cumsum(n) - n), n)]
-            dx = x_flat[idx] - centres[dev]
-            keep = np.abs(dx) <= cut
-            if not keep.all():    # only samples on or beyond a cut-off
-                dev, dx, idx = dev[keep], dx[keep], idx[keep]
-            kern = norm * np.exp(-dx ** 2 / two_var)
-            np.add.at(p_flat, idx, pw[dev] * kern)
-            np.add.at(q_flat, idx, qw[dev] * kern)
+        for out, power in ((p, self._pq[0]), (q, self._pq[1])):
+            # each pair's device power times its kernel, device-major
+            weights = np.repeat(power[pairs.cols], pairs.kept)
+            weights *= pairs.kern
+            np.add.at(out.reshape(-1), pairs.idx, weights)
         return p, q
 
 
@@ -460,36 +599,34 @@ def power_density(grid: GridTree, plan=None, sigma_km: float = 0.05) -> DensityF
     station_power = None
     if plan is not None:
         station_power = plan.as_power_map() if hasattr(plan, "as_power_map") else dict(plan)
-        placed = [d for d in grid.stations() if d.id in station_power]
-        if placed:
-            tol = 1e-12
-            n = len(placed)
-            p, q = np.fromiter(chain.from_iterable(station_power[d.id] for d in placed),
-                               float, 2 * n).reshape(n, 2).T
-            lo = np.fromiter((d.p_min_eff for d in placed), float, n)
-            hi = np.fromiter((d.p_max_eff for d in placed), float, n)
-            out_of_bounds = ~((lo - tol <= p) & (p <= hi + tol))
-            pe = p / PF_FLOOR
-            with np.errstate(over="ignore", invalid="ignore"):
-                # the cone of station_q_cap, elementwise; written so that a
-                # NaN q lies outside it
-                outside_cone = ~(np.abs(q) <= np.sqrt(pe * pe - p * p) + tol)
-            bad = out_of_bounds | outside_cone
-            if bad.any():
-                k = int(np.argmax(bad))
-                d = placed[k]
-                p_k, q_k = station_power[d.id]
-                if out_of_bounds[k]:
-                    quantity = "P"
-                    msg = (f"station {d.id!r}: p={p_k} outside effective bounds "
-                           f"[{d.p_min_eff}, {d.p_max_eff}]")
-                else:
-                    quantity = "Q"
-                    msg = f"station {d.id!r}: q={q_k} violates the power-factor cone"
-                # a synthesized plan names the residuals that seeded the station
-                received = [f"{ev.amount} from {ev.source!r}" for ev in getattr(plan, "trace", ())
-                            if ev.quantity == quantity and ev.target == d.id]
-                if received:
-                    msg += f"; {quantity} hand-offs received: " + ", ".join(received)
-                raise ValueError(msg)
-    return DensityField(grid, station_power, sigma_km)
+    layout = _layout(grid, station_power)
+    p, q = layout.station_pq(station_power)
+    tol = 1e-12
+    out_of_bounds = ~((layout.lo - tol <= p) & (p <= layout.hi + tol))
+    pe = p / PF_FLOOR
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the cone of station_q_cap, elementwise; written so that a NaN q
+        # lies outside it
+        outside_cone = ~(np.abs(q) <= np.sqrt(pe * pe - p * p) + tol)
+    bad = out_of_bounds | outside_cone
+    if bad.any():
+        k = int(np.argmax(bad))
+        d = layout.stations[k]
+        p_k, q_k = station_power[d.id]
+        if out_of_bounds[k]:
+            quantity = "P"
+            msg = (f"station {d.id!r}: p={p_k} outside effective bounds "
+                   f"[{d.p_min_eff}, {d.p_max_eff}]")
+        else:
+            quantity = "Q"
+            msg = f"station {d.id!r}: q={q_k} violates the power-factor cone"
+        # a synthesized plan names the residuals that seeded the station
+        received = [f"{ev.amount} from {ev.source!r}" for ev in getattr(plan, "trace", ())
+                    if ev.quantity == quantity and ev.target == d.id]
+        if received:
+            msg += f"; {quantity} hand-offs received: " + ", ".join(received)
+        raise ValueError(msg)
+    _check_sigma(sigma_km)
+    field = DensityField.__new__(DensityField)
+    field._setup(layout, p, q, sigma_km, stacklevel=3)
+    return field

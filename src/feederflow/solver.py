@@ -19,7 +19,9 @@ bit what a cumsum over the edge alone gives.  s does not depend on v and
 theta does not feed back, so both are integrated once.  The partially
 linearized system is the nonlinear one with the v feedback pinned at 1
 (exact: 1.0**3 and x / 1.0 are exact), so it converges on the second sweep.
-Densities are sampled at cell midpoints only, in one call per solve.
+Densities are sampled at cell midpoints only, in one call per solve.  The
+mesh depends only on the grid, the step and sigma, so the grid keeps it
+and a repeated solve only samples and sweeps.
 """
 from __future__ import annotations
 
@@ -46,6 +48,9 @@ COLLAPSE_FLOOR_PU = 0.5
 # Sweeps stop at a voltage change <= TOL_V pu, or raise after MAX_SWEEPS.
 TOL_V = 1e-9
 MAX_SWEEPS = 100
+# A mesh of more padded nodes than this (edges x (most cells + 1)) is
+# refused before it is allocated; each state array is one float per node.
+MAX_MESH_NODES = 4_000_000
 
 
 class SolverError(Exception):
@@ -77,7 +82,8 @@ class SolverSettings:
     step_km=None meshes each segment with min(length/2000, sigma/2), where
     sigma is the width of the supplied density's kernels, so any feeder
     length resolves its kernels.  An explicit step_km must itself satisfy
-    step <= sigma/2, which is enforced against the supplied field.
+    step <= sigma/2, which is enforced against the supplied field.  Either
+    way the mesh may hold at most MAX_MESH_NODES padded nodes.
     Integration is the second-order midpoint rule.
     """
 
@@ -133,11 +139,19 @@ class _Mesh:
     """Edges in rows, segments in declared order and each segment's edges
     bank side first; kids[e] lists the rows fed from e's far end, the next
     edge of its segment first, then tapped segments in declared order.
-    Rows are swept in the tree order of GridTree.post_order."""
+    Rows are swept in the tree order of GridTree.post_order.
+
+    A mesh depends only on the grid, step_km and sigma, so the grid keeps
+    it (see _mesh) with what every solve reads off it: the density's sample
+    runs and cell midpoints, the valid cells and nodes, where each segment's
+    nodes end in the flattened profile, and the segment of every row.  Every
+    edge's cell count is known before anything is allocated, and a mesh of
+    more than MAX_MESH_NODES padded nodes is refused.
+    """
 
     def __init__(self, grid: GridTree, settings: SolverSettings, sigma_km: float):
         self.rows: dict[str, range] = {}
-        x0, n, h, line, kids, roots = [], [], [], [], [], []
+        x0, widths, ratios, line, kids, roots = [], [], [], [], [], []
         far_end: dict[str, dict[float, int]] = {}    # segment -> {far-end offset: row}
         for s in grid.segments:
             step = settings.step_km
@@ -146,19 +160,30 @@ class _Mesh:
             cuts = sorted({c.offset_km for c in grid.children_of(s.id) if c.offset_km < s.length_km})
             bounds = [0.0] + cuts + [s.length_km]
             start = grid.segment_start_km(s.id)
-            first = len(n)
+            first = len(x0)
             far_end[s.id] = {b: first + k for k, b in enumerate(bounds[1:])}
             for a, b in zip(bounds, bounds[1:]):
                 x0.append(start + a)
-                width = start + b - x0[-1]
-                n.append(max(2, math.ceil(width / step - 1e-12)))
-                h.append(width / n[-1])
+                widths.append(start + b - x0[-1])
+                ratios.append(widths[-1] / step)
                 line.append((s.g_pu_per_km, s.b_pu_per_km, s.z2))
-                kids.append([len(n)])
+                kids.append([len(x0)])
             kids[-1] = []
-            self.rows[s.id] = range(first, len(n))
+            self.rows[s.id] = range(first, len(x0))
             if s.parent is None:
                 roots.append(first)
+        # every edge's cell count is known before anything is allocated
+        worst = max(ratios)
+        nodes = math.inf    # a step so small that the count overflows
+        if math.isfinite(worst):
+            nodes = len(ratios) * (max(2, math.ceil(worst - 1e-12)) + 1)
+        if nodes > MAX_MESH_NODES:
+            what = (f"sigma={sigma_km} km" if settings.step_km is None
+                    else f"step_km={settings.step_km}")
+            raise ValueError(f"{what} needs a mesh of {nodes:.4g} nodes, "
+                             f"more than MAX_MESH_NODES={MAX_MESH_NODES}")
+        n = [max(2, math.ceil(r - 1e-12)) for r in ratios]
+        h = [w / k for w, k in zip(widths, n)]
         # attach each child segment's first edge where the parent was cut
         for s in grid.segments:
             for c in grid.children_of(s.id):
@@ -173,8 +198,16 @@ class _Mesh:
         self.h_col = np.array(h)[:, None]
         self.g, self.b, self.z2 = (c[:, None] for c in np.array(line).T)
         self.x = np.array(x0)[:, None] + self.h_col * np.arange(self.cells + 1)
+        self.cell_valid = cols < self.last[1][:, None]
+        self.node_valid = np.arange(self.cells + 1) <= self.last[1][:, None]
+        # the density is sampled at cell midpoints, one run per segment
+        ends = self._segment_ends(self.cell_valid)
+        self.runs = [(seg_id, b - a) for seg_id, a, b in zip(self.rows, [0, *ends], ends)]
+        self.x_mid = (self.x[:, :-1] + 0.5 * self.h_col)[self.cell_valid]
+        self.node_ends = self._segment_ends(self.node_valid)
+        self.seg_of = {e: seg_id for seg_id, rows in self.rows.items() for e in rows}
 
-    def segment_ends(self, valid: np.ndarray) -> list[int]:
+    def _segment_ends(self, valid: np.ndarray) -> list[int]:
         """Where each segment's entries end in the row-major flattening of
         the True cells of valid."""
         return np.cumsum(valid.sum(axis=1))[[r.stop - 1 for r in self.rows.values()]].tolist()
@@ -222,16 +255,18 @@ def _mid(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a[:, :-1] + a[:, 1:])
 
 
+def _mesh(grid: GridTree, settings: SolverSettings, sigma_km: float) -> _Mesh:
+    """The grid's cached mesh for this step and sigma."""
+    return grid._cached("mesh", (settings.step_km, sigma_km),
+                        lambda: _Mesh(grid, settings, sigma_km))
+
+
 def _sample_density(mesh: _Mesh, density: DensityField):
     """Sample every segment's density at the midpoints of all its edges'
     cells, one run per segment in a single call; pad cells stay 0."""
     p = np.zeros((len(mesh.n), mesh.cells))
     q = np.zeros_like(p)
-    valid = np.arange(mesh.cells) < mesh.last[1][:, None]
-    ends = mesh.segment_ends(valid)
-    runs = [(seg_id, b - a) for seg_id, a, b in zip(mesh.rows, [0, *ends], ends)]
-    x = mesh.x[:, :-1] + 0.5 * mesh.h_col
-    p[valid], q[valid] = density.sample(runs, x[valid])
+    p[mesh.cell_valid], q[mesh.cell_valid] = density.sample(mesh.runs, mesh.x_mid)
     return p, q
 
 
@@ -239,7 +274,7 @@ def _solve(grid: GridTree, density: DensityField, settings: SolverSettings,
            nonlinear: bool) -> VoltageProfile:
     grid.validated()
     sigma_km = density.sigma_km
-    mesh = _Mesh(grid, settings, sigma_km)
+    mesh = _mesh(grid, settings, sigma_km)
     coarsest = max(mesh.h)
     if coarsest > sigma_km / 2.0 + 1e-15:
         raise ValueError(
@@ -275,21 +310,19 @@ def _solve(grid: GridTree, density: DensityField, settings: SolverSettings,
 
 
 def _assemble_profile(mesh: _Mesh, states, sweeps: int, change: float) -> VoltageProfile:
-    valid = np.arange(mesh.cells + 1) <= mesh.last[1][:, None]
-    ends = mesh.segment_ends(valid)
-    flat = [a[valid] for a in states]
+    ends = mesh.node_ends
+    flat = [a[mesh.node_valid] for a in states]
     seg_profiles = [SegmentProfile(seg_id, *(f[a:b] for f in flat))
                     for seg_id, a, b in zip(mesh.rows, [0, *ends], ends)]
     # conservation diagnostics straight off the converged arrays
     _, _, v, s, w = states
     v_end, s_end, w_end = (a[mesh.last].tolist() for a in (v, s, w))
     v0, s0, w0 = (a[:, 0].tolist() for a in (v, s, w))
-    seg_of = {e: seg_id for seg_id, rows in mesh.rows.items() for e in rows}
     terminal_v = []
     term_s = term_w = junc_s = junc_w = junc_v = 0.0
     for e, kids in enumerate(mesh.kids):
         if not kids:
-            terminal_v.append((seg_of[e], v_end[e]))
+            terminal_v.append((mesh.seg_of[e], v_end[e]))
             term_s = max(term_s, abs(s_end[e]))
             term_w = max(term_w, abs(w_end[e]))
         else:

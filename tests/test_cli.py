@@ -113,6 +113,21 @@ def test_non_finite_request_is_domain_error(tmp_path, capsys, command, pref):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("sigma,nodes", [
+    ("1e-320", "inf"),      # the cell count overflows
+    ("1e-300", "1e+301"),
+    ("1e-6", "1e+07"),      # 10^7 cells on 5 km: gigabytes of state arrays
+])
+@pytest.mark.parametrize("command", ["run", "compare", "xcheck"])
+def test_impossible_mesh_is_domain_error(tmp_path, capsys, command, sigma, nodes):
+    out = tmp_path / "o"
+    assert main([command, "--grid", SINGLE, f"--sigma={sigma}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: sigma={float(sigma)!r} km needs a mesh of {nodes} nodes, "
+                   "more than MAX_MESH_NODES=4000000\n")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_compare_caps_the_uniform_split_at_station_bounds(tmp_path):
     # -0.3 / 4 stations is beyond every bundled station's derated bound
     out = tmp_path / "o"

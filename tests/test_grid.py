@@ -317,6 +317,19 @@ def test_power_density_names_the_first_offending_station(power, message):
         power_density(grid, power)
 
 
+@pytest.mark.parametrize("value", [(0.01, 0.0, 0.0), (0.01,), 0.01])
+def test_station_power_must_be_a_pq_pair(value):
+    grid = make_single([
+        Device("station", "main", 1.5, "a", p_min_pu=-0.1, p_max_pu=0.1),
+        Device("station", "main", 3.5, "b", p_min_pu=-0.1, p_max_pu=0.1),
+    ])
+    power = {"a": (0.0, 0.0), "b": value}
+    with pytest.raises((ValueError, TypeError)):
+        power_density(grid, power)
+    with pytest.raises((ValueError, TypeError)):
+        DensityField(grid, power, 0.05)
+
+
 def _station_check_loop(grid, power):
     """Reference: the per-station check, one station at a time."""
     for d in grid.stations():

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -185,6 +188,36 @@ def test_trunk_with_more_edges_than_the_recursion_limit():
 def test_settings_validation():
     with pytest.raises(ValueError):
         SolverSettings(step_km=0.0)
+
+
+@pytest.mark.parametrize("sigma,step_km,message", [
+    (1e-320, None, "sigma=1e-320 km needs a mesh of inf nodes"),     # the cell count overflows
+    (1e-300, None, "sigma=1e-300 km needs a mesh of 1e+301 nodes"),
+    (1e-6, None, "sigma=1e-06 km needs a mesh of 1e+07 nodes"),      # 10^7 cells on 5 km
+    (0.05, 1e-320, "step_km=1e-320 needs a mesh of inf nodes"),
+    (0.05, 1e-6, "step_km=1e-06 needs a mesh of 5e+06 nodes"),
+])
+def test_impossible_mesh_is_refused_before_allocation(sigma, step_km, message):
+    grid = make_single([Device("load", "main", 2.5, "l", p_pu=-0.1)])
+    density = DensityField(grid, None, sigma)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(message + ", more than MAX_MESH_NODES=")):
+            solve_nonlinear(grid, density, SolverSettings(step_km=step_km))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_mesh_budget_counts_every_padded_node(monkeypatch):
+    # 2000 cells on one edge: 2001 nodes
+    grid = make_single([Device("load", "main", 2.5, "l", p_pu=-0.1)])
+    monkeypatch.setattr(feederflow.solver, "MAX_MESH_NODES", 2000)
+    with pytest.raises(ValueError, match="needs a mesh of 2001 nodes, more than"):
+        solve_nonlinear(grid, DensityField(grid, None, 0.05))
+    monkeypatch.setattr(feederflow.solver, "MAX_MESH_NODES", 2001)
+    assert solve_nonlinear(grid, DensityField(grid, None, 0.05)).sweeps > 0
 
 
 def test_profile_accessors(feeder_tree):

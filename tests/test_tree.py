@@ -1,11 +1,17 @@
 """Branched-feeder dispatch: hand-off routing, audit, and flat-feeder parity."""
+import dataclasses
 import hashlib
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import feederflow.dispatch as dispatch_module
+import feederflow.grid as grid_module
+import feederflow.solver as solver_module
 from feederflow import (
     FEEDER_TREE_PREF,
     SINGLE_FEEDER_PREF,
@@ -16,9 +22,11 @@ from feederflow import (
     GridTree,
     HandOff,
     PerUnitBase,
+    SolverError,
     SolverSettings,
     VoltageCollapseError,
     audit_trace,
+    compute_metrics,
     load_feeder_tree,
     load_single_feeder,
     power_density,
@@ -493,6 +501,103 @@ def test_property_random_tree_solves_and_ignores_sibling_order(case, mode, data)
         twin = other.by_segment(sp.segment_id)
         for f in fields:
             assert np.max(np.abs(getattr(twin, f) - getattr(sp, f))) <= 1e-12, (sp.segment_id, f)
+
+
+# -- one grid, many requests: what the grid prepares once --------------------
+
+def _request(grid, plan, idle, sigma, step_km):
+    """Density, solve and metrics of plan with the idle stations left out:
+    the result's bytes and the warnings raised, or the error."""
+    power = {k: v for k, v in plan.as_power_map().items() if k not in idle}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            profile = solve_nonlinear(grid, power_density(grid, power, sigma),
+                                      SolverSettings(step_km=step_km))
+        except (ValueError, SolverError) as exc:
+            result = repr(exc)
+        else:
+            result = (profile.sweeps, repr(compute_metrics(profile, plan)),
+                      [b"".join(getattr(sp, f).tobytes()
+                                for f in ("x_km", "theta_rad", "v_pu", "s", "w"))
+                       for sp in profile.segments])
+    return result, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_tree(), st.data())
+def test_property_repeated_requests_on_one_grid_match_a_fresh_grid(case, data):
+    grid, _ = case
+    station_ids = [d.id for d in grid.stations()]
+    for _ in range(data.draw(st.integers(1, 4))):
+        p_ref = data.draw(st.floats(-0.5, 0.5))
+        mode = data.draw(st.sampled_from(["literal", "principle", "uniform"]))
+        # sigma = 0.001 refines the default mesh below length / 2000, and
+        # sigma = 0.1 overlaps the kernels of close devices, which warns
+        sigma = data.draw(st.sampled_from([0.001, 0.01, 0.1]))
+        step_km = data.draw(st.sampled_from([None, sigma / 2]))
+        idle = data.draw(st.sets(st.sampled_from(station_ids)))
+        fresh = GridTree(grid.base, grid.segments, grid.devices)
+        plans = [uniform_baseline(g, p_ref) if mode == "uniform"
+                 else synthesize_tree(g, p_ref, mode=mode) for g in (grid, fresh)]
+        assert repr(plans[0]) == repr(plans[1])
+        assert (_request(grid, plans[0], idle, sigma, step_km)
+                == _request(fresh, plans[1], idle, sigma, step_km))
+
+
+def test_grid_prepares_each_mesh_pair_set_and_legs_once(monkeypatch):
+    grid = two_level()
+    built = {"mesh": 0, "pairs": 0, "legs": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            built[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(solver_module, "_Mesh", counting("mesh", solver_module._Mesh))
+    monkeypatch.setattr(grid_module, "_kernel_pairs", counting("pairs", grid_module._kernel_pairs))
+    monkeypatch.setattr(dispatch_module, "_legs", counting("legs", dispatch_module._legs))
+
+    def request(g, p_ref, sigma=0.03, idle=()):
+        plan = synthesize_tree(g, p_ref)
+        power = {k: v for k, v in plan.as_power_map().items() if k not in idle}
+        solve_nonlinear(g, power_density(g, power, sigma), SolverSettings(step_km=0.01))
+        return dict(built)
+
+    assert request(grid, 0.05) == {"mesh": 1, "pairs": 1, "legs": 1}
+    # a new plan reuses the mesh, the pairs and the legs
+    assert request(grid, -0.02) == {"mesh": 1, "pairs": 1, "legs": 1}
+    # a new sigma needs its own mesh and kernels
+    assert request(grid, 0.05, sigma=0.04) == {"mesh": 2, "pairs": 2, "legs": 1}
+    # a newly idle station changes the density's columns, so its pairs
+    assert request(grid, 0.05, idle=("lat-st",)) == {"mesh": 2, "pairs": 3, "legs": 1}
+    # a dataclasses.replace copy starts with nothing prepared
+    assert request(dataclasses.replace(grid), 0.05) == {"mesh": 3, "pairs": 4, "legs": 2}
+
+
+def test_a_pickled_grid_leaves_its_prepared_arrays_behind():
+    grid = two_level().validated()
+    size = len(pickle.dumps(grid))
+    plan = synthesize_tree(grid, 0.05)
+    profile = solve_nonlinear(grid, power_density(grid, plan, 0.03), SolverSettings(step_km=0.01))
+    assert len(pickle.dumps(grid)) == size
+    copy = pickle.loads(pickle.dumps(grid))
+    again = solve_nonlinear(copy, power_density(copy, plan, 0.03), SolverSettings(step_km=0.01))
+    assert [sp.v_pu.tobytes() for sp in again.segments] == [
+        sp.v_pu.tobytes() for sp in profile.segments]
+
+
+def test_grid_cache_stays_bounded():
+    grid = two_level()
+    settings_ = SolverSettings(step_km=0.01)
+    first = solve_nonlinear(grid, power_density(grid, None, 0.02), settings_)
+    for k in range(2 * grid_module.CACHED_PER_KIND):
+        solve_nonlinear(grid, power_density(grid, None, 0.021 + 0.001 * k), settings_)
+        assert len(grid._cache["mesh"]) <= grid_module.CACHED_PER_KIND
+    again = solve_nonlinear(grid, power_density(grid, None, 0.02), settings_)
+    assert [sp.v_pu.tobytes() for sp in again.segments] == [
+        sp.v_pu.tobytes() for sp in first.segments]
 
 
 # -- many-edge tree golden, recorded bit for bit -----------------------------
