@@ -121,7 +121,7 @@ def cmd_run(args) -> int:
     write_dispatch_csv(out / "dispatch.csv", plan)
     write_profile_csv(out / "profile.csv", profile)
     write_metrics_json(out / "metrics.json", report)
-    print(f"mode: {args.mode}  stations: {len(plan.stations)}")
+    print(f"mode: {args.mode}  stations: {len(plan.ids)}")
     print(f"total_p: {fmt_float(report.total_p)}  leftover_p: {fmt_float(report.leftover_p)}")
     print(f"max_dev: {fmt_float(report.max_dev)}  l2_dev: {fmt_float(report.l2_dev)}"
           f"  min_terminal_v: {fmt_float(report.min_terminal_v)}")

@@ -22,21 +22,30 @@ Active dispatch is identical in both modes.
 
 Residual forwarding is logged as HandOff events so a plan can be audited:
 every forwarded amount reappears as part of some station's seed or is
-explicitly dropped at the bank.
+explicitly dropped at the bank.  The log is kept as columns too, and the
+HandOff records are built only when a caller reads plan.trace.
 
 The passes read the grid's own Device records.  What no request changes
-(the legs, the station order and bounds) is built once per grid and kept
-on it.  A caller with bare station and load lists builds a one-segment
-GridTree and calls synthesize.  Plans are keyed by device id, so devices
-built in code need a non-empty id; validate_grid rejects an unnamed one.
+(the legs, the station order and bounds, and the plan's id, position and
+bound columns) is built once per grid and kept on it.  A plan holds its
+stations as columns: a request adds only its p, q and q_cap columns, with
+q_cap computed once as one vector from the final p, and the
+StationDispatch rows are built only when a caller reads plan.stations.
+A caller with bare station and load lists builds a one-segment GridTree
+and calls synthesize.  Plans are keyed by device id, so devices built in
+code need a non-empty id; validate_grid rejects an unnamed one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
-from .grid import PF_FLOOR, Device, GridTree, station_q_cap
+import numpy as np
+
+# station_q_cap, the one-station cap, stays importable from here
+from .grid import PF_FLOOR, Device, GridTree, station_q_cap, station_q_caps  # noqa: F401
 
 __all__ = [
     "HandOff",
@@ -78,23 +87,50 @@ class StationDispatch:
 class DispatchPlan:
     """Synthesis result, stations ordered bank-nearest first.
 
+    The stations are held as columns, one entry per station in that order:
+    ids, then xi_km, p_pu, q_pu, p_min_eff, p_max_eff and q_cap, each the
+    StationDispatch field of that name.  The columns are tuples of Python
+    floats, so a plan keeps value equality, hashing and immutability as
+    plain frozen fields.  ``stations`` builds the StationDispatch rows from
+    the columns on first read and keeps them; dispatch itself builds none.
+    The hand-off log is held the same way: ``handoffs`` holds the quantity,
+    amount, source and target columns, and ``trace`` builds the HandOff
+    records, in log order, on first read.  A dispatch thus allocates no
+    Python object per station or per hand-off, and so seldom sets off the
+    cyclic garbage collector, whose passes are counted in allocations.
+
     seeds_p / seeds_q record each station's pass-1 seed (incoming residuals
     summed in trace order) for auditing; leftover_p is whatever part of the
     request the refinement pass could not place.
     """
 
-    stations: tuple[StationDispatch, ...]
+    ids: tuple[str, ...]
+    xi_km: tuple[float, ...]
+    p_pu: tuple[float, ...]
+    q_pu: tuple[float, ...]
+    p_min_eff: tuple[float, ...]
+    p_max_eff: tuple[float, ...]
+    q_cap: tuple[float, ...]
     p_ref: float
     leftover_p: float
-    trace: tuple[HandOff, ...] = ()
+    handoffs: tuple[tuple, ...] = ((), (), (), ())  # quantity, amount, source, target
     seeds_p: tuple[tuple[str, float], ...] = ()
     seeds_q: tuple[tuple[str, float], ...] = ()
 
+    @cached_property
+    def stations(self) -> tuple[StationDispatch, ...]:
+        return tuple(map(StationDispatch, self.ids, self.xi_km, self.p_pu, self.q_pu,
+                         self.p_min_eff, self.p_max_eff, self.q_cap))
+
+    @cached_property
+    def trace(self) -> tuple[HandOff, ...]:
+        return tuple(map(HandOff, *self.handoffs))
+
     def total_p(self) -> float:
-        return math.fsum(st.p_pu for st in self.stations)
+        return math.fsum(self.p_pu)
 
     def as_power_map(self) -> dict[str, tuple[float, float]]:
-        return {st.station_id: (st.p_pu, st.q_pu) for st in self.stations}
+        return dict(zip(self.ids, zip(self.p_pu, self.q_pu)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +151,13 @@ class _Leg(NamedTuple):
     # station id that takes a residual left at the near end; None drops it
     # at the bank
     bank_side: str | None
+
+
+def _hand_off(trace, *event) -> None:
+    """Log one hand-off (quantity, amount, source, target) in the trace
+    columns."""
+    for column, value in zip(trace, event):
+        column.append(value)
 
 
 def _forward(quantity, legs, bounds, update, trace):
@@ -140,7 +183,7 @@ def _forward(quantity, legs, bounds, update, trace):
             for amount in incoming.pop(st.id, ()):  # hand-offs arrived earlier
                 seed = seed + amount
             if residual != 0.0:
-                trace.append(HandOff(quantity, residual, src, st.id))
+                _hand_off(trace, quantity, residual, src, st.id)
                 seed = seed + residual
                 residual = 0.0
             seeds.append(seed)
@@ -161,63 +204,75 @@ def _forward(quantity, legs, bounds, update, trace):
                 break
             values.append(value)
         if residual != 0.0:
-            trace.append(HandOff(quantity, residual, src, leg.bank_side))
+            _hand_off(trace, quantity, residual, src, leg.bank_side)
             if leg.bank_side is not None:
                 incoming.setdefault(leg.bank_side, []).append(residual)
     assert not incoming, "hand-off targeted an already-processed station"
     return values, seeds
 
 
-def _principle(legs, p):
-    """Per-station Q driving the running sum of g*P + b*Q beyond it to zero.
-
-    The sum covers the whole subtree beyond the walk point, each device
-    weighted with its own segment's parameters; at a tied position loads
-    (and child taps) count as beyond the station.
-    """
-    q = [0.0] * len(p)
-    subtree: dict[str, float] = {}
+def _walks(legs) -> tuple[tuple[tuple[int, object], ...], ...]:
+    """Per leg, the (kind, item) events of the principle walk, far end first:
+    kind 0 a child tap (item: the child leg's id), 1 a load (the Device),
+    2 a station (its index in station order).  At a tied position loads and
+    child taps count as beyond the station."""
+    walks = []
     base = 0
     for leg in legs:
-        g, b = leg.g, leg.b
         events = (
-            [(xi, 0, subtree[child]) for xi, child in leg.taps]
+            [(xi, 0, child) for xi, child in leg.taps]
             + [(ld.xi_km, 1, ld) for ld in leg.loads]
             + [(st.xi_km, 2, base + i) for i, st in enumerate(leg.stations)]
         )
         events.sort(key=lambda t: (-t[0], t[1]))
+        walks.append(tuple((kind, item) for _xi, kind, item in events))
+        base += len(leg.stations)
+    return tuple(walks)
+
+
+def _principle(prep, p, caps):
+    """Per-station Q driving the running sum of g*P + b*Q beyond it to zero,
+    each clamped to its station's cap.
+
+    The sum covers the whole subtree beyond the walk point, each device
+    weighted with its own segment's parameters; the walk order is the
+    grid's (see _walks).
+    """
+    q = [0.0] * len(p)
+    subtree: dict[str, float] = {}
+    for leg, walk in zip(prep.legs, prep.walks):
+        g, b = leg.g, leg.b
         run = 0.0
-        for _xi, kind, item in events:
+        for kind, item in walk:
             if kind == 0:
-                run += item
+                run += subtree[item]
             elif kind == 1:
                 run += g * item.p_pu + b * item.q_pu
             else:
-                cap = station_q_cap(p[item])
+                cap = caps[item]
                 raw = -(run + g * p[item]) / b
                 q[item] = min(max(raw, -cap), cap)
                 run += g * p[item] + b * q[item]
         subtree[leg.id] = run
-        base += len(leg.stations)
     return q
 
 
-def _refine(stations, p, order, p_run):
+def _refine(bounds, p, order, p_run):
     """Place the undelivered request p_run, visiting stations in `order`
-    (bank-nearest first) and filling each up to its derated bound.
+    (bank-nearest first) and filling each up to its derated bounds.
 
     Updates p in place and returns what could not be placed.
     """
     for k in order:
         if p_run == 0.0:
             break
-        st = stations[k]
-        if p[k] + p_run > st.p_max_eff:
-            p_run = p_run - st.p_max_eff + p[k]
-            p[k] = st.p_max_eff
-        elif p[k] + p_run < st.p_min_eff:
-            p_run = p_run - st.p_min_eff + p[k]
-            p[k] = st.p_min_eff
+        lo, hi = bounds[k]
+        if p[k] + p_run > hi:
+            p_run = p_run - hi + p[k]
+            p[k] = hi
+        elif p[k] + p_run < lo:
+            p_run = p_run - lo + p[k]
+            p[k] = lo
         else:
             p[k] = p[k] + p_run
             p_run = 0.0
@@ -230,18 +285,18 @@ def _active(prep, p_ref, trace):
                         lambda value, _k, load: value - load.p_pu, trace)
     for value in p:
         p_ref = p_ref - value
-    return p, _refine(prep.stations, p, prep.order, p_ref), seeds
+    return p, _refine(prep.bounds, p, prep.order, p_ref), seeds
 
 
-def _reactive(prep, p, mode, trace):
-    """Reactive set points for fixed active dispatch. Returns (q, seeds)."""
+def _reactive(prep, p, caps, mode, trace):
+    """Reactive set points for fixed active dispatch, inside the stations'
+    caps. Returns (q, seeds)."""
     if mode == "principle":
-        return _principle(prep.legs, p), [0.0] * len(p)
+        return _principle(prep, p, caps.tolist()), [0.0] * len(p)
     if mode != "literal":
         raise ValueError(f"unknown mode {mode!r}; expected 'literal' or 'principle'")
-    caps = [station_q_cap(p_k) for p_k in p]
     g_over_b = prep.g_over_b
-    return _forward("Q", prep.legs, [(-cap, cap) for cap in caps],
+    return _forward("Q", prep.legs, list(zip((-caps).tolist(), caps.tolist())),
                     lambda _value, k, load: g_over_b[k] * (p[k] - load.p_pu), trace)
 
 
@@ -276,14 +331,21 @@ def _legs(grid: GridTree) -> list[_Leg]:
 
 
 class _Prepared(NamedTuple):
-    """What every dispatch of one grid reads: no request changes it."""
+    """What every dispatch of one grid reads: no request changes it.
+
+    Station order lists each leg's stations in turn; the plan columns and
+    bank_bounds list the stations bank-nearest first, as index picks them
+    from station order."""
 
     legs: tuple[_Leg, ...]
-    stations: tuple[Device, ...]             # station order: each leg's in turn
-    ids: tuple[str, ...]
+    ids: tuple[str, ...]                     # station order
     bounds: tuple[tuple[float, float], ...]  # derated (lo, hi) per station
     order: tuple[int, ...]                   # station indices, bank-nearest first
+    index: np.ndarray                        # order, as an index array
     g_over_b: tuple[float, ...]              # per station, its segment's g / b
+    walks: tuple[tuple, ...]                 # per leg, the principle walk's events
+    columns: tuple[tuple, ...]               # plan ids, xi_km, p_min_eff, p_max_eff
+    bank_bounds: np.ndarray                  # (2, stations): derated lo, hi
 
 
 def _prepare(grid: GridTree) -> _Prepared:
@@ -292,22 +354,35 @@ def _prepare(grid: GridTree) -> _Prepared:
         legs = tuple(_legs(grid))
         stations = tuple(st for leg in legs for st in leg.stations)
         order = sorted(range(len(stations)), key=lambda k: (stations[k].xi_km, stations[k].id))
-        return _Prepared(legs, stations, tuple(st.id for st in stations),
-                         tuple((st.p_min_eff, st.p_max_eff) for st in stations), tuple(order),
-                         tuple(leg.g / leg.b for leg in legs for _ in leg.stations))
+        bounds = tuple((st.p_min_eff, st.p_max_eff) for st in stations)
+        bank = [stations[k] for k in order]
+        lo = tuple(st.p_min_eff for st in bank)
+        hi = tuple(st.p_max_eff for st in bank)
+        return _Prepared(legs, tuple(st.id for st in stations), bounds, tuple(order),
+                         np.array(order, dtype=np.intp),
+                         tuple(leg.g / leg.b for leg in legs for _ in leg.stations),
+                         _walks(legs),
+                         (tuple(st.id for st in bank), tuple(st.xi_km for st in bank), lo, hi),
+                         np.array((lo, hi), dtype=float))
     return grid._cached("dispatch", None, build)
 
 
-def _row(st: Device, p_i: float, q_i: float) -> StationDispatch:
-    return StationDispatch(
-        station_id=st.id,
-        xi_km=st.xi_km,
-        p_pu=p_i,
-        q_pu=q_i,
-        p_min_eff=st.p_min_eff,
-        p_max_eff=st.p_max_eff,
-        q_cap=station_q_cap(p_i),
-    )
+def _plan(prep: _Prepared, p: np.ndarray, q: np.ndarray, q_cap: np.ndarray,
+          **rest) -> DispatchPlan:
+    """A plan of the grid's stations whose p, q and q_cap columns are given
+    bank-nearest first."""
+    ids, xi_km, p_min_eff, p_max_eff = prep.columns
+    return DispatchPlan(ids, xi_km, tuple(p.tolist()), tuple(q.tolist()), p_min_eff, p_max_eff,
+                        tuple(q_cap.tolist()), **rest)
+
+
+def _clamp(share: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """min(max(share, lo), hi) elementwise, by Python's rule: max keeps share
+    unless lo > share, then min keeps that unless hi < it.  np.maximum,
+    np.minimum and np.clip break signed-zero ties the other way: Python's
+    min(max(-0.0, 0.0), 0.0) is -0.0, theirs 0.0."""
+    x = np.where(lo > share, lo, share)
+    return np.where(hi < x, hi, x)
 
 
 def _check_request(p_ref: float) -> None:
@@ -327,18 +402,13 @@ def uniform_baseline(grid: GridTree, p_ref: float) -> DispatchPlan:
     reactive power of power factor PF_FLOOR, leading, for its own p."""
     _check_request(p_ref)
     grid.validated()
-    stations = grid._cached("uniform", None,
-                            lambda: tuple(sorted(grid.stations(), key=lambda d: (d.xi_km, d.id))))
-    if not stations:
+    prep = _prepare(grid)
+    if not prep.ids:
         raise ValueError("uniform baseline needs at least one station")
-    share = p_ref / len(stations)
-    p = [min(max(share, st.p_min_eff), st.p_max_eff) for st in stations]
+    p = _clamp(p_ref / len(prep.ids), *prep.bank_bounds)
     tan_pf = math.tan(math.acos(PF_FLOOR))
-    return DispatchPlan(
-        stations=tuple(_row(st, p_i, p_i * tan_pf) for st, p_i in zip(stations, p)),
-        p_ref=p_ref,
-        leftover_p=p_ref - math.fsum(p),
-    )
+    return _plan(prep, p, p * tan_pf, station_q_caps(p),
+                 p_ref=p_ref, leftover_p=p_ref - math.fsum(p.tolist()))
 
 
 def synthesize_tree(grid: GridTree, p_ref: float, mode: str = "literal") -> DispatchPlan:
@@ -354,17 +424,18 @@ def synthesize_tree(grid: GridTree, p_ref: float, mode: str = "literal") -> Disp
     _check_request(p_ref)
     grid.validated()
     prep = _prepare(grid)
-    trace: list[HandOff] = []
+    trace: tuple[list, ...] = ([], [], [], [])    # the hand-off columns
     p, leftover, seeds_p = _active(prep, p_ref, trace)
-    q, seeds_q = _reactive(prep, p, mode, trace)
-    return DispatchPlan(
-        stations=tuple(_row(prep.stations[k], p[k], q[k]) for k in prep.order),
-        p_ref=p_ref,
-        leftover_p=leftover,
-        trace=tuple(trace),
-        seeds_p=tuple(zip(prep.ids, seeds_p)),
-        seeds_q=tuple(zip(prep.ids, seeds_q)),
-    )
+    p_vec = np.array(p, dtype=float)
+    caps = station_q_caps(p_vec)    # once per plan: the reactive bounds and q_cap
+    q, seeds_q = _reactive(prep, p, caps, mode, trace)
+    k = prep.index
+    return _plan(prep, p_vec[k], np.array(q, dtype=float)[k], caps[k],
+                 p_ref=p_ref,
+                 leftover_p=leftover,
+                 handoffs=tuple(map(tuple, trace)),
+                 seeds_p=tuple(zip(prep.ids, seeds_p)),
+                 seeds_q=tuple(zip(prep.ids, seeds_q)))
 
 
 def audit_trace(plan: DispatchPlan) -> float:
@@ -374,11 +445,12 @@ def audit_trace(plan: DispatchPlan) -> float:
     with the recorded seed; a faithful literal plan audits to exactly 0.
     """
     worst = 0.0
+    quantities, amounts, _sources, targets = plan.handoffs
     for quantity, seeds in (("P", plan.seeds_p), ("Q", plan.seeds_q)):
         incoming: dict[str, float] = {}
-        for ev in plan.trace:
-            if ev.quantity == quantity and ev.target is not None:
-                incoming[ev.target] = incoming.get(ev.target, 0.0) + ev.amount
+        for ev_quantity, amount, target in zip(quantities, amounts, targets):
+            if ev_quantity == quantity and target is not None:
+                incoming[target] = incoming.get(target, 0.0) + amount
         for station_id, seed in seeds:
             worst = max(worst, abs(incoming.get(station_id, 0.0) - seed))
     return worst

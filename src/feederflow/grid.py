@@ -42,6 +42,16 @@ def station_q_cap(p_pu: float) -> float:
     return math.sqrt(pe * pe - p_pu * p_pu)
 
 
+def station_q_caps(p: np.ndarray) -> np.ndarray:
+    """station_q_cap of every element of p, bit for bit: the same expression
+    elementwise, and np.sqrt rounds correctly as math.sqrt does.  Like the
+    scalar form it overflows to inf or nan, without a warning, beyond
+    |p| ~ 1e154."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pe = p / PF_FLOOR
+        return np.sqrt(pe * pe - p * p)
+
+
 # Gaussian kernels are cut off here; the discarded tail mass is ~2e-9 of the
 # device power, far below the 1e-6 quadrature tolerance.
 KERNEL_CUTOFF_SIGMAS = 6.0
@@ -166,12 +176,14 @@ class GridTree:
     passing result, and a private cache fills on first use:
 
     - the solver mesh, keyed by (step_km, sigma), with its sample runs,
-      midpoints and valid-cell masks;
+      midpoints, valid-cell masks, leaf rows and junction children;
     - the density layout, keyed by the set of placed stations: the device
       columns, the loads' p and q, the station slots and derated bounds,
       the spacing warnings, and the kernel pairs of its last sampling;
-    - the dispatch legs, station order and bounds, and the uniform split's
-      station order.
+    - per tuple of plan station ids, the index that takes a plan's columns
+      into its layout's station order;
+    - the dispatch legs, station order and bounds, and a plan's id,
+      position and bound columns, bank-nearest first.
 
     Each kind keeps at most CACHED_PER_KIND entries.  The cache cannot go
     stale: segments and devices are stored as frozen records in tuples.
@@ -439,12 +451,32 @@ class _Layout:
         return np.array((p, q), dtype=float)
 
 
-def _layout(grid: GridTree, station_power) -> _Layout:
-    """The grid's cached layout for the stations that station_power places."""
-    ids = grid._cached("station ids", None, lambda: tuple(d.id for d in grid.stations()))
+def _station_ids(grid: GridTree) -> tuple[str, ...]:
+    return grid._cached("station ids", None, lambda: tuple(d.id for d in grid.stations()))
+
+
+def _placed(grid: GridTree, station_power) -> bytes:
+    """One flag per station of the grid, in declaration order: does
+    station_power (None places none) hold its id."""
     power = () if station_power is None else station_power
-    placed = bytes(map(power.__contains__, ids))
+    return bytes(map(power.__contains__, _station_ids(grid)))
+
+
+def _layout(grid: GridTree, placed: bytes) -> _Layout:
+    """The grid's cached layout for the stations that placed flags."""
     return grid._cached("layout", placed, lambda: _Layout(grid, placed))
+
+
+def _plan_layout(grid: GridTree, ids: tuple[str, ...]) -> tuple[_Layout, np.ndarray]:
+    """The layout of the stations a plan with these station ids places, and
+    the index that takes the plan's columns into the layout's station order.
+    The index is kept on the grid per tuple of ids."""
+    def build():
+        pos = {sid: k for k, sid in enumerate(ids)}    # the last of a repeated id
+        index = [pos[sid] for sid in _station_ids(grid) if sid in pos]
+        return _placed(grid, pos), np.array(index, dtype=np.intp)
+    placed, index = grid._cached("plan index", ids, build)
+    return _layout(grid, placed), index
 
 
 def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -> _Pairs:
@@ -532,7 +564,7 @@ class DensityField:
 
     def __init__(self, grid: GridTree, station_power, sigma_km: float):
         _check_sigma(sigma_km)
-        layout = _layout(grid, station_power)
+        layout = _layout(grid, _placed(grid, station_power))
         p, q = layout.station_pq(station_power)
         self._setup(layout, p, q, sigma_km, stacklevel=4)
 
@@ -596,23 +628,25 @@ def power_density(grid: GridTree, plan=None, sigma_km: float = 0.05) -> DensityF
     the first offending station in declaration order is named, with the
     P (bounds) or Q (cone) hand-offs that a DispatchPlan's trace sent it.
     """
-    station_power = None
-    if plan is not None:
-        station_power = plan.as_power_map() if hasattr(plan, "as_power_map") else dict(plan)
-    layout = _layout(grid, station_power)
-    p, q = layout.station_pq(station_power)
+    columns = hasattr(plan, "p_pu")
+    if columns:
+        # a DispatchPlan: its p and q columns, in the layout's station order
+        layout, index = _plan_layout(grid, plan.ids)
+        p = np.array(plan.p_pu)[index]
+        q = np.array(plan.q_pu)[index]
+    else:
+        station_power = None if plan is None else dict(plan)
+        layout = _layout(grid, _placed(grid, station_power))
+        p, q = layout.station_pq(station_power)
     tol = 1e-12
     out_of_bounds = ~((layout.lo - tol <= p) & (p <= layout.hi + tol))
-    pe = p / PF_FLOOR
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the cone of station_q_cap, elementwise; written so that a NaN q
-        # lies outside it
-        outside_cone = ~(np.abs(q) <= np.sqrt(pe * pe - p * p) + tol)
+    # the cone of station_q_cap; written so that a NaN q lies outside it
+    outside_cone = ~(np.abs(q) <= station_q_caps(p) + tol)
     bad = out_of_bounds | outside_cone
     if bad.any():
         k = int(np.argmax(bad))
         d = layout.stations[k]
-        p_k, q_k = station_power[d.id]
+        p_k, q_k = (plan.as_power_map() if columns else station_power)[d.id]
         if out_of_bounds[k]:
             quantity = "P"
             msg = (f"station {d.id!r}: p={p_k} outside effective bounds "

@@ -289,11 +289,9 @@ def write_dispatch_csv(path: str | Path, plan: DispatchPlan) -> None:
     """Stations bank-nearest first, then a TOTAL footer row carrying the
     delivered total in p_pu and the unplaced remainder in q_pu's column."""
     lines = [DISPATCH_HEADER]
-    for st in plan.stations:
-        lines.append(
-            f"{st.station_id},{fmt_float(st.xi_km)},{fmt_float(st.p_pu)},{fmt_float(st.q_pu)},"
-            f"{fmt_float(st.p_min_eff)},{fmt_float(st.p_max_eff)},{fmt_float(st.q_cap)}"
-        )
+    columns = (plan.xi_km, plan.p_pu, plan.q_pu, plan.p_min_eff, plan.p_max_eff, plan.q_cap)
+    lines += [",".join((sid, *map(fmt_float, values)))
+              for sid, *values in zip(plan.ids, *columns)]
     lines.append(f"TOTAL,,{fmt_float(plan.total_p())},{fmt_float(plan.leftover_p)},,,")
     _write_lines(path, lines)
 

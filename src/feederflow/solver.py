@@ -144,9 +144,11 @@ class _Mesh:
     A mesh depends only on the grid, step_km and sigma, so the grid keeps
     it (see _mesh) with what every solve reads off it: the density's sample
     runs and cell midpoints, the valid cells and nodes, where each segment's
-    nodes end in the flattened profile, and the segment of every row.  Every
-    edge's cell count is known before anything is allocated, and a mesh of
-    more than MAX_MESH_NODES padded nodes is refused.
+    nodes end in the flattened profile, and the leaf rows (with their
+    segments) and junction rows (with their children) that the residual
+    diagnostics read.  Every edge's cell count is known before anything is
+    allocated, and a mesh of more than MAX_MESH_NODES padded nodes is
+    refused.
     """
 
     def __init__(self, grid: GridTree, settings: SolverSettings, sigma_km: float):
@@ -205,7 +207,17 @@ class _Mesh:
         self.runs = [(seg_id, b - a) for seg_id, a, b in zip(self.rows, [0, *ends], ends)]
         self.x_mid = (self.x[:, :-1] + 0.5 * self.h_col)[self.cell_valid]
         self.node_ends = self._segment_ends(self.node_valid)
-        self.seg_of = {e: seg_id for seg_id, rows in self.rows.items() for e in rows}
+        # what the residual diagnostics read: the open-end rows with their
+        # segments, the junction rows, and every (junction, child) pair in
+        # kids order
+        seg_of = {e: seg_id for seg_id, rows in self.rows.items() for e in rows}
+        leaves = [e for e, fed in enumerate(kids) if not fed]
+        junctions = [e for e, fed in enumerate(kids) if fed]
+        self.leaf_segs = [seg_of[e] for e in leaves]
+        self.leaves = np.array(leaves, dtype=np.intp)
+        self.junctions = np.array(junctions, dtype=np.intp)
+        self.kid_parents = np.array([e for e in junctions for _ in kids[e]], dtype=np.intp)
+        self.kid_rows = np.array([c for e in junctions for c in kids[e]], dtype=np.intp)
 
     def _segment_ends(self, valid: np.ndarray) -> list[int]:
         """Where each segment's entries end in the row-major flattening of
@@ -316,32 +328,34 @@ def _assemble_profile(mesh: _Mesh, states, sweeps: int, change: float) -> Voltag
                     for seg_id, a, b in zip(mesh.rows, [0, *ends], ends)]
     # conservation diagnostics straight off the converged arrays
     _, _, v, s, w = states
-    v_end, s_end, w_end = (a[mesh.last].tolist() for a in (v, s, w))
-    v0, s0, w0 = (a[:, 0].tolist() for a in (v, s, w))
-    terminal_v = []
-    term_s = term_w = junc_s = junc_w = junc_v = 0.0
-    for e, kids in enumerate(mesh.kids):
-        if not kids:
-            terminal_v.append((mesh.seg_of[e], v_end[e]))
-            term_s = max(term_s, abs(s_end[e]))
-            term_w = max(term_w, abs(w_end[e]))
-        else:
-            junc_s = max(junc_s, abs(s_end[e] - sum(s0[c] for c in kids)))
-            junc_w = max(junc_w, abs(w_end[e] - sum(w0[c] for c in kids)))
-            junc_v = max(junc_v, max(abs(v0[c] - v_end[e]) for c in kids))
-    bank_residual = max(abs(v0[r] - 1.0) for r in mesh.roots)
+    v_end, s_end, w_end = (a[mesh.last] for a in (v, s, w))
+    leaves, junctions = mesh.leaves, mesh.junctions
+    parents, kids = mesh.kid_parents, mesh.kid_rows
+    fed = []
+    for a in (s, w):
+        # each junction's children in kids order, added one by one to 0.0
+        # as sum() adds them
+        total = np.zeros(len(mesh.n))
+        np.add.at(total, parents, a[kids, 0])
+        fed.append(total[junctions])
     return VoltageProfile(
         segments=tuple(seg_profiles),
         sweeps=sweeps,
         last_change=change,
-        terminal_v=tuple(terminal_v),
-        bank_residual=bank_residual,
-        terminal_s_max=term_s,
-        terminal_w_max=term_w,
-        junction_s_max=junc_s,
-        junction_w_max=junc_w,
-        junction_v_max=junc_v,
+        terminal_v=tuple(zip(mesh.leaf_segs, v_end[leaves].tolist())),
+        bank_residual=_worst(v[mesh.roots, 0] - 1.0),
+        terminal_s_max=_worst(s_end[leaves]),
+        terminal_w_max=_worst(w_end[leaves]),
+        junction_s_max=_worst(s_end[junctions] - fed[0]),
+        junction_w_max=_worst(w_end[junctions] - fed[1]),
+        junction_v_max=_worst(v[kids, 0] - v_end[parents]),
     )
+
+
+def _worst(residuals: np.ndarray) -> float:
+    """The largest magnitude, 0.0 when there is none (a grid without
+    junctions)."""
+    return float(np.max(np.abs(residuals), initial=0.0))
 
 
 def solve_nonlinear(grid: GridTree, density: DensityField,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import feederflow.dispatch as dispatch_module
 from feederflow.cli import main
 from feederflow.scenarios import bundled_grid_path
 
@@ -311,3 +313,33 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+# sha256 of dispatch.csv from `run --pref 0.1` on each bundled grid, recorded
+# when the writer still read the plan's StationDispatch rows
+DISPATCH_CSV_SHA256 = {
+    ("single_feeder", "literal"): "349fa2b5d05f3ca9d815d19d937f3a77df65cee357e6af081232f29727d3412c",
+    ("single_feeder", "principle"): "349fa2b5d05f3ca9d815d19d937f3a77df65cee357e6af081232f29727d3412c",
+    ("single_feeder", "uniform"): "23f25e0b22b97f86e7eb0d94d21ab0371e0c17ad2bb1c90c588acc2d10ef74f4",
+    ("feeder_tree", "literal"): "2f1bb00193218286357539dfcdf5692ae422f460740ef5d5839df7ebe18a96ab",
+    ("feeder_tree", "principle"): "99f289a246fb2f49ad11edebf9ad724a6cd7842033a0cd018ffc767772315878",
+    ("feeder_tree", "uniform"): "d9f5dea42f33748308d41dedcb4b8d731a2f8f65124b889fe92cfe967fa5e619",
+}
+
+
+@pytest.mark.parametrize("name,mode", sorted(DISPATCH_CSV_SHA256))
+def test_run_reads_plan_columns_and_builds_no_rows(tmp_path, monkeypatch, capsys, name, mode):
+    built = []
+    row = dispatch_module.StationDispatch
+
+    def counting(*args):
+        built.append(args[0])
+        return row(*args)
+
+    monkeypatch.setattr(dispatch_module, "StationDispatch", counting)
+    grid = str(bundled_grid_path(name))
+    assert main(["run", "--grid", grid, "--mode", mode, "--out", str(tmp_path)]) == 0
+    assert built == []
+    data = (tmp_path / "dispatch.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == DISPATCH_CSV_SHA256[name, mode]
+    assert f"stations: {len(data.splitlines()) - 2}" in capsys.readouterr().out

@@ -1,9 +1,13 @@
+import dataclasses
+import hashlib
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import _oracle as oracle
+import feederflow.dispatch as dispatch_module
 from feederflow import (
     Device,
     FeederSegment,
@@ -14,8 +18,10 @@ from feederflow import (
     power_density,
     station_q_cap,
     synthesize,
+    synthesize_tree,
     uniform_baseline,
 )
+from feederflow.grid import station_q_caps
 
 # bank-nearest first, the order the display table uses; the bank-nearest
 # element carries the refinement pass's float residue (9e-18 off the round value)
@@ -293,3 +299,135 @@ def test_property_leftover_zero_within_capacity(p_ref, g, b):
     plan = synthesize(grid, p_ref)
     assert plan.leftover_p == 0.0
     assert plan.total_p() == pytest.approx(p_ref, abs=1e-12)
+
+
+# -- columnar plans ------------------------------------------------------------
+
+# finite floats with the awkward ones forced in: signed zeros, subnormals and
+# magnitudes where pe * pe overflows or underflows
+AWKWARD_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e-300, 1e154, 1.3e154,
+                     -1.3e154, 1e300, -1e300, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(AWKWARD_FLOATS, min_size=1, max_size=20))
+def test_vector_q_cap_is_station_q_cap_bit_for_bit(p):
+    got = station_q_caps(np.array(p, dtype=float)).tolist()
+    assert list(map(repr, got)) == [repr(station_q_cap(x)) for x in p]
+
+
+@settings(max_examples=300, deadline=None)
+@given(AWKWARD_FLOATS, st.lists(st.tuples(AWKWARD_FLOATS, AWKWARD_FLOATS), min_size=1, max_size=8))
+@example(-0.0, [(0.0, 0.0)])
+@example(0.0, [(-0.0, -0.0)])
+@example(-0.0, [(0.0, 1.0)])
+@example(0.0, [(-1.0, -0.0)])
+@example(-0.0, [(-0.0, 0.0), (0.0, -0.0), (-1.0, 0.0)])
+def test_uniform_clamp_is_pythons_min_max(share, bounds):
+    lo, hi = (np.array(column, dtype=float) for column in zip(*bounds))
+    got = dispatch_module._clamp(share, lo, hi).tolist()
+    assert list(map(repr, got)) == [repr(min(max(share, a), b)) for a, b in bounds]
+
+
+def test_uniform_split_keeps_signed_zero_ties():
+    # a -0.0 request: Python's min/max keep the share, -0.0, also at the
+    # station whose bounds are both 0.0, where np.maximum would give 0.0
+    grid = make_single([Device("station", "main", 1.0, "s1"),
+                        Device("station", "main", 2.0, "s2", p_min_pu=-0.1, p_max_pu=0.1)])
+    plan = uniform_baseline(grid, -0.0)
+    assert list(map(repr, plan.p_pu)) == ["-0.0", "-0.0"]
+    assert list(map(repr, plan.q_pu)) == ["-0.0", "-0.0"]
+
+
+# sha256 of repr(plan.stations) and of repr(plan.as_power_map()), and
+# total_p(), of each bundled grid's plan at p_ref = 0.1, recorded when the
+# plan still stored its StationDispatch rows
+FROZEN_PLAN_SHA256 = {
+    ("single", "literal"): ("555f3761228801f29177c50c7c18ad51fef6ce76c74673272e28f420562744a3",
+                            "1e087f5d65e1385737df6197ce077daaf00d0ad88a79973c7e88545f7f88f823",
+                            0.1),
+    ("single", "principle"): ("555f3761228801f29177c50c7c18ad51fef6ce76c74673272e28f420562744a3",
+                              "1e087f5d65e1385737df6197ce077daaf00d0ad88a79973c7e88545f7f88f823",
+                              0.1),
+    ("single", "uniform"): ("393d7b1e9a7ea20f1352e7484c0d2d16ec924599c45582dca329df266f63fb3d",
+                            "9c8477295131bb2732da4599c6ea8e683d4557b0f5afac56a3afa3c80b915f7b",
+                            0.1),
+    ("tree", "literal"): ("9a4fc4a05ac8151f282666d26bbaf498269c1c461ad58a40731e058a6bd66d61",
+                          "7c6c6f09fd3baab03b62fc52d93dfd4d1e3a536bbed806e03411c13a4d49dbde",
+                          0.1),
+    ("tree", "principle"): ("cd63db02c962887b68d74ff1d2cdaccb15a7bd3d05a838e48e24dc37fcb71f88",
+                            "7f454060dd6194dbaf880bf6eb35a9478b43d485de8ce51be339f4e028e2fa9b",
+                            0.1),
+    ("tree", "uniform"): ("a400527eb5b5eacf56ab1e40ad7213b9b04f7e9c8602085b32430208edce1162",
+                          "f325701d3aa032ffbd46829f558780901f0788079b8596220e02221cc0ddfa1f",
+                          0.1),
+}
+
+
+def _plan_of(grid, mode, p_ref=0.1):
+    if mode == "uniform":
+        return uniform_baseline(grid, p_ref)
+    return synthesize_tree(grid, p_ref, mode=mode)
+
+
+@pytest.mark.parametrize("name,mode", sorted(FROZEN_PLAN_SHA256))
+def test_plan_rows_map_and_total_frozen(single_feeder, feeder_tree, name, mode):
+    plan = _plan_of(single_feeder if name == "single" else feeder_tree, mode)
+
+    def sha(value):
+        return hashlib.sha256(repr(value).encode()).hexdigest()
+
+    assert (sha(plan.stations), sha(plan.as_power_map()), plan.total_p()) == (
+        FROZEN_PLAN_SHA256[name, mode])
+
+
+@pytest.mark.parametrize("mode", ["literal", "principle", "uniform"])
+def test_plan_rows_are_built_once_and_plans_compare_by_value(feeder_tree, mode):
+    plan = _plan_of(feeder_tree, mode)
+    assert plan.stations is plan.stations
+    again = _plan_of(feeder_tree, mode)
+    assert again == plan and hash(again) == hash(plan)
+    assert all(type(x) is float for column in (plan.xi_km, plan.p_pu, plan.q_pu, plan.p_min_eff,
+                                               plan.p_max_eff, plan.q_cap) for x in column)
+    q = list(plan.q_pu)
+    q[3] = q[3] + 1e-9
+    assert dataclasses.replace(plan, q_pu=tuple(q)) != plan
+
+
+# sha256 of repr(plan.trace) at p_ref 0.1, recorded when dispatch still
+# built the HandOff records as it logged them
+FROZEN_TRACE_SHA256 = {
+    ("single", "literal"): "d53040de70260180003e861aff04405e3267d4c82ee19e79678ef8fa654386ba",
+    ("single", "principle"): "db3ae9f985e77171cc3f21251cc66f9ed5239c9485424e02a7b0e86b53de59a1",
+    ("single", "uniform"): "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    ("tree", "literal"): "90fcfc3f9227626575428f49f605e51e4931803a5c35502419126a7921e41579",
+    ("tree", "principle"): "e121c50e48bc3fbe33c73f48713ae54b3768052a5b91b9818373445bfdf03ea5",
+    ("tree", "uniform"): "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+}
+
+
+@pytest.mark.parametrize("name,mode", sorted(FROZEN_TRACE_SHA256))
+def test_plan_trace_is_built_from_its_columns_on_first_read(single_feeder, feeder_tree,
+                                                            monkeypatch, name, mode):
+    # dispatch, power_density and audit_trace build no HandOff; reading
+    # plan.trace builds each record once
+    built = []
+    record = dispatch_module.HandOff
+
+    def counting(*args):
+        built.append(args)
+        return record(*args)
+
+    monkeypatch.setattr(dispatch_module, "HandOff", counting)
+    grid = single_feeder if name == "single" else feeder_tree
+    plan = _plan_of(grid, mode)
+    power_density(grid, plan, 0.05)
+    assert audit_trace(plan) == 0.0
+    assert built == []
+    trace = plan.trace
+    assert trace is plan.trace and len(built) == len(trace)
+    assert hashlib.sha256(repr(trace).encode()).hexdigest() == FROZEN_TRACE_SHA256[name, mode]
+    assert _plan_of(grid, mode).handoffs == plan.handoffs

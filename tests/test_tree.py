@@ -3,7 +3,10 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +38,9 @@ from feederflow import (
     synthesize,
     synthesize_tree,
     uniform_baseline,
+    write_dispatch_csv,
+    write_metrics_json,
+    write_profile_csv,
 )
 
 
@@ -759,3 +765,110 @@ def test_many_edge_profiles_frozen_exact():
     assert (profile.sweeps, repr(profile.last_change)) == (5, "3.4453662145494945e-11")
     trunk = profile.by_segment("trunk")
     assert np.count_nonzero(trunk.x_km == 3.0) == 2  # the tap is sampled twice
+
+
+# -- what the writers and the solver diagnostics emit ------------------------
+
+NON_FINITE_TOKEN = re.compile(r"(?i)\b(nan|inf|infinity)\b")
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_tree())
+def test_property_writers_emit_no_nan_or_inf(case):
+    grid, p_ref = case
+    for mode in ("literal", "principle", "uniform"):
+        plan = (uniform_baseline(grid, p_ref) if mode == "uniform"
+                else synthesize_tree(grid, p_ref, mode=mode))
+        try:
+            profile = solve_nonlinear(grid, power_density(grid, plan, 0.03),
+                                      SolverSettings(step_km=0.015))
+        except (ValueError, SolverError):
+            continue    # refused by the station check or the solve: nothing is written
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            write_dispatch_csv(out / "dispatch.csv", plan)
+            write_profile_csv(out / "profile.csv", profile)
+            write_metrics_json(out / "metrics.json", compute_metrics(profile, plan))
+            for name in ("dispatch.csv", "profile.csv", "metrics.json"):
+                text = (out / name).read_text()
+                assert not NON_FINITE_TOKEN.search(text), (mode, name)
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_tree(), st.sampled_from(["literal", "principle", "uniform"]), st.data())
+def test_property_density_of_a_plan_is_the_density_of_its_power_map(case, mode, data):
+    # power_density reads a plan's columns; a mapping goes through the
+    # station ids.  A plan of some of the stations, in a drawn order, places
+    # only those.
+    grid, p_ref = case
+    plan = (uniform_baseline(grid, p_ref) if mode == "uniform"
+            else synthesize_tree(grid, p_ref, mode=mode))
+    keep = data.draw(st.lists(st.sampled_from(range(len(plan.ids))), unique=True))
+    columns = ("ids", "xi_km", "p_pu", "q_pu", "p_min_eff", "p_max_eff", "q_cap")
+    part = dataclasses.replace(plan, **{name: tuple(getattr(plan, name)[k] for k in keep)
+                                        for name in columns})
+
+    def density(source):
+        try:
+            field = power_density(grid, source, 0.03)
+        except ValueError as exc:
+            return str(exc)
+        return [b"".join(a.tobytes() for a in field.sample(
+                    seg.id, np.linspace(grid.segment_start_km(seg.id),
+                                        grid.segment_end_km(seg.id), 64)))
+                for seg in grid.segments]
+
+    for whole in (plan, part):
+        by_columns, by_map = density(whole), density(whole.as_power_map())
+        if isinstance(by_map, str):    # the plan's message adds its hand-offs
+            assert by_columns.startswith(by_map)
+        else:
+            assert by_columns == by_map
+
+def _residuals_edge_by_edge(mesh, v, s, w):
+    """The diagnostics of _assemble_profile, one solver edge at a time."""
+    v_end, s_end, w_end = (a[mesh.last].tolist() for a in (v, s, w))
+    v0, s0, w0 = (a[:, 0].tolist() for a in (v, s, w))
+    seg_of = {e: seg_id for seg_id, rows in mesh.rows.items() for e in rows}
+    terminal_v = []
+    term_s = term_w = junc_s = junc_w = junc_v = 0.0
+    for e, kids in enumerate(mesh.kids):
+        if not kids:
+            terminal_v.append((seg_of[e], v_end[e]))
+            term_s = max(term_s, abs(s_end[e]))
+            term_w = max(term_w, abs(w_end[e]))
+        else:
+            junc_s = max(junc_s, abs(s_end[e] - sum(s0[c] for c in kids)))
+            junc_w = max(junc_w, abs(w_end[e] - sum(w0[c] for c in kids)))
+            junc_v = max(junc_v, max(abs(v0[c] - v_end[e]) for c in kids))
+    bank = max(abs(v0[r] - 1.0) for r in mesh.roots)
+    return tuple(terminal_v), bank, term_s, term_w, junc_s, junc_w, junc_v
+
+
+def _diagnostics(profile):
+    return (profile.terminal_v, profile.bank_residual, profile.terminal_s_max,
+            profile.terminal_w_max, profile.junction_s_max, profile.junction_w_max,
+            profile.junction_v_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_tree(), st.integers(0, 2**32 - 1))
+def test_property_residual_diagnostics_match_an_edge_by_edge_walk(case, seed):
+    # states far from any solution, so that every residual is non-zero
+    grid, _ = case
+    mesh = solver_module._mesh(grid.validated(), SolverSettings(step_km=0.05), 0.1)
+    rng = np.random.default_rng(seed)
+    theta, v, s, w = (rng.normal(size=mesh.x.shape) for _ in range(4))
+    profile = solver_module._assemble_profile(mesh, (mesh.x, theta, v, s, w), 1, 0.0)
+    assert repr(_diagnostics(profile)) == repr(_residuals_edge_by_edge(mesh, v, s, w))
+
+
+def test_residual_diagnostics_without_junctions_are_zero():
+    grid = GridTree(PerUnitBase(1.0, 1.0), (FeederSegment("main", 1.0, 3.0, 6.0),))
+    mesh = solver_module._mesh(grid.validated(), SolverSettings(step_km=0.05), 0.1)
+    v, s, w = np.random.default_rng(0).normal(size=(3, *mesh.x.shape))
+    profile = solver_module._assemble_profile(mesh, (mesh.x, v, v, s, w), 1, 0.0)
+    assert mesh.junctions.size == 0
+    assert (profile.junction_s_max, profile.junction_w_max, profile.junction_v_max) == (0.0,) * 3
+    assert repr(_diagnostics(profile)) == repr(_residuals_edge_by_edge(mesh, v, s, w))
