@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import _station_columns
+
 __all__ = ["PointInjection", "PointInjectionSet", "ClosedFormProfile", "injections_from_grid"]
 
 
@@ -62,16 +64,14 @@ def injections_from_grid(grid, plan=None) -> PointInjectionSet:
     if not grid.is_single_feeder():
         raise ValueError("closed forms apply to a single straight feeder only")
     seg = grid.segments[0]
-    power = None
-    if plan is not None:
-        power = plan.as_power_map() if hasattr(plan, "as_power_map") else dict(plan)
+    ids, p, q = _station_columns(plan)
+    power = dict(zip(ids, zip(p, q)))
     pts = []
     for d in grid.devices:
         if d.kind == "load":
             pts.append(PointInjection(d.xi_km, d.p_pu, d.q_pu))
-        elif power is not None and d.id in power:
-            p, q = power[d.id]
-            pts.append(PointInjection(d.xi_km, p, q))
+        elif d.id in power:
+            pts.append(PointInjection(d.xi_km, *power[d.id]))
     return PointInjectionSet(pts, seg.g_pu_per_km, seg.b_pu_per_km, seg.length_km)
 
 

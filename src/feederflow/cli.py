@@ -189,6 +189,9 @@ def cmd_xcheck(args) -> int:
     mask = np.ones(x.shape, dtype=bool)
     for inj in closed.inj.injections:   # the loads and the placed stations
         mask &= np.abs(x - inj.xi_km) >= MASK_SIGMAS * args.sigma
+    if not mask.any():
+        raise ValueError(f"--sigma {args.sigma} km leaves no mesh point {MASK_SIGMAS:g} sigma "
+                         "from every device, the only points where the closed form is compared")
     sup_analytic = float(np.max(np.abs(closed.amplitude(x[mask]) - seg_lin.v_pu[mask])))
     sup_nonlinear = float(np.max(np.abs(seg_lin.v_pu - seg_non.v_pu)))
     payload = {

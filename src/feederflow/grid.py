@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -177,11 +177,13 @@ class GridTree:
 
     - the solver mesh, keyed by (step_km, sigma), with its sample runs,
       midpoints, valid-cell masks, leaf rows and junction children;
-    - the density layout, keyed by the set of placed stations: the device
-      columns, the loads' p and q, the station slots and derated bounds,
-      the spacing warnings, and the kernel pairs of its last sampling;
-    - per tuple of plan station ids, the index that takes a plan's columns
-      into its layout's station order;
+    - the density layout, one per grid: a column for every load and
+      station, the loads' p and q, the station slots and derated bounds,
+      and the kernel pairs of its last sampling;
+    - per tuple of station ids, the placement of the stations a plan or
+      mapping with those ids places: each layout station's position among
+      them, or -1 when it is idle, and each segment's closest spacing of
+      loads and placed stations, for the spacing warnings;
     - the dispatch legs, station order and bounds, and a plan's id,
       position and bound columns, bank-nearest first.
 
@@ -381,6 +383,10 @@ def validate_grid(grid: GridTree) -> GridValidationReport:
 def _check_sigma(sigma_km: float) -> None:
     if not (sigma_km > 0.0 and math.isfinite(sigma_km)):
         raise ValueError(f"sigma must be positive, got {sigma_km}")
+    # the kernels square sigma (2 pi sigma^2 overflows above ~5e153) and shift
+    # runs by powers of two above 24 sigma: keep both far inside float range
+    if sigma_km > 1e150:
+        raise ValueError(f"sigma must be at most 1e+150 km, got {sigma_km}")
 
 
 class _Pairs(NamedTuple):
@@ -399,84 +405,73 @@ class _Pairs(NamedTuple):
 
 
 class _Layout:
-    """The density columns of one set of placed stations on a grid.
+    """The density columns of a grid: one per load and one per station.
 
-    Loads and placed stations are grouped by segment, in the order of each
-    segment's first such device, and keep declaration order within it.
-    xpq holds each column's centre and the loads' p and q; a plan writes its
-    stations' p and q at slots.  stations (and ids) are the placed stations
-    in declaration order, lo and hi their derated bounds, and min_gaps each
-    segment's closest device spacing.  pairs holds the kernel pairs of the
-    layout's last sampling: one set at most.
+    Devices are grouped by segment, in the order of each segment's first
+    device, and keep declaration order within it.  xpq holds each column's
+    centre and the loads' p and q, with 0.0 for the stations, whose values a
+    density writes at slots: an idle station keeps 0.0 and adds +0.0 to each
+    sum, which changes no bit.  stations are the grid's stations in
+    declaration order, slots their columns (by position: an unvalidated grid
+    may repeat an id), lo and hi their derated bounds.  pairs holds the
+    kernel pairs of the layout's last sampling: one set at most.
     """
 
-    def __init__(self, grid: GridTree, placed: bytes):
-        self.stations = tuple(d for d, on in zip(grid.stations(), placed) if on)
-        self.ids = tuple(d.id for d in self.stations)
-        cols: dict[str, list[tuple[Device, int]]] = {}    # (device, station rank or -1)
-        flags, rank = iter(placed), iter(range(len(self.stations)))
-        for d in grid.devices:
-            if d.kind == "load":
-                cols.setdefault(d.segment, []).append((d, -1))
-            elif d.kind == "station" and next(flags):
-                cols.setdefault(d.segment, []).append((d, next(rank)))
-        order = [entry for entries in cols.values() for entry in entries]
-        self.xpq = np.zeros((3, len(order)))
-        self.xpq[0] = [d.xi_km for d, _ in order]
-        self.xpq[1] = [d.p_pu if r < 0 else 0.0 for d, r in order]
-        self.xpq[2] = [d.q_pu if r < 0 else 0.0 for d, r in order]
-        self.slots = np.empty(len(self.stations), dtype=np.intp)
-        for col, (_, r) in enumerate(order):
-            if r >= 0:
-                self.slots[r] = col
-        ends = list(accumulate(len(entries) for entries in cols.values()))
+    def __init__(self, grid: GridTree):
+        self.stations = grid.stations()
+        cols: dict[str, list[int]] = {}    # segment -> positions in grid.devices
+        for k, d in enumerate(grid.devices):
+            if d.kind in ("load", "station"):
+                cols.setdefault(d.segment, []).append(k)
+        order = [k for ks in cols.values() for k in ks]
+        devices = [grid.devices[k] for k in order]
+        self.xpq = np.array([[d.xi_km for d in devices],
+                             [d.p_pu if d.kind == "load" else 0.0 for d in devices],
+                             [d.q_pu if d.kind == "load" else 0.0 for d in devices]], dtype=float)
+        column = {k: c for c, k in enumerate(order)}
+        self.slots = np.array([column[k] for k, d in enumerate(grid.devices)
+                               if d.kind == "station"], dtype=np.intp)
+        ends = list(accumulate(map(len, cols.values())))
         self.columns = {seg_id: slice(a, b) for seg_id, a, b in zip(cols, [0, *ends], ends)}
-        n = len(self.stations)
-        self.lo = np.fromiter((d.p_min_eff for d in self.stations), float, n)
-        self.hi = np.fromiter((d.p_max_eff for d in self.stations), float, n)
-        self.min_gaps = []
-        for seg_id, entries in cols.items():
-            xs = sorted(d.xi_km for d, _ in entries)
-            gaps = [b - a for a, b in zip(xs, xs[1:])]
-            if gaps:
-                self.min_gaps.append((seg_id, min(gaps)))
+        self.lo = np.array([d.p_min_eff for d in self.stations], dtype=float)
+        self.hi = np.array([d.p_max_eff for d in self.stations], dtype=float)
         self.pairs: _Pairs | None = None
 
-    def station_pq(self, station_power) -> np.ndarray:
-        """The placed stations' p and q, from station_power, as two rows;
-        each station's value must unpack into exactly (p, q)."""
-        if not self.ids:    # station_power may be None
-            return np.empty((2, 0))
-        p, q = zip(*map(station_power.__getitem__, self.ids), strict=True)
-        return np.array((p, q), dtype=float)
+
+def _station_columns(station_power) -> tuple[tuple, tuple, tuple]:
+    """The ids, p and q columns of a station power input: a DispatchPlan's
+    own columns, a mapping's keys and values, each value unpacked into
+    exactly (p, q), or nothing for None."""
+    if hasattr(station_power, "p_pu"):    # a DispatchPlan
+        return station_power.ids, station_power.p_pu, station_power.q_pu
+    power = {} if station_power is None else dict(station_power)
+    p, q = zip(*power.values(), strict=True) if power else ((), ())
+    return tuple(power), p, q
 
 
-def _station_ids(grid: GridTree) -> tuple[str, ...]:
-    return grid._cached("station ids", None, lambda: tuple(d.id for d in grid.stations()))
+def _placement(grid: GridTree, ids: tuple) -> tuple[_Layout, np.ndarray, list]:
+    """The grid's layout, and, kept on the grid per tuple of ids, where the
+    stations with these ids are placed: each layout station's position in
+    ids (the last of a repeated id), or -1 when it is idle, and each
+    segment's closest spacing of its loads and placed stations."""
+    layout = grid._cached("layout", None, lambda: _Layout(grid))
 
-
-def _placed(grid: GridTree, station_power) -> bytes:
-    """One flag per station of the grid, in declaration order: does
-    station_power (None places none) hold its id."""
-    power = () if station_power is None else station_power
-    return bytes(map(power.__contains__, _station_ids(grid)))
-
-
-def _layout(grid: GridTree, placed: bytes) -> _Layout:
-    """The grid's cached layout for the stations that placed flags."""
-    return grid._cached("layout", placed, lambda: _Layout(grid, placed))
-
-
-def _plan_layout(grid: GridTree, ids: tuple[str, ...]) -> tuple[_Layout, np.ndarray]:
-    """The layout of the stations a plan with these station ids places, and
-    the index that takes the plan's columns into the layout's station order.
-    The index is kept on the grid per tuple of ids."""
     def build():
-        pos = {sid: k for k, sid in enumerate(ids)}    # the last of a repeated id
-        index = [pos[sid] for sid in _station_ids(grid) if sid in pos]
-        return _placed(grid, pos), np.array(index, dtype=np.intp)
-    placed, index = grid._cached("plan index", ids, build)
-    return _layout(grid, placed), index
+        pos = {sid: k for k, sid in enumerate(ids)}
+        index = np.array([pos.get(d.id, -1) for d in layout.stations], dtype=np.intp)
+        xs: dict[str, list[float]] = {}
+        for d in grid.devices:
+            if d.kind == "load" or (d.kind == "station" and d.id in pos):
+                xs.setdefault(d.segment, []).append(d.xi_km)
+        gaps = {seg_id: [b - a for a, b in pairwise(sorted(v))] for seg_id, v in xs.items()}
+        return index, [(seg_id, min(g)) for seg_id, g in gaps.items() if g]
+    return (layout, *grid._cached("placement", ids, build))
+
+
+def _station_pq(p, q, index: np.ndarray) -> np.ndarray:
+    """The layout stations' p and q, as two rows, from the columns p and q:
+    index -1, an idle station, picks the 0.0 after each column."""
+    return np.fromiter(chain(p, (0.0,), q, (0.0,)), float).reshape(2, -1)[:, index]
 
 
 def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -> _Pairs:
@@ -551,12 +546,13 @@ class DensityField:
     junctions: a device's mass stays on its own segment, so positions closer
     than ~6 sigma to a segment end lose tail mass.
 
-    The columns come from the grid's cached layout for the placed stations,
-    so a construction only writes the stations' p and q.  Sampling costs
-    O(devices x window), not O(devices x points): each device is evaluated
-    only on the samples inside its own cut-off window.  One call can sample
-    every segment of a tree, each segment's samples given as a run, with one
-    sort and one kernel pass for all of them.  The (device, sample, kernel)
+    The columns come from the grid's cached layout, with every station, so
+    a construction only writes the stations' p and q; a station that
+    station_power leaves out is idle, at 0.0.  Sampling costs O(devices x
+    window), not O(devices x points): each device is evaluated only on the
+    samples inside its own cut-off window.  One call can sample every
+    segment of a tree, each segment's samples given as a run, with one sort
+    and one kernel pass for all of them.  The (device, sample, kernel)
     pairs are kept on the layout and replayed with this field's powers
     while sigma, the runs and x stay the same, so a repeated solve of a new
     plan evaluates no kernel.
@@ -564,25 +560,23 @@ class DensityField:
 
     def __init__(self, grid: GridTree, station_power, sigma_km: float):
         _check_sigma(sigma_km)
-        layout = _layout(grid, _placed(grid, station_power))
-        p, q = layout.station_pq(station_power)
-        self._setup(layout, p, q, sigma_km, stacklevel=4)
+        ids, p, q = _station_columns(station_power)
+        layout, index, min_gaps = _placement(grid, ids)
+        self._setup(layout, _station_pq(p, q, index), min_gaps, sigma_km)
 
-    def _setup(self, layout: _Layout, p: np.ndarray, q: np.ndarray, sigma_km: float,
-               stacklevel: int) -> None:
-        """Take the layout's columns with the placed stations at (p, q);
-        the spacing warnings point stacklevel frames up."""
+    def _setup(self, layout: _Layout, pq: np.ndarray, min_gaps: list, sigma_km: float) -> None:
+        """Take the layout's columns with its stations at pq; the spacing
+        warnings point at the caller of DensityField or power_density."""
         self.sigma_km = sigma_km
         self._layout = layout
         self._pq = layout.xpq[1:].copy()
-        self._pq[0, layout.slots] = p
-        self._pq[1, layout.slots] = q
-        for seg_id, gap in layout.min_gaps:
+        self._pq[:, layout.slots] = pq
+        for seg_id, gap in min_gaps:
             if sigma_km > gap / 2.0:
                 warnings.warn(
                     f"sigma={sigma_km} km exceeds half the minimum device spacing "
                     f"({gap} km) on segment {seg_id!r}: kernels overlap strongly",
-                    stacklevel=stacklevel,
+                    stacklevel=3,
                 )
 
     def sample(self, runs, x_km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -623,37 +617,30 @@ def power_density(grid: GridTree, plan=None, sigma_km: float = 0.05) -> DensityF
     """Build the sampled density field for a validated grid.
 
     plan may be a DispatchPlan or any mapping station-id -> (p_pu, q_pu);
-    None leaves every station idle.  Station values are checked against the
-    derated active bounds and the power-factor cone before being accepted;
-    the first offending station in declaration order is named, with the
-    P (bounds) or Q (cone) hand-offs that a DispatchPlan's trace sent it.
+    None leaves every station idle.  Placed station values are checked
+    against the derated active bounds and the power-factor cone before
+    being accepted; the first offending station in declaration order is
+    named, with the P (bounds) or Q (cone) hand-offs that a DispatchPlan's
+    trace sent it.
     """
-    columns = hasattr(plan, "p_pu")
-    if columns:
-        # a DispatchPlan: its p and q columns, in the layout's station order
-        layout, index = _plan_layout(grid, plan.ids)
-        p = np.array(plan.p_pu)[index]
-        q = np.array(plan.q_pu)[index]
-    else:
-        station_power = None if plan is None else dict(plan)
-        layout = _layout(grid, _placed(grid, station_power))
-        p, q = layout.station_pq(station_power)
+    ids, p, q = _station_columns(plan)
+    layout, index, min_gaps = _placement(grid, ids)
+    pq = _station_pq(p, q, index)
     tol = 1e-12
-    out_of_bounds = ~((layout.lo - tol <= p) & (p <= layout.hi + tol))
+    out_of_bounds = ~((layout.lo - tol <= pq[0]) & (pq[0] <= layout.hi + tol))
     # the cone of station_q_cap; written so that a NaN q lies outside it
-    outside_cone = ~(np.abs(q) <= station_q_caps(p) + tol)
-    bad = out_of_bounds | outside_cone
+    outside_cone = ~(np.abs(pq[1]) <= station_q_caps(pq[0]) + tol)
+    bad = (out_of_bounds | outside_cone) & (index >= 0)
     if bad.any():
         k = int(np.argmax(bad))
         d = layout.stations[k]
-        p_k, q_k = (plan.as_power_map() if columns else station_power)[d.id]
         if out_of_bounds[k]:
             quantity = "P"
-            msg = (f"station {d.id!r}: p={p_k} outside effective bounds "
+            msg = (f"station {d.id!r}: p={p[index[k]]} outside effective bounds "
                    f"[{d.p_min_eff}, {d.p_max_eff}]")
         else:
             quantity = "Q"
-            msg = f"station {d.id!r}: q={q_k} violates the power-factor cone"
+            msg = f"station {d.id!r}: q={q[index[k]]} violates the power-factor cone"
         # a synthesized plan names the residuals that seeded the station
         received = [f"{ev.amount} from {ev.source!r}" for ev in getattr(plan, "trace", ())
                     if ev.quantity == quantity and ev.target == d.id]
@@ -662,5 +649,5 @@ def power_density(grid: GridTree, plan=None, sigma_km: float = 0.05) -> DensityF
         raise ValueError(msg)
     _check_sigma(sigma_km)
     field = DensityField.__new__(DensityField)
-    field._setup(layout, p, q, sigma_km, stacklevel=3)
+    field._setup(layout, pq, min_gaps, sigma_km)
     return field

@@ -130,6 +130,36 @@ def test_impossible_mesh_is_domain_error(tmp_path, capsys, command, sigma, nodes
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.filterwarnings("ignore:sigma=")
+@pytest.mark.parametrize("sigma", ["1e150", "1.0000000000000002e150", "1e200", "1e308"])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_sigma_beyond_the_kernel_range_is_domain_error(tmp_path, capsys, command, sigma):
+    # the kernels square sigma: up to 1e150 km they stay finite (and the
+    # kernels of the bundled tree overlap, which only warns), beyond it the
+    # run stops on one error line instead of an OverflowError
+    out = tmp_path / "o"
+    code = main([command, "--grid", TREE, f"--sigma={sigma}", "--out", str(out)])
+    err = capsys.readouterr().err
+    if float(sigma) <= 1e150:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 1
+        assert err == f"error: sigma must be at most 1e+150 km, got {float(sigma)!r}\n"
+        assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.filterwarnings("ignore:sigma=")
+def test_xcheck_with_no_point_clear_of_the_kernels_is_domain_error(tmp_path, capsys):
+    # the bundled feeder's devices sit 0.5 km apart: at sigma 1 km every
+    # mesh point lies within 3 sigma of one of them
+    out = tmp_path / "o"
+    assert main(["xcheck", "--grid", SINGLE, "--sigma=1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: --sigma 1.0 km leaves no mesh point 3 sigma from every device, "
+        "the only points where the closed form is compared\n")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_compare_caps_the_uniform_split_at_station_bounds(tmp_path):
     # -0.3 / 4 stations is beyond every bundled station's derated bound
     out = tmp_path / "o"

@@ -290,8 +290,47 @@ def test_density_rejects_bad_sigma():
         DensityField(grid, None, 0.0)
 
 
+@pytest.mark.parametrize("sigma", [1e150, math.nextafter(1e150, INF), 1e200, 1e308, INF])
+def test_density_rejects_a_sigma_whose_kernels_overflow(sigma):
+    # the kernels square sigma; up to 1e150 km their arithmetic stays finite
+    grid = make_single([Device("load", "main", 2.5, "l", p_pu=-0.1),
+                        Device("station", "main", 3.5, "s", p_min_pu=-0.1, p_max_pu=0.1)])
+    for build in (lambda: power_density(grid, {"s": (0.05, 0.0)}, sigma),
+                  lambda: DensityField(grid, {"s": (0.05, 0.0)}, sigma)):
+        if sigma <= 1e150:
+            with pytest.warns(UserWarning, match="kernels overlap"):
+                p, q = build().sample("main", np.array([2.5, 3.5]))
+            assert np.all(np.isfinite(p)) and np.all(p != 0.0) and np.all(q == 0.0)
+        else:
+            with pytest.raises(ValueError, match="^sigma must be"):
+                build()
+
+
+def test_only_placed_stations_count_for_the_spacing_warning():
+    gap = 2.08 - 2.0
+    grid = make_single([
+        Device("load", "main", 2.0, "l", p_pu=-0.1),
+        Device("station", "main", 2.08, "s", p_min_pu=-0.1, p_max_pu=0.1),
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        power_density(grid, None, sigma_km=0.05)    # s is idle
+        DensityField(grid, {}, 0.05)
+    message = (f"sigma=0.05 km exceeds half the minimum device spacing ({gap} km) "
+               "on segment 'main': kernels overlap strongly")
+    for build in (lambda: power_density(grid, {"s": (0.0, 0.0)}, sigma_km=0.05),
+                  lambda: DensityField(grid, {"s": (0.0, 0.0)}, 0.05)):
+        with pytest.warns(UserWarning) as record:
+            build()
+        assert [str(w.message) for w in record] == [message]
+        assert record[0].filename == __file__    # the line that builds the density
+
+
 def test_power_density_checks_bounds_and_cone():
-    grid = make_single([Device("station", "main", 2.5, "s", p_min_pu=-0.1, p_max_pu=0.1)])
+    # only placed stations are checked: "off" would fail its bounds at 0.0
+    grid = make_single([Device("station", "main", 2.5, "s", p_min_pu=-0.1, p_max_pu=0.1),
+                        Device("station", "main", 3.5, "off", p_min_pu=0.1, p_max_pu=0.2)])
+    power_density(grid, None)
     with pytest.raises(ValueError, match="outside effective bounds"):
         power_density(grid, {"s": (0.095, 0.0)})
     with pytest.raises(ValueError, match="power-factor cone"):
@@ -323,11 +362,13 @@ def test_station_power_must_be_a_pq_pair(value):
         Device("station", "main", 1.5, "a", p_min_pu=-0.1, p_max_pu=0.1),
         Device("station", "main", 3.5, "b", p_min_pu=-0.1, p_max_pu=0.1),
     ])
-    power = {"a": (0.0, 0.0), "b": value}
-    with pytest.raises((ValueError, TypeError)):
-        power_density(grid, power)
-    with pytest.raises((ValueError, TypeError)):
-        DensityField(grid, power, 0.05)
+    # a malformed value is refused even under an id that names no station
+    for sid in ("b", "ghost"):
+        power = {"a": (0.0, 0.0), sid: value}
+        with pytest.raises((ValueError, TypeError)):
+            power_density(grid, power)
+        with pytest.raises((ValueError, TypeError)):
+            DensityField(grid, power, 0.05)
 
 
 def _station_check_loop(grid, power):
@@ -392,7 +433,8 @@ def _mask_loop(kernels, sigma, x):
 def sampled_segment(draw):
     """A segment with loads, dispatched and idle stations, a neighbour
     segment whose devices must be ignored, and sample positions that are
-    unsorted, repeated, outside the segment and on kernel cut-offs."""
+    unsorted, repeated, outside the segment and on kernel cut-offs.  Some
+    dispatched stations carry p and q of +0.0 or -0.0."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     length = draw(st.floats(0.5, 5.0))
     sigma = draw(st.floats(0.01, 0.3))
@@ -409,6 +451,8 @@ def sampled_segment(draw):
         else:
             devices.append(Device("station", "main", xi, f"d{k}", p_min_pu=-1.0, p_max_pu=1.0))
             if kind == "station":
+                if rng.random() < 0.25:
+                    p, q = rng.choice([0.0, -0.0], size=2).tolist()
                 power[f"d{k}"] = (p, q)
                 kernels.append((xi, p, q))
     devices.append(Device("load", "lat", length + 0.5, "other", p_pu=-0.3, q_pu=0.1))
@@ -433,8 +477,8 @@ def test_property_sample_equals_mask_loop_bit_for_bit(case):
     grid, power, sigma, kernels, x = case
     p, q = DensityField(grid, power, sigma).sample("main", x)
     p_ref, q_ref = _mask_loop(kernels, sigma, x)
-    assert np.array_equal(p, p_ref)
-    assert np.array_equal(q, q_ref)
+    assert p.tobytes() == p_ref.tobytes()    # the sign of zero counts
+    assert q.tobytes() == q_ref.tobytes()
 
 
 def test_sample_empty_and_deviceless():
@@ -457,7 +501,8 @@ def sampled_runs(draw):
     and over a segment id without devices: runs may repeat a segment or be
     empty, and each one's samples are unsorted and repeated, reach past
     its segment into the others' ranges and sit on its own and on the other
-    segments' kernel cut-offs."""
+    segments' kernel cut-offs.  Some dispatched stations carry p and q of
+    +0.0 or -0.0."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     sigma = draw(st.floats(0.01, 0.3))
     trunk = draw(st.floats(1.0, 5.0))
@@ -479,6 +524,8 @@ def sampled_runs(draw):
         else:
             devices.append(Device("station", seg.id, xi, f"d{k}", p_min_pu=-1.0, p_max_pu=1.0))
             if kind == "station":
+                if rng.random() < 0.25:
+                    p, q = rng.choice([0.0, -0.0], size=2).tolist()
                 power[f"d{k}"] = (p, q)
         if kind != "idle":
             kernels[seg.id].append((xi, p, q))

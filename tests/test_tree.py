@@ -576,8 +576,14 @@ def test_grid_prepares_each_mesh_pair_set_and_legs_once(monkeypatch):
     assert request(grid, -0.02) == {"mesh": 1, "pairs": 1, "legs": 1}
     # a new sigma needs its own mesh and kernels
     assert request(grid, 0.05, sigma=0.04) == {"mesh": 2, "pairs": 2, "legs": 1}
-    # a newly idle station changes the density's columns, so its pairs
+    # an idle station keeps its column at zero power, so its pairs stay
+    assert request(grid, 0.05, sigma=0.04, idle=("lat-st",)) == {"mesh": 2, "pairs": 2, "legs": 1}
+    # the layout keeps the pairs of its last sampling only: back at sigma
+    # 0.03, the mesh is cached but the pairs are found again
     assert request(grid, 0.05, idle=("lat-st",)) == {"mesh": 2, "pairs": 3, "legs": 1}
+    # one layout holds every station, and each set of station ids its placement
+    assert set(grid._cache) == {"mesh", "layout", "placement", "dispatch"}
+    assert len(grid._cache["layout"]) == 1
     # a dataclasses.replace copy starts with nothing prepared
     assert request(dataclasses.replace(grid), 0.05) == {"mesh": 3, "pairs": 4, "legs": 2}
 
