@@ -28,15 +28,14 @@ def main():
     print(f"s at the bank: {closed.transfer_density(0.0):+.6f}")
     print(f"w at the bank: {closed.gradient(0.0):+.6f}")
 
-    profile = solve_nonlinear(grid, power_density(grid, None))
-    seg = profile.segments[0]
+    profile = solve_nonlinear(grid, power_density(grid, None))    # one segment: its columns
     print()
     print("   x [km]   closed form   nonlinear     gap")
     for x in (0.25, 1.0, 2.0, 3.0, 4.0, 4.75):
-        k = int(np.argmin(np.abs(seg.x_km - x)))
-        va = float(closed.amplitude(seg.x_km[k]))
-        vn = float(seg.v_pu[k])
-        print(f"  {seg.x_km[k]:6.3f}   {va:.8f}   {vn:.8f}   {abs(va - vn):.2e}")
+        k = int(np.argmin(np.abs(profile.x_km - x)))
+        va = float(closed.amplitude(profile.x_km[k]))
+        vn = float(profile.v_pu[k])
+        print(f"  {profile.x_km[k]:6.3f}   {va:.8f}   {vn:.8f}   {abs(va - vn):.2e}")
 
 
 if __name__ == "__main__":

@@ -183,17 +183,15 @@ def cmd_xcheck(args) -> int:
     density = power_density(grid, plan, sigma_km=args.sigma)
     lin = solve_linearized(grid, density)
     non = solve_nonlinear(grid, density)
-    seg_lin = lin.segments[0]
-    seg_non = non.segments[0]
-    x = seg_lin.x_km
+    x = lin.x_km    # the one segment's nodes
     mask = np.ones(x.shape, dtype=bool)
     for inj in closed.inj.injections:   # the loads and the placed stations
         mask &= np.abs(x - inj.xi_km) >= MASK_SIGMAS * args.sigma
     if not mask.any():
         raise ValueError(f"--sigma {args.sigma} km leaves no mesh point {MASK_SIGMAS:g} sigma "
                          "from every device, the only points where the closed form is compared")
-    sup_analytic = float(np.max(np.abs(closed.amplitude(x[mask]) - seg_lin.v_pu[mask])))
-    sup_nonlinear = float(np.max(np.abs(seg_lin.v_pu - seg_non.v_pu)))
+    sup_analytic = float(np.max(np.abs(closed.amplitude(x[mask]) - lin.v_pu[mask])))
+    sup_nonlinear = float(np.max(np.abs(lin.v_pu - non.v_pu)))
     payload = {
         "mode": args.mode,
         "pref": args.pref,

@@ -33,6 +33,7 @@ newlines, no timestamps, negative zero normalized.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from pathlib import Path
 
 import yaml
@@ -275,13 +276,17 @@ def write_profile_csv(path: str | Path, profile: VoltageProfile) -> None:
 
     Interior junction positions appear twice per hosting segment (far-side
     and bank-side s, w).  Each value is written as fmt_float writes it:
-    adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is."""
+    adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is.
+    The five columns are formatted in one pass, next to each segment's id
+    repeated by its number of nodes."""
+    ends = profile.node_ends
+    counts = [b - a for a, b in zip((0, *ends), ends)]
+    ids = chain.from_iterable(map(repeat, profile.segment_ids, counts))
+    cols = [(a + 0.0).tolist()
+            for a in (profile.x_km, profile.theta_rad, profile.v_pu, profile.s, profile.w)]
     lines = [PROFILE_HEADER]
-    for seg in profile.segments:
-        sid = seg.segment_id
-        cols = [(a + 0.0).tolist() for a in (seg.x_km, seg.theta_rad, seg.v_pu, seg.s, seg.w)]
-        lines += [f"{sid},{x:.12g},{th:.12g},{v:.12g},{s:.12g},{w:.12g}"
-                  for x, th, v, s, w in zip(*cols)]
+    lines += [f"{sid},{x:.12g},{th:.12g},{v:.12g},{s:.12g},{w:.12g}"
+              for sid, x, th, v, s, w in zip(ids, *cols)]
     _write_lines(path, lines)
 
 

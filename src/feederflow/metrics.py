@@ -31,31 +31,21 @@ class MetricsReport:
 
 
 def compute_metrics(profile: VoltageProfile, plan: DispatchPlan | None = None) -> MetricsReport:
-    """Metrics of a profile, in one vector pass over all its segments.
+    """Metrics of a profile, in one vector pass over its columns.
 
     The trapezoid terms of every segment come from one expression over the
-    concatenated samples, and the terms that straddle two segments are
-    never summed.  Each segment's terms get the pairwise sum that
-    np.trapezoid uses, so every integral is bit for bit the per-segment
-    np.trapezoid.
+    flat columns, and the terms that straddle two segments are never
+    summed.  Each segment's terms get the pairwise sum that np.trapezoid
+    uses, so every integral is bit for bit the per-segment np.trapezoid.
     """
-    segs = profile.segments
-    x = np.concatenate([sp.x_km for sp in segs])
-    v = np.concatenate([sp.v_pu for sp in segs])
-    w = np.concatenate([sp.w for sp in segs])
-    dev = v - 1.0
-    d = np.diff(x)
-    terms = [d * (y[1:] + y[:-1]) / 2.0 for y in (dev ** 2, w ** 2)]
+    dev = profile.v_pu - 1.0
+    d = np.diff(profile.x_km)
+    terms = [d * (y[1:] + y[:-1]) / 2.0 for y in (dev ** 2, profile.w ** 2)]
     # segments with the same number of terms are summed as the rows of one
     # C-contiguous array: numpy sums along the fast axis pairwise, row by
     # row, exactly as .sum() sums that row alone
-    groups: dict[int, list[int]] = {}
-    for i, sp in enumerate(segs):
-        groups.setdefault(len(sp.x_km) - 1, []).append(i)
-    first = np.cumsum([0] + [len(sp.x_km) for sp in segs[:-1]])
-    sums = np.empty((2, len(segs)))
-    for n, rows in groups.items():
-        cells = first[rows, None] + np.arange(n)
+    sums = np.empty((2, len(profile.segment_ids)))
+    for rows, cells in profile.trapezoid_groups:
         for k in (0, 1):
             sums[k, rows] = terms[k][cells].sum(axis=1)
     l2 = 0.0
@@ -65,7 +55,7 @@ def compute_metrics(profile: VoltageProfile, plan: DispatchPlan | None = None) -
         max_dev=float(np.abs(dev).max()),
         l2_dev=l2,
         min_terminal_v=min(v_end for _sid, v_end in profile.terminal_v),
-        w_flatness=dict(zip((sp.segment_id for sp in segs), sums[1].tolist())),
+        w_flatness=dict(zip(profile.segment_ids, sums[1].tolist())),
         total_p=plan.total_p() if plan is not None else 0.0,
         leftover_p=plan.leftover_p if plan is not None else 0.0,
     )

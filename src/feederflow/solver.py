@@ -26,7 +26,8 @@ and a repeated solve only samples and sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -112,9 +113,26 @@ class SegmentProfile:
     w: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoltageProfile:
-    segments: tuple[SegmentProfile, ...]
+    """A converged solve: every segment's samples, and how the sweep settled.
+
+    The samples are five flat, read-only columns (x_km, theta_rad, v_pu, s,
+    w): segments in declared order, each bank end first, segment_ids[k]
+    ending at node_ends[k].  ``segments`` builds one SegmentProfile of
+    views per segment on first read; the solver, the metrics and the
+    writers build none.  compute_metrics sums by trapezoid_groups (see
+    _trapezoid_groups).  A profile holds arrays, so it compares by identity
+    and hashes as an object; compare two solves by their columns.
+    """
+
+    segment_ids: tuple[str, ...]
+    node_ends: tuple[int, ...]
+    x_km: np.ndarray
+    theta_rad: np.ndarray
+    v_pu: np.ndarray
+    s: np.ndarray
+    w: np.ndarray
     sweeps: int
     last_change: float
     terminal_v: tuple[tuple[str, float], ...]    # open-end voltage per leaf edge
@@ -124,6 +142,18 @@ class VoltageProfile:
     junction_s_max: float
     junction_w_max: float
     junction_v_max: float
+    trapezoid_groups: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        for column in (self.x_km, self.theta_rad, self.v_pu, self.s, self.w):
+            column.flags.writeable = False
+
+    @cached_property
+    def segments(self) -> tuple[SegmentProfile, ...]:
+        columns = (self.x_km, self.theta_rad, self.v_pu, self.s, self.w)
+        return tuple(SegmentProfile(seg_id, *(c[a:b] for c in columns))
+                     for seg_id, a, b in zip(self.segment_ids, (0, *self.node_ends),
+                                             self.node_ends))
 
     def by_segment(self, seg_id: str) -> SegmentProfile:
         for sp in self.segments:
@@ -132,7 +162,20 @@ class VoltageProfile:
         raise KeyError(seg_id)
 
     def v_min(self) -> float:
-        return min(float(sp.v_pu.min()) for sp in self.segments)
+        return float(self.v_pu.min())
+
+
+def _trapezoid_groups(node_ends) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Segments ending at node_ends, grouped by their number n of trapezoid
+    terms: per group, the segments' positions and the (segments, n) index
+    of their terms in the np.diff of the flat columns."""
+    starts = [0, *node_ends[:-1]]
+    groups: dict[int, list[int]] = {}
+    for k, (a, b) in enumerate(zip(starts, node_ends)):
+        groups.setdefault(b - a - 1, []).append(k)
+    first = np.array(starts)
+    return tuple((np.array(rows), first[rows, None] + np.arange(n))
+                 for n, rows in groups.items())
 
 
 class _Mesh:
@@ -144,11 +187,11 @@ class _Mesh:
     A mesh depends only on the grid, step_km and sigma, so the grid keeps
     it (see _mesh) with what every solve reads off it: the density's sample
     runs and cell midpoints, the valid cells and nodes, where each segment's
-    nodes end in the flattened profile, and the leaf rows (with their
-    segments) and junction rows (with their children) that the residual
-    diagnostics read.  Every edge's cell count is known before anything is
-    allocated, and a mesh of more than MAX_MESH_NODES padded nodes is
-    refused.
+    nodes end in the flattened profile and their trapezoid groups, and the
+    leaf rows (with their segments) and junction rows (with their children)
+    that the residual diagnostics read.  Every edge's cell count is known
+    before anything is allocated, and a mesh of more than MAX_MESH_NODES
+    padded nodes is refused.
     """
 
     def __init__(self, grid: GridTree, settings: SolverSettings, sigma_km: float):
@@ -206,7 +249,9 @@ class _Mesh:
         ends = self._segment_ends(self.cell_valid)
         self.runs = [(seg_id, b - a) for seg_id, a, b in zip(self.rows, [0, *ends], ends)]
         self.x_mid = (self.x[:, :-1] + 0.5 * self.h_col)[self.cell_valid]
-        self.node_ends = self._segment_ends(self.node_valid)
+        self.segment_ids = tuple(self.rows)
+        self.node_ends = tuple(self._segment_ends(self.node_valid))
+        self.trapezoid_groups = _trapezoid_groups(self.node_ends)
         # what the residual diagnostics read: the open-end rows with their
         # segments, the junction rows, and every (junction, child) pair in
         # kids order
@@ -322,10 +367,7 @@ def _solve(grid: GridTree, density: DensityField, settings: SolverSettings,
 
 
 def _assemble_profile(mesh: _Mesh, states, sweeps: int, change: float) -> VoltageProfile:
-    ends = mesh.node_ends
-    flat = [a[mesh.node_valid] for a in states]
-    seg_profiles = [SegmentProfile(seg_id, *(f[a:b] for f in flat))
-                    for seg_id, a, b in zip(mesh.rows, [0, *ends], ends)]
+    columns = [a[mesh.node_valid] for a in states]
     # conservation diagnostics straight off the converged arrays
     _, _, v, s, w = states
     v_end, s_end, w_end = (a[mesh.last] for a in (v, s, w))
@@ -339,7 +381,7 @@ def _assemble_profile(mesh: _Mesh, states, sweeps: int, change: float) -> Voltag
         np.add.at(total, parents, a[kids, 0])
         fed.append(total[junctions])
     return VoltageProfile(
-        segments=tuple(seg_profiles),
+        mesh.segment_ids, mesh.node_ends, *columns,
         sweeps=sweeps,
         last_change=change,
         terminal_v=tuple(zip(mesh.leaf_segs, v_end[leaves].tolist())),
@@ -349,6 +391,7 @@ def _assemble_profile(mesh: _Mesh, states, sweeps: int, change: float) -> Voltag
         junction_s_max=_worst(s_end[junctions] - fed[0]),
         junction_w_max=_worst(w_end[junctions] - fed[1]),
         junction_v_max=_worst(v[kids, 0] - v_end[parents]),
+        trapezoid_groups=mesh.trapezoid_groups,
     )
 
 

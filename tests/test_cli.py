@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import feederflow.dispatch as dispatch_module
+import feederflow.solver as solver_module
 from feederflow.cli import main
 from feederflow.scenarios import bundled_grid_path
 
@@ -373,3 +374,50 @@ def test_run_reads_plan_columns_and_builds_no_rows(tmp_path, monkeypatch, capsys
     data = (tmp_path / "dispatch.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == DISPATCH_CSV_SHA256[name, mode]
     assert f"stations: {len(data.splitlines()) - 2}" in capsys.readouterr().out
+
+
+# sha256 of profile.csv and metrics.json from `run --pref 0.1`, and of
+# xcheck.json from `xcheck --pref 0.1` on the single feeder, recorded when
+# the solver still returned one SegmentProfile per segment
+PROFILE_OUTPUT_SHA256 = {
+    ("single_feeder", "literal", "profile.csv"): "c1768812752758ceb0ce6351472b8ecb9bf4b34b036e38ef1e78fa15bc61feec",
+    ("single_feeder", "literal", "metrics.json"): "94b11e47a127f472aa00f3daccaf43bf4c9929fe6ab2a09be07373203aac69a1",
+    ("single_feeder", "literal", "xcheck.json"): "7027a5a041f43de72fb064c0768f16a4f7447a83700e77560423f5c22281f722",
+    ("single_feeder", "principle", "profile.csv"): "c1768812752758ceb0ce6351472b8ecb9bf4b34b036e38ef1e78fa15bc61feec",
+    ("single_feeder", "principle", "metrics.json"): "94b11e47a127f472aa00f3daccaf43bf4c9929fe6ab2a09be07373203aac69a1",
+    ("single_feeder", "principle", "xcheck.json"): "ec4908148ba5c1eee20049192cc247c648e21f2b1fffe9498d20f8bed7d42e29",
+    ("single_feeder", "uniform", "profile.csv"): "006570401fff9b8bce882dfea6bf996eae6f74f844a415b70b7ad7d63a6e75f9",
+    ("single_feeder", "uniform", "metrics.json"): "69f94580ff49fa039fb07999446d048889381b4474541a4e219403cb83c3af3d",
+    ("single_feeder", "uniform", "xcheck.json"): "824c665a23ffca7ce22c1fb52148603cb8a93761824f966e8c07f0540724fe15",
+    ("feeder_tree", "literal", "profile.csv"): "09902ab05c1e2d94f58c804ab0951075b3da0e66433ccee4ed88eadb05fe450f",
+    ("feeder_tree", "literal", "metrics.json"): "bb2c4c8d72a03adb2f4ae2af5f8a3b95c131edba1e18616f2e2f916e91331bee",
+    ("feeder_tree", "principle", "profile.csv"): "41bf01f2b2f398163ba7926d7347e5b7d59f5678a36bbbf49b98b31d9dbad89c",
+    ("feeder_tree", "principle", "metrics.json"): "3d2bc176c4fe17edf47072426b14c85dfab7d3622faf42db9e9b312988d44925",
+    ("feeder_tree", "uniform", "profile.csv"): "356b687bc2b7a94c329c50aa60a9205b6083c7247366acfc1dfc5f4b4b360541",
+    ("feeder_tree", "uniform", "metrics.json"): "fdbe15f99a1cf8e6110e4769fa631f032e8142f0955f9b02f0a078a850d7ea8c",
+}
+
+
+@pytest.mark.parametrize("name,mode", sorted({key[:2] for key in PROFILE_OUTPUT_SHA256}))
+def test_cli_reads_profile_columns_and_builds_no_rows(tmp_path, monkeypatch, name, mode):
+    built = []
+    row = solver_module.SegmentProfile
+
+    def counting(*args):
+        built.append(args[0])
+        return row(*args)
+
+    monkeypatch.setattr(solver_module, "SegmentProfile", counting)
+    grid = str(bundled_grid_path(name))
+    pinned = {"run": ("profile.csv", "metrics.json"), "compare": (), "xcheck": ("xcheck.json",)}
+    commands = ["run", "compare"] if mode != "uniform" else ["run"]
+    if name == "single_feeder":
+        commands.append("xcheck")
+    for command in commands:
+        out = tmp_path / command
+        assert main([command, "--grid", grid, "--mode", mode, "--pref", "0.1",
+                     "--out", str(out)]) == 0
+        for file in pinned[command]:
+            digest = hashlib.sha256((out / file).read_bytes()).hexdigest()
+            assert digest == PROFILE_OUTPUT_SHA256[name, mode, file], file
+    assert built == []

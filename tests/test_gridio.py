@@ -186,14 +186,13 @@ def test_profile_csv_layout(tmp_path, single_feeder):
 def test_profile_csv_bytes_match_fmt_float_per_value(tmp_path, name):
     grid = load_grid(bundled_grid_path(name))
     prof = solve_nonlinear(grid, power_density(grid, synthesize_tree(grid, 0.1)))
-    # signed zeros and non-finite values next to the solved ones
-    first = prof.segments[0]
-    w = first.w.copy()
+    # signed zeros and non-finite values next to the solved ones, on the
+    # first segment, whose nodes lead the columns
+    w = prof.w.copy()
     w[:5] = (-0.0, 0.0, float("nan"), -float("inf"), -1e-300)
-    theta = first.theta_rad.copy()
+    theta = prof.theta_rad.copy()
     theta[0] = -0.0
-    prof = dataclasses.replace(
-        prof, segments=(dataclasses.replace(first, w=w, theta_rad=theta), *prof.segments[1:]))
+    prof = dataclasses.replace(prof, w=w, theta_rad=theta)
     path = tmp_path / "profile.csv"
     write_profile_csv(path, prof)
     expected = [PROFILE_HEADER]

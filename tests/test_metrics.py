@@ -10,7 +10,6 @@ from feederflow import (
     ConvergenceError,
     DensityField,
     MetricsReport,
-    SegmentProfile,
     SolverSettings,
     VoltageCollapseError,
     VoltageProfile,
@@ -20,6 +19,7 @@ from feederflow import (
     synthesize_tree,
     uniform_baseline,
 )
+from feederflow.solver import _trapezoid_groups
 from test_tree import MANY_EDGE_SIGMA_KM, MANY_EDGE_STEP_KM, many_edge_tree, random_tree
 
 
@@ -83,16 +83,20 @@ def test_property_random_trees(case, mode):
 
 def _profile(lengths, rng):
     """Random samples on segments of the given numbers of points."""
-    segs = []
+    xs, vs, ws = [], [], []
     x0 = 0.0
-    for k, n in enumerate(lengths):
-        x = x0 + np.cumsum(rng.uniform(0.0, 0.1, n))
-        v = 1.0 + rng.normal(0.0, 0.02, n)
-        w = rng.normal(0.0, 0.05, n)
-        segs.append(SegmentProfile(f"s{k}", x, np.zeros(n), v, np.zeros(n), w))
-        x0 = float(rng.uniform(0.0, x[-1]))    # the next segment's range overlaps
-    return VoltageProfile(tuple(segs), 1, 0.0, (("s0", float(segs[0].v_pu[-1])),),
-                          0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    for n in lengths:
+        xs.append(x0 + np.cumsum(rng.uniform(0.0, 0.1, n)))
+        vs.append(1.0 + rng.normal(0.0, 0.02, n))
+        ws.append(rng.normal(0.0, 0.05, n))
+        x0 = float(rng.uniform(0.0, xs[-1][-1]))    # the next segment's range overlaps
+    ends = tuple(np.cumsum(lengths).tolist())
+    nodes = ends[-1]
+    return VoltageProfile(tuple(f"s{k}" for k in range(len(lengths))), ends,
+                          np.concatenate(xs), np.zeros(nodes), np.concatenate(vs),
+                          np.zeros(nodes), np.concatenate(ws),
+                          1, 0.0, (("s0", float(vs[0][-1])),), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                          _trapezoid_groups(ends))
 
 
 # around the pairwise sum's blocks of 8 and 128 terms, and one point (no term)

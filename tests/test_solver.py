@@ -1,8 +1,11 @@
+import dataclasses
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import feederflow.solver
 from feederflow import (
@@ -20,6 +23,7 @@ from feederflow import (
     synthesize,
     uniform_baseline,
 )
+from feederflow.grid import KERNEL_CUTOFF_SIGMAS
 
 
 def make_single(devices, length=5.0, g=3.881, b=6.856):
@@ -329,3 +333,120 @@ def test_monotone_sag_toward_unserved_end():
     dv = np.diff(seg.v_pu[inner])
     assert np.all(dv <= 1e-15)
     assert seg.v_pu[-1] < 1.0
+
+
+def test_a_profile_compares_by_identity_and_keeps_its_columns_read_only(single_feeder):
+    density = power_density(single_feeder, synthesize(single_feeder, 0.1))
+    a, b = (solve_nonlinear(single_feeder, density) for _ in range(2))
+    # two solves of one plan: equal columns, two profiles
+    assert a == a and a != b
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+    assert a.segments is a.segments
+    for name in ("x_km", "theta_rad", "v_pu", "s", "w"):
+        column, row = getattr(a, name), getattr(a.segments[0], name)
+        assert np.array_equal(column, getattr(b, name))
+        assert np.shares_memory(row, column)
+        for array in (column, row):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+
+# -- metamorphic properties on random single feeders -------------------------
+
+SPLIT_STEP_KM = 0.015
+SPLIT_SIGMA_KM = 0.03
+
+
+@st.composite
+def split_feeder(draw):
+    """A random valid single feeder of whole SPLIT_STEP_KM cells; the same
+    feeder cut at an interior cell boundary into a parent and a child fed
+    from the parent's far end, the devices beyond the cut moved to the
+    child; and station powers for both.  No device lies within a kernel
+    cut-off of the cut, so no kernel is cut there."""
+    cells = draw(st.integers(60, 300))
+    cut = draw(st.integers(20, cells - 20))
+    length, at = cells * SPLIT_STEP_KM, cut * SPLIT_STEP_KM
+    g, b = draw(st.floats(0.5, 8.0)), draw(st.floats(0.5, 8.0))
+    clear = KERNEL_CUTOFF_SIGMAS * SPLIT_SIGMA_KM + SPLIT_STEP_KM
+    # candidate positions more than 2 sigma apart, so no spacing warning
+    spots = [x for x in np.arange(0.05, length - 0.05, 0.07).tolist() if abs(x - at) > clear]
+    xis = draw(st.lists(st.sampled_from(spots), min_size=1, max_size=6, unique=True))
+    devices, power = [], {}
+    for k, xi in enumerate(xis):
+        if draw(st.booleans()):
+            raw = draw(st.floats(0.001, 0.2))
+            devices.append(Device("station", "main", xi, f"d{k}", p_min_pu=-raw, p_max_pu=raw))
+            power[f"d{k}"] = (draw(st.floats(-raw, raw)), 0.0)
+        else:
+            devices.append(Device("load", "main", xi, f"d{k}", p_pu=-draw(st.floats(0.0, 0.3)),
+                                  q_pu=draw(st.floats(-0.1, 0.1))))
+    base = PerUnitBase(1.0, 1.0)
+    whole = GridTree(base, (FeederSegment("main", length, g, b),), tuple(devices))
+    split = GridTree(
+        base,
+        (FeederSegment("main", at, g, b),
+         FeederSegment("tail", length - at, g, b, parent="main", offset_km=at)),
+        tuple(d if d.xi_km < at else dataclasses.replace(d, segment="tail") for d in devices),
+    )
+    return whole, split, power
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_feeder())
+def test_property_splitting_a_feeder_keeps_its_profile(case):
+    whole, split, power = case
+    mesh = SolverSettings(step_km=SPLIT_STEP_KM)
+    try:
+        ref = solve_nonlinear(whole, DensityField(whole, power, SPLIT_SIGMA_KM), mesh)
+    except (VoltageCollapseError, ConvergenceError):
+        return
+    got = solve_nonlinear(split, DensityField(split, power, SPLIT_SIGMA_KM), mesh)
+    main, tail = got.by_segment("main"), got.by_segment("tail")
+    # both meshes have the same nodes, up to rounding; the child's first
+    # node repeats the parent's last, with the same state
+    assert len(main.x_km) + len(tail.x_km) - 1 == len(ref.x_km)
+    for name in ("x_km", "theta_rad", "v_pu", "s", "w"):
+        joined = np.concatenate([getattr(main, name), getattr(tail, name)[1:]])
+        assert np.max(np.abs(joined - getattr(ref, name))) <= 1e-8, name
+
+
+def loadability_limit(xi_km, g, b):
+    """The largest unity-power-factor load that a line of g, b per km feeds
+    at xi_km from v(0) = 1, the nose of its PV curve.
+
+    Between the bank and a point load P, s = bP/z^2 is constant and v'' =
+    s^2/v^3, so v'^2 + s^2/v^2 is constant; with w(xi) = -gP/(z^2 v(xi))
+    this leaves a quadratic in u = 1/v(xi)^2,
+    (P^2/z^2) xi^2 u^2 - (1 - 2 xi gP/z^2) u + 1 = 0,
+    which has a root while P <= 1 / (2 xi (g/z^2 + 1/|z|)): the two-bus
+    limit V^2 / (2 (R + |Z|)) of the line's R + jX = xi / (g + jb)."""
+    z2 = g * g + b * b
+    return 1.0 / (2.0 * xi_km * (g / z2 + 1.0 / math.sqrt(z2)))
+
+
+def upper_branch_v(load, xi_km, g, b):
+    """v at a point load below the limit, the larger root of the quadratic."""
+    z2 = g * g + b * b
+    a, c = load * load / z2 * xi_km ** 2, 1.0 - 2.0 * xi_km * g * load / z2
+    return math.sqrt((c + math.sqrt(c * c - 4.0 * a)) / 2.0)
+
+
+LIMIT_SIGMA_KM = 0.01
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.5, 8.0), st.floats(0.5, 8.0), st.floats(1.0, 5.0),
+       st.sampled_from([0.3, 0.8, 1.02, 1.05, 1.2, 2.0, 10.0]))
+def test_property_a_load_beyond_the_loadability_limit_never_solves(g, b, xi, scale):
+    load = scale * loadability_limit(xi, g, b)
+    grid = make_single([Device("load", "main", xi, "l0", p_pu=-load)], length=xi + 0.1, g=g, b=b)
+    density = power_density(grid, None, sigma_km=LIMIT_SIGMA_KM)
+    if scale > 1.0:
+        with pytest.raises((VoltageCollapseError, ConvergenceError)):
+            solve_nonlinear(grid, density)
+        return
+    # below it the sweep finds the upper branch; the kernel's spread moves
+    # the terminal voltage by O(sigma)
+    prof = solve_nonlinear(grid, density)
+    assert abs(prof.v_pu[-1] - upper_branch_v(load, xi, g, b)) <= LIMIT_SIGMA_KM
