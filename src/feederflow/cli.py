@@ -9,8 +9,9 @@ Subcommands::
 
 Exit codes: 0 success, 1 domain error (invalid grid, bad request), 2 file
 error (unreadable or malformed input, unwritable output), 3 solver failure.
-Result files are byte-deterministic; FEEDERFLOW_OUT sets the default output
-directory (falling back to ./feederflow-out).
+Result files are byte-deterministic, and no command writes one unless every
+solve has succeeded; FEEDERFLOW_OUT sets the default output directory
+(falling back to ./feederflow-out).
 """
 from __future__ import annotations
 
@@ -22,18 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import ClosedFormProfile, injections_from_grid
-# synthesize is not called here, but it stays importable from this module:
-# perfbench/layers.py wraps it by name in this namespace
+# perfbench/layers.py traces the CLI by wrapping the pipeline's functions by
+# name in this namespace, so they stay module globals that the commands look
+# up when called; synthesize is not called here but is wrapped all the same
 from .dispatch import DispatchPlan, synthesize, synthesize_tree, uniform_baseline  # noqa: F401
 from .grid import GridTree, power_density, validate_grid
-from .gridio import (
-    GridFileError,
-    fmt_float,
-    load_grid,
-    write_dispatch_csv,
-    write_metrics_json,
-    write_profile_csv,
-)
+from .gridio import (GridFileError, fmt_float, load_grid, write_dispatch_csv,
+                     write_metrics_json, write_profile_csv)
 from .metrics import compute_metrics
 from .solver import SolverError, solve_linearized, solve_nonlinear
 
@@ -86,17 +82,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("FEEDERFLOW_OUT") or "feederflow-out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _request(args) -> tuple[GridTree, DispatchPlan]:
+    """The validated --grid and its plan for --pref in --mode."""
+    grid = load_grid(args.grid).validated()
+    if args.mode == "uniform":
+        return grid, uniform_baseline(grid, args.pref)
+    return grid, synthesize_tree(grid, args.pref, mode=args.mode)
 
 
-def _make_plan(grid: GridTree, pref: float, mode: str) -> DispatchPlan:
-    if mode == "uniform":
-        return uniform_baseline(grid, pref)
-    return synthesize_tree(grid, pref, mode=mode)
+def _evaluate(grid: GridTree, plan: DispatchPlan, sigma_km: float):
+    """The plan's density, its nonlinear profile and the profile's metrics."""
+    density = power_density(grid, plan, sigma_km=sigma_km)
+    profile = solve_nonlinear(grid, density)
+    return density, profile, compute_metrics(profile, plan)
+
+
+def _write(args, files: list) -> list[Path]:
+    """Create the output directory, write each (name, writer, value) in it
+    and return the paths written."""
+    out = Path(args.out or os.environ.get("FEEDERFLOW_OUT") or "feederflow-out")
+    out.mkdir(parents=True, exist_ok=True)
+    for name, writer, value in files:
+        writer(out / name, value)
+    return [out / name for name, _, _ in files]
 
 
 def cmd_validate(args) -> int:
@@ -112,77 +120,55 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    grid = load_grid(args.grid).validated()
-    plan = _make_plan(grid, args.pref, args.mode)
-    density = power_density(grid, plan, sigma_km=args.sigma)
-    profile = solve_nonlinear(grid, density)
-    report = compute_metrics(profile, plan)
-    out = _out_dir(args)
-    write_dispatch_csv(out / "dispatch.csv", plan)
-    write_profile_csv(out / "profile.csv", profile)
-    write_metrics_json(out / "metrics.json", report)
+    grid, plan = _request(args)
+    _, profile, report = _evaluate(grid, plan, args.sigma)
+    written = _write(args, [("dispatch.csv", write_dispatch_csv, plan),
+                            ("profile.csv", write_profile_csv, profile),
+                            ("metrics.json", write_metrics_json, report)])
     print(f"mode: {args.mode}  stations: {len(plan.ids)}")
     print(f"total_p: {fmt_float(report.total_p)}  leftover_p: {fmt_float(report.leftover_p)}")
     print(f"max_dev: {fmt_float(report.max_dev)}  l2_dev: {fmt_float(report.l2_dev)}"
           f"  min_terminal_v: {fmt_float(report.min_terminal_v)}")
     print(f"sweeps: {profile.sweeps}")
-    for name in ("dispatch.csv", "profile.csv", "metrics.json"):
-        print(f"wrote: {out / name}")
+    for path in written:
+        print(f"wrote: {path}")
     return EXIT_OK
 
 
-def _reduction_pct(ref: float, got: float) -> float:
-    # 0/0 means the two runs coincide: report no change, not NaN
-    if ref == 0.0:
-        return 0.0
-    return 100.0 * (ref - got) / ref
-
-
 def cmd_compare(args) -> int:
-    grid = load_grid(args.grid).validated()
-    plans = {
-        "synthesized": _make_plan(grid, args.pref, args.mode),
-        "uniform": uniform_baseline(grid, args.pref),
-    }
-    reports = {}
-    out = _out_dir(args)
+    grid, synthesized = _request(args)
+    plans = {"synthesized": synthesized, "uniform": uniform_baseline(grid, args.pref)}
+    reports, files = {}, []
     for label, plan in plans.items():
-        density = power_density(grid, plan, sigma_km=args.sigma)
-        profile = solve_nonlinear(grid, density)
-        reports[label] = compute_metrics(profile, plan)
-        write_dispatch_csv(out / f"dispatch_{label}.csv", plan)
-        write_profile_csv(out / f"profile_{label}.csv", profile)
+        _, profile, reports[label] = _evaluate(grid, plan, args.sigma)
+        files += [(f"dispatch_{label}.csv", write_dispatch_csv, plan),
+                  (f"profile_{label}.csv", write_profile_csv, profile)]
     summary = {label: rep.as_dict() for label, rep in reports.items()}
-    summary["flatter_max_dev"] = reports["synthesized"].max_dev < reports["uniform"].max_dev
-    summary["flatter_l2_dev"] = reports["synthesized"].l2_dev < reports["uniform"].l2_dev
-    summary["max_dev_reduction_pct"] = _reduction_pct(
-        reports["uniform"].max_dev, reports["synthesized"].max_dev)
-    summary["l2_dev_reduction_pct"] = _reduction_pct(
-        reports["uniform"].l2_dev, reports["synthesized"].l2_dev)
-    write_metrics_json(out / "compare.json", summary)
-    for label in ("synthesized", "uniform"):
-        rep = reports[label]
+    for key in ("max_dev", "l2_dev"):
+        ref, got = summary["uniform"][key], summary["synthesized"][key]
+        summary[f"flatter_{key}"] = got < ref
+        # 0/0 means the two runs coincide: report no change, not NaN
+        summary[f"{key}_reduction_pct"] = 100.0 * (ref - got) / ref if ref != 0.0 else 0.0
+    written = _write(args, files + [("compare.json", write_metrics_json, summary)])
+    for label, rep in reports.items():
         print(f"{label}: max_dev {fmt_float(rep.max_dev)}  l2_dev {fmt_float(rep.l2_dev)}"
               f"  min_terminal_v {fmt_float(rep.min_terminal_v)}")
     print(f"flatter_max_dev: {summary['flatter_max_dev']}"
           f"  flatter_l2_dev: {summary['flatter_l2_dev']}")
     print(f"max_dev reduction: {fmt_float(summary['max_dev_reduction_pct'])}%"
           f"  l2_dev reduction: {fmt_float(summary['l2_dev_reduction_pct'])}%")
-    print(f"wrote: {out / 'compare.json'}")
+    print(f"wrote: {written[-1]}")
     return EXIT_OK
 
 
 def cmd_xcheck(args) -> int:
-    grid = load_grid(args.grid).validated()
+    grid, plan = _request(args)
     if not grid.is_single_feeder():
-        print("error: xcheck needs a single straight feeder "
-              "(closed forms are not defined across junctions)", file=sys.stderr)
-        return EXIT_DOMAIN
-    plan = _make_plan(grid, args.pref, args.mode)
-    closed = ClosedFormProfile(injections_from_grid(grid, plan))
-    density = power_density(grid, plan, sigma_km=args.sigma)
+        raise ValueError("xcheck needs a single straight feeder "
+                         "(closed forms are not defined across junctions)")
+    density, non, _ = _evaluate(grid, plan, args.sigma)
     lin = solve_linearized(grid, density)
-    non = solve_nonlinear(grid, density)
+    closed = ClosedFormProfile(injections_from_grid(grid, plan))
     x = lin.x_km    # the one segment's nodes
     mask = np.ones(x.shape, dtype=bool)
     for inj in closed.inj.injections:   # the loads and the placed stations
@@ -205,33 +191,28 @@ def cmd_xcheck(args) -> int:
         "nonlinear_tol": NONLINEAR_TOL,
         "nonlinear_ok": sup_nonlinear <= NONLINEAR_TOL,
     }
-    out = _out_dir(args)
-    write_metrics_json(out / "xcheck.json", payload)
+    written = _write(args, [("xcheck.json", write_metrics_json, payload)])
     print(f"analytic vs linearized (>= {MASK_SIGMAS:g} sigma from devices): "
           f"{fmt_float(sup_analytic)}  ok: {payload['analytic_ok']}")
     print(f"linearized vs nonlinear: {fmt_float(sup_nonlinear)}"
           f"  ok: {payload['nonlinear_ok']}")
-    print(f"wrote: {out / 'xcheck.json'}")
+    print(f"wrote: {written[0]}")
     return EXIT_OK
 
 
+# the exit code of each error a command may raise; the first class that
+# matches wins (io.UnsupportedOperation is an OSError and a ValueError)
+EXIT_CODES = {GridFileError: EXIT_IO, OSError: EXIT_IO, SolverError: EXIT_SOLVER,
+              ValueError: EXIT_DOMAIN}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GridFileError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

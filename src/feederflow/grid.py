@@ -302,6 +302,10 @@ def _nonfinite(what: str, item, names: tuple[str, ...]) -> list[str]:
             for name in names if not math.isfinite(getattr(item, name))]
 
 
+# characters that would break an id written unquoted into a CSV file
+CSV_UNSAFE = frozenset(',"\r\n')
+
+
 def validate_grid(grid: GridTree) -> GridValidationReport:
     """Collect every structural violation instead of failing on the first."""
     bad: list[str] = []
@@ -309,6 +313,8 @@ def validate_grid(grid: GridTree) -> GridValidationReport:
     for s in grid.segments:
         if s.id in seen_ids:
             bad.append(f"segment id {s.id!r} is duplicated")
+        elif not CSV_UNSAFE.isdisjoint(s.id):
+            bad.append(f"segment id {s.id!r} holds a comma, quote or line break")
         seen_ids.add(s.id)
         if not (s.length_km > 0.0 and math.isfinite(s.length_km)):
             bad.append(f"segment {s.id!r}: length must be positive, got {s.length_km}")
@@ -343,6 +349,8 @@ def validate_grid(grid: GridTree) -> GridValidationReport:
             bad.append(f"device {label}: id must be non-empty")
         elif d.id in dev_ids:
             bad.append(f"device id {d.id!r} is duplicated")
+        elif not CSV_UNSAFE.isdisjoint(d.id):
+            bad.append(f"device id {d.id!r} holds a comma, quote or line break")
         dev_ids.add(d.id)
         if d.kind not in ("load", "station"):
             bad.append(f"device {label}: unknown kind {d.kind!r}")

@@ -27,8 +27,9 @@ Grid files are YAML with three sections::
         p_max_pu: 0.0334
 
 Unknown keys are rejected so typos cannot silently change a study.  All
-writers emit platform-independent bytes: 12 significant digits, "\n"
-newlines, no timestamps, negative zero normalized.
+writers emit platform-independent bytes: "\n" newlines, no timestamps,
+negative zero normalized; the CSV files give floats 12 significant digits,
+the JSON files Python's shortest round-trip repr.
 """
 from __future__ import annotations
 
@@ -301,7 +302,15 @@ def write_dispatch_csv(path: str | Path, plan: DispatchPlan) -> None:
     _write_lines(path, lines)
 
 
+def _plus_zero(value):
+    """value with each float -0.0 in it, nested dicts included, made 0.0."""
+    if isinstance(value, dict):
+        return {k: _plus_zero(v) for k, v in value.items()}
+    return value + 0.0 if isinstance(value, float) else value
+
+
 def write_metrics_json(path: str | Path, report: MetricsReport | dict) -> None:
-    payload = report.as_dict() if isinstance(report, MetricsReport) else dict(report)
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    """Sorted keys, two-space indent, floats in Python's shortest repr."""
+    payload = report.as_dict() if isinstance(report, MetricsReport) else report
+    text = json.dumps(_plus_zero(payload), indent=2, sort_keys=True)
     Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")

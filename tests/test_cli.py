@@ -1,12 +1,20 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
+import feederflow.cli as cli_module
 import feederflow.dispatch as dispatch_module
 import feederflow.solver as solver_module
 from feederflow.cli import main
@@ -421,3 +429,182 @@ def test_cli_reads_profile_columns_and_builds_no_rows(tmp_path, monkeypatch, nam
             digest = hashlib.sha256((out / file).read_bytes()).hexdigest()
             assert digest == PROFILE_OUTPUT_SHA256[name, mode, file], file
     assert built == []
+
+
+# sha256 of the five files that `compare --pref 0.1` writes, recorded before
+# run, compare and xcheck shared one request step and one evaluate step
+COMPARE_OUTPUT_SHA256 = {
+    ("single_feeder", "literal", "compare.json"): "e6a2dd63c0299361680919ce8f4d0949fc806686877e2195d6cb567dc9df17b6",
+    ("single_feeder", "literal", "dispatch_synthesized.csv"): "349fa2b5d05f3ca9d815d19d937f3a77df65cee357e6af081232f29727d3412c",
+    ("single_feeder", "literal", "dispatch_uniform.csv"): "23f25e0b22b97f86e7eb0d94d21ab0371e0c17ad2bb1c90c588acc2d10ef74f4",
+    ("single_feeder", "literal", "profile_synthesized.csv"): "c1768812752758ceb0ce6351472b8ecb9bf4b34b036e38ef1e78fa15bc61feec",
+    ("single_feeder", "literal", "profile_uniform.csv"): "006570401fff9b8bce882dfea6bf996eae6f74f844a415b70b7ad7d63a6e75f9",
+    ("single_feeder", "principle", "compare.json"): "e6a2dd63c0299361680919ce8f4d0949fc806686877e2195d6cb567dc9df17b6",
+    ("single_feeder", "principle", "dispatch_synthesized.csv"): "349fa2b5d05f3ca9d815d19d937f3a77df65cee357e6af081232f29727d3412c",
+    ("single_feeder", "principle", "dispatch_uniform.csv"): "23f25e0b22b97f86e7eb0d94d21ab0371e0c17ad2bb1c90c588acc2d10ef74f4",
+    ("single_feeder", "principle", "profile_synthesized.csv"): "c1768812752758ceb0ce6351472b8ecb9bf4b34b036e38ef1e78fa15bc61feec",
+    ("single_feeder", "principle", "profile_uniform.csv"): "006570401fff9b8bce882dfea6bf996eae6f74f844a415b70b7ad7d63a6e75f9",
+    ("feeder_tree", "literal", "compare.json"): "f81f0214d173deb16e1f29314156eb319b14d07c7821e58276b0a2e2591f0c9f",
+    ("feeder_tree", "literal", "dispatch_synthesized.csv"): "2f1bb00193218286357539dfcdf5692ae422f460740ef5d5839df7ebe18a96ab",
+    ("feeder_tree", "literal", "dispatch_uniform.csv"): "d9f5dea42f33748308d41dedcb4b8d731a2f8f65124b889fe92cfe967fa5e619",
+    ("feeder_tree", "literal", "profile_synthesized.csv"): "09902ab05c1e2d94f58c804ab0951075b3da0e66433ccee4ed88eadb05fe450f",
+    ("feeder_tree", "literal", "profile_uniform.csv"): "356b687bc2b7a94c329c50aa60a9205b6083c7247366acfc1dfc5f4b4b360541",
+    ("feeder_tree", "principle", "compare.json"): "bd02ef5e1465bcfa9f4a37d6ce04a2b14190b7c3c31d6174e21913b22498977e",
+    ("feeder_tree", "principle", "dispatch_synthesized.csv"): "99f289a246fb2f49ad11edebf9ad724a6cd7842033a0cd018ffc767772315878",
+    ("feeder_tree", "principle", "dispatch_uniform.csv"): "d9f5dea42f33748308d41dedcb4b8d731a2f8f65124b889fe92cfe967fa5e619",
+    ("feeder_tree", "principle", "profile_synthesized.csv"): "41bf01f2b2f398163ba7926d7347e5b7d59f5678a36bbbf49b98b31d9dbad89c",
+    ("feeder_tree", "principle", "profile_uniform.csv"): "356b687bc2b7a94c329c50aa60a9205b6083c7247366acfc1dfc5f4b4b360541",
+}
+
+# sha256 of stdout with `--pref 0.1 --out o`, recorded at the same commit;
+# xcheck refuses the tree with exit 1, one stderr line and no stdout
+STDOUT_SHA256 = {
+    ("single_feeder", "literal", "run"): "9d0b49dfb7e037a2ecc1e1e0af0b7fd6c818aca8bd43f23286b52ec279d16471",
+    ("single_feeder", "literal", "compare"): "a8c4ae9d188ea91d8d01b94d1b7eebc4932a253398ef7766419b913c2c9de48d",
+    ("single_feeder", "literal", "xcheck"): "211561ac876c04c66ad4ed082848c16b5bbc5010df6365642eadff18b97bab5d",
+    ("single_feeder", "principle", "run"): "ae52df7b8b4d08eb1737d58dbc73136c8036eee881429987fd995c1f2ddc69c4",
+    ("single_feeder", "principle", "compare"): "a8c4ae9d188ea91d8d01b94d1b7eebc4932a253398ef7766419b913c2c9de48d",
+    ("single_feeder", "principle", "xcheck"): "211561ac876c04c66ad4ed082848c16b5bbc5010df6365642eadff18b97bab5d",
+    ("feeder_tree", "literal", "run"): "de3b01c8c7f768894831155cb2b61c710c0cc237c17123324077d5a02c904d9e",
+    ("feeder_tree", "literal", "compare"): "b3dcdc0f5d7755781816082d2765245ffcb554ebd902093d8c7a30b98d786771",
+    ("feeder_tree", "principle", "run"): "2a6e92dce727345a0e9d9843d596467beab4ca86f40955f411534e6cddfdaca2",
+    ("feeder_tree", "principle", "compare"): "4141204eed791882bdb048e89eb1aec8a70d2721c020cb8234b70f86d4fc6139",
+}
+
+
+@pytest.mark.parametrize("name", ["single_feeder", "feeder_tree"])
+@pytest.mark.parametrize("mode", ["literal", "principle"])
+@pytest.mark.parametrize("command", ["run", "compare", "xcheck"])
+def test_cli_outputs_match_their_pins(tmp_path, monkeypatch, capsys, command, mode, name):
+    monkeypatch.chdir(tmp_path)
+    code = main([command, "--grid", str(bundled_grid_path(name)), "--mode", mode,
+                 "--pref", "0.1", "--out", "o"])
+    out, err = capsys.readouterr()
+    if (name, mode, command) not in STDOUT_SHA256:
+        assert (code, out) == (1, "")
+        assert err == ("error: xcheck needs a single straight feeder "
+                       "(closed forms are not defined across junctions)\n")
+        assert not (tmp_path / "o").exists()
+        return
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[name, mode, command]
+    if command == "compare":
+        written = sorted(p.name for p in (tmp_path / "o").iterdir())
+        assert written == sorted(f for n, m, f in COMPARE_OUTPUT_SHA256 if (n, m) == (name, mode))
+        for file in written:
+            digest = hashlib.sha256((tmp_path / "o" / file).read_bytes()).hexdigest()
+            assert digest == COMPARE_OUTPUT_SHA256[name, mode, file], file
+
+
+def test_compare_writes_nothing_when_the_second_solve_fails(tmp_path, monkeypatch, capsys):
+    calls = []
+    solve = cli_module.solve_nonlinear
+
+    def second_call_collapses(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise solver_module.VoltageCollapseError(0.42)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "solve_nonlinear", second_call_collapses)
+    out = tmp_path / "o"
+    assert main(["compare", "--grid", SINGLE, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: voltage collapse region: v dropped to 0.4200 pu (floor 0.5)\n"
+    assert len(calls) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv,file,key", [
+    (["run", "--mode", "uniform"], "metrics.json", "leftover_p"),
+    (["compare"], "compare.json", "uniform"),
+    (["xcheck"], "xcheck.json", "pref"),
+])
+def test_json_files_write_no_negative_zero(tmp_path, capsys, argv, file, key):
+    out = tmp_path / "o"
+    assert main([*argv, "--grid", SINGLE, "--pref=-0.0", "--out", str(out)]) == 0
+    text = (out / file).read_text()
+    assert "-0.0" not in text
+    value = json.loads(text)[key]
+    value = value["leftover_p"] if isinstance(value, dict) else value
+    assert (value, math.copysign(1.0, value)) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+def test_ids_that_would_break_the_csv_files_are_rejected(tmp_path, capsys, char):
+    seg, station = f"ma{char}in", f"st{char}1"
+    path = tmp_path / "ids.yaml"
+    path.write_text(yaml.safe_dump({
+        "segments": [{"id": seg, "length_km": 5.0, "g_pu_per_km": 3.881,
+                      "b_pu_per_km": 6.856}],
+        "devices": [{"kind": "station", "segment": seg, "xi_km": 1.0, "id": station,
+                     "p_min_pu": -0.03, "p_max_pu": 0.03}],
+    }))
+    assert main(["validate", "--grid", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert f"violation: segment id {seg!r} holds a comma, quote or line break\n" in out
+    assert f"violation: device id {station!r} holds a comma, quote or line break\n" in out
+    assert main(["run", "--grid", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert repr(station) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# a grid with every field that validate_grid checks for finiteness: the
+# child segment's offset, loads with p and q, and a station's bounds
+FIELD_GRID = {
+    "segments": [
+        {"id": "m", "length_km": 5.0, "g_pu_per_km": 3.881, "b_pu_per_km": 6.856},
+        {"id": "c", "parent": "m", "offset_km": 2.0, "length_km": 1.0,
+         "g_pu_per_km": 3.881, "b_pu_per_km": 6.856},
+    ],
+    "devices": [
+        {"kind": "load", "segment": "m", "xi_km": 4.0, "p_pu": -0.05, "q_pu": -0.01},
+        {"kind": "load", "segment": "c", "xi_km": 2.5, "p_pu": -0.02, "q_pu": 0.0},
+        {"kind": "station", "segment": "m", "xi_km": 1.0, "p_min_pu": -0.03, "p_max_pu": 0.03},
+    ],
+}
+
+# what validate_grid's message says about each field, given the value's str
+FIELD_MESSAGES = {
+    "length_km": "length must be positive, got {}",
+    "g_pu_per_km": "g_pu_per_km must be finite, got {}",
+    "b_pu_per_km": "b_pu_per_km must be finite, got {}",
+    "offset_km": "attachment offset {} outside",
+    "xi_km": "xi={} must lie strictly inside",
+    "p_pu": "p_pu must be finite, got {}",
+    "q_pu": "q_pu must be finite, got {}",
+    "p_min_pu": "p_min_pu must be finite, got {}",
+    "p_max_pu": "p_max_pu must be finite, got {}",
+}
+
+
+@st.composite
+def grids_with_one_non_finite_number(draw):
+    """FIELD_GRID with one numeric field set to YAML's .nan, .inf or -.inf."""
+    section = draw(st.sampled_from(["segments", "devices"]))
+    index = draw(st.integers(0, len(FIELD_GRID[section]) - 1))
+    entry = FIELD_GRID[section][index]
+    field = draw(st.sampled_from(sorted(k for k in entry if k in FIELD_MESSAGES)))
+    token = draw(st.sampled_from([".nan", ".inf", "-.inf"]))
+    doc = yaml.safe_load(yaml.safe_dump(FIELD_GRID))
+    doc[section][index][field] = "TOKEN"
+    text = yaml.safe_dump(doc).replace("TOKEN", token)
+    return text, field, str(yaml.safe_load(token))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids_with_one_non_finite_number())
+def test_a_non_finite_number_in_any_checked_field_is_named(case):
+    text, field, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "grid.yaml", Path(tmp) / "o"
+        path.write_text(text)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert main(["validate", "--grid", str(path)]) == 1
+            assert main(["run", "--grid", str(path), "--out", str(out)]) == 1
+        message = FIELD_MESSAGES[field].format(value)
+        assert message in stdout.getvalue()
+        assert stderr.getvalue().startswith("error: invalid grid: ")
+        assert message in stderr.getvalue()
+        assert not out.exists()

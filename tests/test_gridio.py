@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 import yaml
@@ -229,3 +230,21 @@ def test_metrics_json_is_sorted_and_round_trips(tmp_path, single_feeder):
     data = json.loads(text)
     assert data["total_p"] == 0.1
     assert list(data) == sorted(data)
+
+
+def test_metrics_json_normalizes_negative_zero_at_every_depth(tmp_path, single_feeder):
+    plan = synthesize(single_feeder, 0.1)
+    prof = solve_nonlinear(single_feeder, power_density(single_feeder, plan))
+    rep = dataclasses.replace(compute_metrics(prof, plan), leftover_p=-0.0,
+                              w_flatness={"main": -0.0})
+    path = tmp_path / "m.json"
+    write_metrics_json(path, rep)
+    write_metrics_json(tmp_path / "d.json", {"pref": -0.0, "nested": {"deeper": {"x": -0.0}},
+                                             "flag": False, "count": 0})
+    for text in (path.read_text(), (tmp_path / "d.json").read_text()):
+        assert "-0.0" not in text
+    data = json.loads(path.read_text())
+    assert math.copysign(1.0, data["leftover_p"]) == 1.0
+    assert math.copysign(1.0, data["w_flatness"]["main"]) == 1.0
+    assert json.loads((tmp_path / "d.json").read_text()) == {
+        "pref": 0.0, "nested": {"deeper": {"x": 0.0}}, "flag": False, "count": 0}

@@ -224,6 +224,57 @@ def test_mesh_budget_counts_every_padded_node(monkeypatch):
     assert solve_nonlinear(grid, DensityField(grid, None, 0.05)).sweeps > 0
 
 
+# a 4 km trunk tapped at 1.5 km by two laterals (one interior cut, shared)
+# and at its far end by a third: 2 + 3 edges, every width exact in binary
+TAPPED_TREE = GridTree(
+    PerUnitBase(12.0e6, 6600.0),
+    (FeederSegment("trunk", 4.0, 3.881, 6.856),
+     FeederSegment("a", 1.25, 3.881, 6.856, parent="trunk", offset_km=1.5),
+     FeederSegment("b", 0.75, 3.881, 6.856, parent="trunk", offset_km=1.5),
+     FeederSegment("c", 2.5, 3.881, 6.856, parent="trunk", offset_km=4.0)),
+    (),
+)
+
+
+def mesh_nodes(grid, sigma):
+    """edges x (most cells + 1), counted from the geometry: each segment is
+    cut at its children's interior offsets, and an edge of width w with step
+    min(length/2000, sigma/2) takes the fewest cells (at least 2) whose
+    width is at most the step, up to rounding."""
+    edges, cells = 0, 2
+    for s in grid.segments:
+        step = min(s.length_km / 2000.0, sigma / 2.0)
+        taps = {c.offset_km for c in grid.segments if c.parent == s.id and c.offset_km < s.length_km}
+        bounds = [0.0, *sorted(taps), s.length_km]
+        edges += len(bounds) - 1
+        for a, b in zip(bounds, bounds[1:]):
+            ratio = (b - a) / step
+            near = round(ratio)
+            cells = max(cells, near if abs(ratio - near) < 1e-9 else math.ceil(ratio))
+    return edges * (cells + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigma=st.floats(1e-3, 1.0), slack=st.integers(-3, 3))
+def test_mesh_is_refused_exactly_above_the_node_limit(sigma, slack):
+    # a small limit around the counted size: nothing large is allocated
+    nodes = mesh_nodes(TAPPED_TREE, sigma)
+    limit = nodes + slack
+    original = feederflow.solver.MAX_MESH_NODES
+    feederflow.solver.MAX_MESH_NODES = limit
+    try:
+        if nodes > limit:
+            message = (f"sigma={sigma} km needs a mesh of {nodes:.4g} nodes, "
+                       f"more than MAX_MESH_NODES={limit}")
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                feederflow.solver._Mesh(TAPPED_TREE, SolverSettings(), sigma)
+        else:
+            mesh = feederflow.solver._Mesh(TAPPED_TREE, SolverSettings(), sigma)
+            assert mesh.x.size == nodes
+    finally:
+        feederflow.solver.MAX_MESH_NODES = original
+
+
 def test_profile_accessors(feeder_tree):
     prof = solve_nonlinear(feeder_tree, power_density(feeder_tree, None))
     assert {sp.segment_id for sp in prof.segments} == {"trunk", "fdrA", "fdrB", "fdrA1", "fdrA2"}
