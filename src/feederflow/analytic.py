@@ -100,7 +100,6 @@ class ClosedFormProfile:
         for k in range(2, n + 1):
             f[k] = f[k - 1] + self._C[k - 1] ** 2 * (xi[k - 1] - xi[k - 2]) / z4
         self._f = f
-        self._xi_desc = xi
         self._xi_asc = xi[::-1].copy()
         # interval with k injections beyond: upper end xi_k, lower end xi_{k+1}
         # (the bank, 0, for k = N)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, pairwise
+from itertools import chain, pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -56,14 +56,14 @@ def station_q_caps(p: np.ndarray) -> np.ndarray:
 # device power, far below the 1e-6 quadrature tolerance.
 KERNEL_CUTOFF_SIGMAS = 6.0
 
-# The kernel pair search of DensityField.sample evaluates kernels this many
-# devices at a time, which bounds its temporary arrays to about this many
-# windows of samples, and fewer when the windows are wide: a block holds
-# about DENSITY_BLOCK_PAIRS (device, sample) pairs on average, so that its
-# arrays (96 KiB of float64) stay below the 128 KiB above which glibc's
-# malloc maps fresh pages for every array, page faults that cost more than
-# the kernels on a fine mesh.
-DENSITY_BLOCK_DEVICES = 256
+# The kernel pair search of DensityField.sample evaluates kernels a block of
+# devices at a time, sized so that a block holds about this many (device,
+# sample) pairs on average.  Its arrays (96 KiB of float64) then stay below
+# the 128 KiB above which glibc's malloc maps fresh pages for every array,
+# page faults that cost more than the kernels on a fine mesh.  The blocks
+# also bound the search's peak memory: on a 1000-station 50 km feeder (48k
+# pairs), one pass over all pairs takes the temporaries from 0.73 to 2.1 MB
+# and that study's peak RSS from 47.6 to 49.2 MB.
 DENSITY_BLOCK_PAIRS = 12288
 
 # A GridTree caches at most this many meshes, density layouts, ... of each
@@ -177,9 +177,9 @@ class GridTree:
 
     - the solver mesh, keyed by (step_km, sigma), with its sample runs,
       midpoints, valid-cell masks, leaf rows and junction children;
-    - the density layout, one per grid: a column for every load and
-      station, the loads' p and q, the station slots and derated bounds,
-      and the kernel pairs of its last sampling;
+    - the density layout, one per grid: a column for every device, the
+      loads' p and q, the station slots and derated bounds;
+    - the density's kernel pairs, keyed by (sigma, sample runs, samples);
     - per tuple of station ids, the placement of the stations a plan or
       mapping with those ids places: each layout station's position among
       them, or -1 when it is idle, and each segment's closest spacing of
@@ -398,14 +398,11 @@ def _check_sigma(sigma_km: float) -> None:
 
 
 class _Pairs(NamedTuple):
-    """The (device, sample) pairs of one sampling, found for this sigma,
-    these runs and these x.  They are device-major: device k, layout column
+    """The (device, sample) pairs of one sampling, kept on the grid per
+    sigma, runs and x.  They are device-major: device k, layout column
     cols[k], owns the next kept[k] pairs, each a sample index idx and a
     kernel value kern."""
 
-    sigma_km: float
-    runs: list
-    x: np.ndarray
     idx: np.ndarray
     kern: np.ndarray
     cols: np.ndarray
@@ -413,37 +410,32 @@ class _Pairs(NamedTuple):
 
 
 class _Layout:
-    """The density columns of a grid: one per load and one per station.
+    """The density columns of a grid: column k is grid.devices[k].
 
-    Devices are grouped by segment, in the order of each segment's first
-    device, and keep declaration order within it.  xpq holds each column's
-    centre and the loads' p and q, with 0.0 for the stations, whose values a
-    density writes at slots: an idle station keeps 0.0 and adds +0.0 to each
-    sum, which changes no bit.  stations are the grid's stations in
-    declaration order, slots their columns (by position: an unvalidated grid
-    may repeat an id), lo and hi their derated bounds.  pairs holds the
-    kernel pairs of the layout's last sampling: one set at most.
+    xpq holds each column's centre and the loads' p and q, with 0.0 for the
+    stations, whose values a density writes at slots: an idle station keeps
+    0.0 and adds +0.0 to each sum, which changes no bit.  columns maps each
+    segment to its loads' and stations' columns, in declaration order.
+    stations are the grid's stations in declaration order, slots their
+    columns (by position: an unvalidated grid may repeat an id), lo and hi
+    their derated bounds.
     """
 
     def __init__(self, grid: GridTree):
         self.stations = grid.stations()
-        cols: dict[str, list[int]] = {}    # segment -> positions in grid.devices
-        for k, d in enumerate(grid.devices):
-            if d.kind in ("load", "station"):
-                cols.setdefault(d.segment, []).append(k)
-        order = [k for ks in cols.values() for k in ks]
-        devices = [grid.devices[k] for k in order]
+        devices = grid.devices
         self.xpq = np.array([[d.xi_km for d in devices],
                              [d.p_pu if d.kind == "load" else 0.0 for d in devices],
                              [d.q_pu if d.kind == "load" else 0.0 for d in devices]], dtype=float)
-        column = {k: c for c, k in enumerate(order)}
-        self.slots = np.array([column[k] for k, d in enumerate(grid.devices)
-                               if d.kind == "station"], dtype=np.intp)
-        ends = list(accumulate(map(len, cols.values())))
-        self.columns = {seg_id: slice(a, b) for seg_id, a, b in zip(cols, [0, *ends], ends)}
+        self.slots = np.array([k for k, d in enumerate(devices) if d.kind == "station"],
+                              dtype=np.intp)
+        cols: dict[str, list[int]] = {}
+        for k, d in enumerate(devices):
+            if d.kind in ("load", "station"):
+                cols.setdefault(d.segment, []).append(k)
+        self.columns = {seg_id: np.array(ks, dtype=np.intp) for seg_id, ks in cols.items()}
         self.lo = np.array([d.p_min_eff for d in self.stations], dtype=float)
         self.hi = np.array([d.p_max_eff for d in self.stations], dtype=float)
-        self.pairs: _Pairs | None = None
 
 
 def _station_columns(station_power) -> tuple[tuple, tuple, tuple]:
@@ -487,13 +479,13 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
     samples against its own segment's columns, device-major with devices in
     declaration order."""
     n_run = np.array([n for _, n in runs], dtype=np.intp)
-    columns = [layout.columns.get(seg_id, slice(0, 0)) for seg_id, _ in runs]
-    n_dev = np.array([c.stop - c.start for c in columns], dtype=np.intp)
+    none = np.empty(0, dtype=np.intp)
+    columns = [layout.columns.get(seg_id, none) for seg_id, _ in runs]
+    n_dev = np.array([c.size for c in columns], dtype=np.intp)
     if x.size == 0 or not n_dev.any():
-        return _Pairs(sigma_km, runs, x.copy(), np.empty(0, dtype=np.int32), np.empty(0),
-                      np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+        return _Pairs(np.empty(0, dtype=np.int32), np.empty(0), none, none)
     # each run's devices as layout columns, in declaration order
-    cols = np.concatenate([np.arange(c.start, c.stop) for c in columns])
+    cols = np.concatenate(columns)
     centres = layout.xpq[0, cols]
     cut = KERNEL_CUTOFF_SIGMAS * sigma_km
     # On a tree the x ranges of segments overlap, so each run is shifted
@@ -523,8 +515,7 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
     kern_all = np.empty(found)
     kept = counts.copy()    # per device, once the |dx| <= cut test has run
     m = 0
-    per_block = DENSITY_BLOCK_PAIRS * centres.size // max(found, 1)
-    per_block = min(max(per_block, 1), DENSITY_BLOCK_DEVICES)
+    per_block = max(DENSITY_BLOCK_PAIRS * centres.size // max(found, 1), 1)
     for b in range(0, centres.size, per_block):
         blk = slice(b, b + per_block)
         n = counts[blk]
@@ -543,7 +534,7 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
         idx_all[m:k] = idx
         kern_all[m:k] = norm * np.exp(-dx ** 2 / two_var)
         m = k
-    return _Pairs(sigma_km, runs, x.copy(), idx_all[:m], kern_all[:m], cols, kept)
+    return _Pairs(idx_all[:m], kern_all[:m], cols, kept)
 
 
 class DensityField:
@@ -561,22 +552,23 @@ class DensityField:
     samples inside its own cut-off window.  One call can sample every
     segment of a tree, each segment's samples given as a run, with one sort
     and one kernel pass for all of them.  The (device, sample, kernel)
-    pairs are kept on the layout and replayed with this field's powers
-    while sigma, the runs and x stay the same, so a repeated solve of a new
-    plan evaluates no kernel.
+    pairs are kept on the grid per sigma, runs and x, and replayed with
+    this field's powers, so a repeated solve of a new plan evaluates no
+    kernel.
     """
 
     def __init__(self, grid: GridTree, station_power, sigma_km: float):
         _check_sigma(sigma_km)
         ids, p, q = _station_columns(station_power)
         layout, index, min_gaps = _placement(grid, ids)
-        self._setup(layout, _station_pq(p, q, index), min_gaps, sigma_km)
+        self._setup(grid, layout, _station_pq(p, q, index), min_gaps, sigma_km)
 
-    def _setup(self, layout: _Layout, pq: np.ndarray, min_gaps: list, sigma_km: float) -> None:
+    def _setup(self, grid: GridTree, layout: _Layout, pq: np.ndarray, min_gaps: list,
+               sigma_km: float) -> None:
         """Take the layout's columns with its stations at pq; the spacing
         warnings point at the caller of DensityField or power_density."""
         self.sigma_km = sigma_km
-        self._layout = layout
+        self._grid, self._layout = grid, layout
         self._pq = layout.xpq[1:].copy()
         self._pq[:, layout.slots] = pq
         for seg_id, gap in min_gaps:
@@ -607,10 +599,8 @@ class DensityField:
         if covered != x.size:
             raise ValueError(f"runs cover {covered} samples, x_km has {x.size}")
         x_flat = x.reshape(-1)
-        pairs = self._layout.pairs
-        if (pairs is None or pairs.sigma_km != self.sigma_km or pairs.runs != runs
-                or not np.array_equal(pairs.x, x_flat)):
-            pairs = self._layout.pairs = _kernel_pairs(self._layout, self.sigma_km, runs, x_flat)
+        pairs = self._grid._cached("pairs", (self.sigma_km, tuple(runs), x_flat.tobytes()),
+                                   lambda: _kernel_pairs(self._layout, self.sigma_km, runs, x_flat))
         p = np.zeros(x.shape)
         q = np.zeros(x.shape)
         for out, power in ((p, self._pq[0]), (q, self._pq[1])):
@@ -650,12 +640,13 @@ def power_density(grid: GridTree, plan=None, sigma_km: float = 0.05) -> DensityF
             quantity = "Q"
             msg = f"station {d.id!r}: q={q[index[k]]} violates the power-factor cone"
         # a synthesized plan names the residuals that seeded the station
-        received = [f"{ev.amount} from {ev.source!r}" for ev in getattr(plan, "trace", ())
-                    if ev.quantity == quantity and ev.target == d.id]
+        received = [f"{amount} from {source!r}"
+                    for qty, amount, source, target in zip(*getattr(plan, "handoffs", ()))
+                    if qty == quantity and target == d.id]
         if received:
             msg += f"; {quantity} hand-offs received: " + ", ".join(received)
         raise ValueError(msg)
     _check_sigma(sigma_km)
     field = DensityField.__new__(DensityField)
-    field._setup(layout, pq, min_gaps, sigma_km)
+    field._setup(grid, layout, pq, min_gaps, sigma_km)
     return field

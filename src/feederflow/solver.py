@@ -190,8 +190,9 @@ class _Mesh:
     nodes end in the flattened profile and their trapezoid groups, and the
     leaf rows (with their segments) and junction rows (with their children)
     that the residual diagnostics read.  Every edge's cell count is known
-    before anything is allocated, and a mesh of more than MAX_MESH_NODES
-    padded nodes is refused.
+    before anything is allocated.  A mesh of more than MAX_MESH_NODES padded
+    nodes is refused, and so is one whose step exceeds sigma/2: a refused
+    mesh is never cached.
     """
 
     def __init__(self, grid: GridTree, settings: SolverSettings, sigma_km: float):
@@ -229,6 +230,11 @@ class _Mesh:
                              f"more than MAX_MESH_NODES={MAX_MESH_NODES}")
         n = [max(2, math.ceil(r - 1e-12)) for r in ratios]
         h = [w / k for w, k in zip(widths, n)]
+        if max(h) > sigma_km / 2.0 + 1e-15:
+            raise ValueError(
+                f"mesh step {max(h)} km exceeds sigma/2={sigma_km / 2.0}: "
+                "the density kernels would be under-resolved; lower step_km"
+            )
         # attach each child segment's first edge where the parent was cut
         for s in grid.segments:
             for c in grid.children_of(s.id):
@@ -330,14 +336,7 @@ def _sample_density(mesh: _Mesh, density: DensityField):
 def _solve(grid: GridTree, density: DensityField, settings: SolverSettings,
            nonlinear: bool) -> VoltageProfile:
     grid.validated()
-    sigma_km = density.sigma_km
-    mesh = _mesh(grid, settings, sigma_km)
-    coarsest = max(mesh.h)
-    if coarsest > sigma_km / 2.0 + 1e-15:
-        raise ValueError(
-            f"mesh step {coarsest} km exceeds sigma/2={sigma_km / 2.0}: "
-            "the density kernels would be under-resolved; lower step_km"
-        )
+    mesh = _mesh(grid, settings, density.sigma_km)
     p, q = _sample_density(mesh, density)
     gp_bq = mesh.g * p + mesh.b * q
     s = mesh.backward((mesh.b * p - mesh.g * q) / mesh.z2)

@@ -152,7 +152,9 @@ def test_vector_and_scalar_queries_agree():
     assert [cf.amplitude(float(x)) for x in xs] == list(vec)
 
 
-def test_domain_and_input_validation():
+def test_domain_and_input_validation(feeder_tree):
+    with pytest.raises(ValueError, match="single straight feeder"):
+        injections_from_grid(feeder_tree)
     cf = ClosedFormProfile(single_injection())
     with pytest.raises(ValueError, match="outside"):
         cf.amplitude(5.1)

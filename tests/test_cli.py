@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import feederflow.cli as cli_module
 import feederflow.dispatch as dispatch_module
 import feederflow.solver as solver_module
+from feederflow import Device, FeederSegment, GridTree, PerUnitBase, power_density, synthesize
 from feederflow.cli import main
 from feederflow.scenarios import bundled_grid_path
 
@@ -406,16 +407,22 @@ PROFILE_OUTPUT_SHA256 = {
 }
 
 
+def count_rows(monkeypatch) -> list:
+    """The kind of every SegmentProfile, StationDispatch and HandOff row
+    built from now on, in order."""
+    built = []
+    for module, kind in ((solver_module, "SegmentProfile"), (dispatch_module, "StationDispatch"),
+                         (dispatch_module, "HandOff")):
+        def counting(*args, row=getattr(module, kind)):
+            built.append(row.__name__)
+            return row(*args)
+        monkeypatch.setattr(module, kind, counting)
+    return built
+
+
 @pytest.mark.parametrize("name,mode", sorted({key[:2] for key in PROFILE_OUTPUT_SHA256}))
 def test_cli_reads_profile_columns_and_builds_no_rows(tmp_path, monkeypatch, name, mode):
-    built = []
-    row = solver_module.SegmentProfile
-
-    def counting(*args):
-        built.append(args[0])
-        return row(*args)
-
-    monkeypatch.setattr(solver_module, "SegmentProfile", counting)
+    built = count_rows(monkeypatch)
     grid = str(bundled_grid_path(name))
     pinned = {"run": ("profile.csv", "metrics.json"), "compare": (), "xcheck": ("xcheck.json",)}
     commands = ["run", "compare"] if mode != "uniform" else ["run"]
@@ -428,6 +435,22 @@ def test_cli_reads_profile_columns_and_builds_no_rows(tmp_path, monkeypatch, nam
         for file in pinned[command]:
             digest = hashlib.sha256((out / file).read_bytes()).hexdigest()
             assert digest == PROFILE_OUTPUT_SHA256[name, mode, file], file
+    assert built == []
+
+
+def test_a_rejected_plan_builds_no_rows(monkeypatch):
+    # far clamps and hands its residual to near, far outside near's bounds
+    grid = GridTree(PerUnitBase(1.0, 1.0), (FeederSegment("main", 5.0, 3.881, 6.856),), (
+        Device("station", "main", 3.0, "far", p_min_pu=-0.001, p_max_pu=0.001),
+        Device("station", "main", 1.0, "near", p_min_pu=-0.0001, p_max_pu=0.0001),
+        Device("load", "main", 3.5, "l", p_pu=-0.5),
+    ))
+    plan = synthesize(grid, 0.5)
+    built = count_rows(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        power_density(grid, plan)
+    assert str(err.value) == ("station 'near': p=0.4991 outside effective bounds "
+                              "[-9e-05, 9e-05]; P hand-offs received: 0.4991 from 'far'")
     assert built == []
 
 

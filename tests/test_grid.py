@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -87,6 +88,7 @@ def test_validate_collects_every_violation():
             FeederSegment("a", -1.0, 1.0, 2.0),            # dup id, bad length
             FeederSegment("b", 1.0, 1.0, 2.0, parent="zz", offset_km=0.5),
             FeederSegment("c", 1.0, 1.0, 0.0),                # B = 0
+            FeederSegment("d", 1.0, 1.0, 2.0, parent="d", offset_km=0.5),
         ),
         (
             Device("load", "a", 1.0, "l1", p_pu=0.5),       # load must be <= 0
@@ -94,13 +96,21 @@ def test_validate_collects_every_violation():
             Device("station", "a", 3.5, "s1", p_min_pu=0.1, p_max_pu=0.2),  # off-end + bounds
             Device("widget", "a", 1.0, "w1"),               # unknown kind
             Device("load", "nope", 1.0, "l3", p_pu=-0.1),   # unknown segment
+            Device("load", "a", 1.5, "l2", p_pu=-0.1),      # duplicated id
+            Device("load", "d", 9.0, "l4", p_pu=0.1),       # on an unreachable segment
         ),
     )
     report = validate_grid(grid)
     assert not report.ok
     text = "\n".join(report.violations)
+    # d's own violations, and none for the device on it
+    assert [v for v in report.violations if "'d'" in v or "l4" in v] == [
+        "segment 'd' is its own parent",
+        "segment 'd' is unreachable from the bank (parent cycle)",
+    ]
     for needle in (
         "duplicated",
+        "device id 'l2' is duplicated",
         "length must be positive",
         "unknown parent 'zz'",
         "segment 'c': G and B must be positive",
@@ -122,6 +132,19 @@ def test_validate_collects_every_violation():
         ),
     )
     assert "segment id 'A' is duplicated" in validate_grid(looped).violations
+    # a two-segment parent cycle has no root and reaches neither segment
+    cycle = GridTree(
+        PerUnitBase(1.0, 1.0),
+        (
+            FeederSegment("X", 1.0, 1.0, 2.0, parent="Y", offset_km=0.5),
+            FeederSegment("Y", 1.0, 1.0, 2.0, parent="X", offset_km=0.5),
+        ),
+    )
+    assert validate_grid(cycle).violations == (
+        "no root segment: every segment names a parent (cycle)",
+        "segment 'X' is unreachable from the bank (parent cycle)",
+        "segment 'Y' is unreachable from the bank (parent cycle)",
+    )
 
 
 def test_validate_rejects_unnamed_device():
@@ -429,6 +452,28 @@ def _mask_loop(kernels, sigma, x):
     return p, q
 
 
+# a large case: enough devices and samples for the pair search to run in
+# several blocks
+MANY_DEVICES = 515
+
+
+def _dense_count(n_dev, span, sigma):
+    """A sample count for np.linspace over span km that gives n_dev devices,
+    each at least 0.5 km inside the span, more than 2 * DENSITY_BLOCK_PAIRS
+    pairs in all: each device sees that many samples on the side of its
+    window that points into the span."""
+    per_device = 2 * grid_module.DENSITY_BLOCK_PAIRS // n_dev + 2
+    return 2 + math.ceil(per_device * span / min(6.0 * sigma, span / 2.0))
+
+
+def _spanned_blocks(grid):
+    """At least how many blocks the pair search of the grid's one sampling
+    ran in: the pairs it kept, at most the pairs it found, size the blocks."""
+    (pairs,) = grid._cache["pairs"].values()
+    n = pairs.cols.size
+    return -(-n // max(grid_module.DENSITY_BLOCK_PAIRS * n // max(pairs.kern.size, 1), 1))
+
+
 @st.composite
 def sampled_segment(draw):
     """A segment with loads, dispatched and idle stations, a neighbour
@@ -439,7 +484,7 @@ def sampled_segment(draw):
     length = draw(st.floats(0.5, 5.0))
     sigma = draw(st.floats(0.01, 0.3))
     many = draw(st.booleans())
-    n = 2 * grid_module.DENSITY_BLOCK_DEVICES + 3 if many else draw(st.integers(0, 30))
+    n = MANY_DEVICES if many else draw(st.integers(0, 30))
     kinds = rng.choice(["load", "station", "idle"], size=n)
     devices, power, kernels = [], {}, []
     for k, (kind, xi) in enumerate(zip(kinds, rng.uniform(0.0, length, n))):
@@ -456,7 +501,8 @@ def sampled_segment(draw):
                 power[f"d{k}"] = (p, q)
                 kernels.append((xi, p, q))
     devices.append(Device("load", "lat", length + 0.5, "other", p_pu=-0.3, q_pu=0.1))
-    mesh = np.linspace(-0.5, length + 0.5, draw(st.integers(0, 400)))
+    count = _dense_count(n, length + 1.0, sigma) if many else draw(st.integers(0, 400))
+    mesh = np.linspace(-0.5, length + 0.5, count)
     # kernel cut-offs and their floating-point neighbours
     edges = np.array([xi + s * 6.0 * sigma for xi, _, _ in kernels[:20] for s in (-1.0, 1.0)])
     edges = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
@@ -467,18 +513,42 @@ def sampled_segment(draw):
          FeederSegment("lat", 1.0, 1.0, 2.0, parent="main", offset_km=length)),
         tuple(devices),
     )
-    return grid, power, sigma, kernels, rng.permutation(x)
+    return grid, power, sigma, kernels, rng.permutation(x), many
 
 
 @pytest.mark.filterwarnings("ignore:sigma=")
 @settings(max_examples=60, deadline=None)
 @given(sampled_segment())
 def test_property_sample_equals_mask_loop_bit_for_bit(case):
-    grid, power, sigma, kernels, x = case
+    grid, power, sigma, kernels, x, many = case
     p, q = DensityField(grid, power, sigma).sample("main", x)
+    assert not many or _spanned_blocks(grid) >= 3
     p_ref, q_ref = _mask_loop(kernels, sigma, x)
     assert p.tobytes() == p_ref.tobytes()    # the sign of zero counts
     assert q.tobytes() == q_ref.tobytes()
+
+
+def test_kernel_pair_search_peak_memory_stays_in_blocks():
+    # a 50 km feeder with a station and a load in each of 1000 slots: about
+    # 48k pairs at sigma 0.05 km and step 0.025 km.  Searched in blocks of
+    # DENSITY_BLOCK_PAIRS pairs the temporaries peak at about 0.73 MB; in one
+    # pass over all pairs they would reach 2.1 MB.
+    rng = np.random.default_rng(0)
+    devices = []
+    for k, x0 in enumerate(0.1 + 0.0498 * np.arange(1000)):
+        xs, xl = x0 + 0.0498 * rng.uniform([0.05, 0.55], [0.45, 0.95])
+        devices.append(Device("station", "main", xs, f"s{k}", p_min_pu=-1e-5, p_max_pu=1e-5))
+        devices.append(Device("load", "main", xl, f"l{k}", p_pu=-1e-5))
+    layout = grid_module._Layout(make_single(devices, length=50.0))
+    x = 0.0125 + 0.025 * np.arange(2000)
+    tracemalloc.start()
+    try:
+        pairs = grid_module._kernel_pairs(layout, 0.05, [("main", x.size)], x)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 47_000 < pairs.kern.size < 49_000
+    assert peak - kept < 2 ** 20
 
 
 def test_sample_empty_and_deviceless():
@@ -513,7 +583,7 @@ def sampled_runs(draw):
     grid = GridTree(PerUnitBase(1.0, 1.0), tuple(segs), ())
     many = draw(st.booleans())
     devices, power, kernels = [], {}, {s.id: [] for s in segs}
-    for k in range(2 * grid_module.DENSITY_BLOCK_DEVICES + 3 if many else draw(st.integers(0, 40))):
+    for k in range(MANY_DEVICES if many else draw(st.integers(0, 40))):
         seg = segs[k % 4]
         kind = "idle" if seg.id == "quiet" else rng.choice(["load", "station", "idle"])
         lo, hi = grid.segment_start_km(seg.id), grid.segment_end_km(seg.id)
@@ -535,23 +605,28 @@ def sampled_runs(draw):
     edges = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
     ids = draw(st.lists(st.sampled_from(["trunk", "a", "b", "quiet", "ghost"]), min_size=1, max_size=6))
     runs = []
+    if many:    # a leading trunk run, dense enough for three blocks of pairs
+        n_trunk = sum(d.segment == "trunk" for d in devices)
+        mesh = np.linspace(-0.5, trunk + 0.5, _dense_count(n_trunk, trunk + 1.0, sigma))
+        runs.append(("trunk", rng.permutation(mesh)))
     for seg_id in ids:
         start = grid.segment_start_km(seg_id) if grid.has_segment(seg_id) else 0.0
         end = grid.segment_end_km(seg_id) if grid.has_segment(seg_id) else trunk
         mesh = np.linspace(start - 0.5, end + 0.5, draw(st.integers(0, 200)))
         x = np.concatenate([mesh, mesh[: draw(st.integers(0, 20))], edges, edges])
         runs.append((seg_id, rng.permutation(x)[: draw(st.integers(0, x.size))]))
-    return grid, power, sigma, kernels, runs
+    return grid, power, sigma, kernels, runs, many
 
 
 @pytest.mark.filterwarnings("ignore:sigma=")
 @settings(max_examples=60, deadline=None)
 @given(sampled_runs())
 def test_property_batched_sample_equals_per_run_calls_bit_for_bit(case):
-    grid, power, sigma, kernels, runs = case
+    grid, power, sigma, kernels, runs, many = case
     field = DensityField(grid, power, sigma)
     p, q = field.sample([(seg_id, x.size) for seg_id, x in runs],
                         np.concatenate([x for _, x in runs]))
+    assert not many or _spanned_blocks(grid) >= 3
     per_run = [field.sample(seg_id, x) for seg_id, x in runs]
     loop = [_mask_loop(kernels.get(seg_id, []), sigma, x) for seg_id, x in runs]
     for k, expected in ((0, p), (1, q)):

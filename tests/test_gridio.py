@@ -77,6 +77,8 @@ def test_parse_good_inline(tmp_path):
         }
     )
     assert grid2.base.power_va == 12.0e6
+    # an empty devices section holds no devices
+    assert load_grid(write_tmp(tmp_path, GOOD.split("devices:")[0] + "devices:\n")).devices == ()
 
 
 def test_auto_ids(tmp_path):
@@ -88,6 +90,8 @@ def test_auto_ids(tmp_path):
 def test_missing_file_raises():
     with pytest.raises(GridFileError, match="cannot read"):
         load_grid("/nonexistent/grid.yaml")
+    with pytest.raises(KeyError, match="unknown bundled grid 'nope'"):
+        bundled_grid_path("nope")
 
 
 def test_yaml_syntax_error(tmp_path):
@@ -119,6 +123,26 @@ def test_libyaml_and_python_loaders_agree(name):
         ("parent_no_offset", "offset_km"),
         ("bad_number", "number"),
         ("missing_kind", "kind"),
+        ("bool_number", r"devices\[0\]\.xi_km: expected a number, got True"),
+        ("null_number", r"segments\[0\]\.length_km: expected a number, got None"),
+        ("segment_not_mapping", r"segments\[0\]: expected a mapping, got int"),
+        ("device_not_mapping", r"devices\[2\]: expected a mapping, got str"),
+        ("p_pu_and_p_w", r"devices\[0\]: give exactly one of \['p_pu', 'p_W'\]"),
+        ("load_without_p", r"devices\[0\]: one of \['p_pu', 'p_W'\] is required"),
+        ("base_without_voltage", "base: voltage_V is required"),
+        ("base_power_zero", "base: base power must be positive"),
+        ("segment_id_empty", r"segments\[0\]: id must be a non-empty string"),
+        ("segment_id_number", r"segments\[0\]: id must be a non-empty string"),
+        ("no_length", r"segments\[0\]: length_km is required"),
+        ("zero_impedance", r"segments\[0\]: degenerate conductor"),
+        ("r_without_x", r"segments\[0\]: give r_ohm_per_km\+x_ohm_per_km or"),
+        ("parent_not_string", r"segments\[1\]: parent must be a segment id string"),
+        ("offset_without_parent", r"segments\[0\]: offset_km only applies with parent"),
+        ("devices_not_list", "devices: expected a list"),
+        ("device_segment_empty", r"devices\[0\]: segment must be a non-empty string"),
+        ("device_without_xi", r"devices\[0\]: xi_km is required"),
+        ("device_id_empty", r"devices\[0\]: id must be a non-empty string"),
+        ("watts_without_base", r"devices\[0\]: p_W needs a base section"),
     ],
 )
 def test_schema_rejections(tmp_path, mutation, needle):
@@ -141,6 +165,34 @@ def test_schema_rejections(tmp_path, mutation, needle):
             "r_ohm_per_km: 0.227, x_ohm_per_km: 0.401, parent: main}"),
         "bad_number": GOOD.replace("xi_km: 2.0", "xi_km: wide"),
         "missing_kind": GOOD.replace("kind: load, ", ""),
+        "bool_number": GOOD.replace("xi_km: 2.0", "xi_km: true"),
+        "null_number": GOOD.replace("length_km: 5.0", "length_km: null"),
+        "segment_not_mapping": GOOD.replace("  - {id: main", "  - 5\n  - {id: main"),
+        "device_not_mapping": GOOD + "  - station\n",
+        "p_pu_and_p_w": GOOD.replace("p_W: -720.0e3", "p_W: -720.0e3, p_pu: -0.06"),
+        "load_without_p": GOOD.replace(", p_W: -720.0e3", ""),
+        "base_without_voltage": GOOD.replace(", voltage_V: 6600.0", ""),
+        "base_power_zero": GOOD.replace("power_VA: 12.0e6", "power_VA: 0"),
+        "segment_id_empty": GOOD.replace("id: main", "id: ''"),
+        "segment_id_number": GOOD.replace("id: main", "id: 7"),
+        "no_length": GOOD.replace("length_km: 5.0, ", ""),
+        "zero_impedance": GOOD.replace("r_ohm_per_km: 0.227, x_ohm_per_km: 0.401",
+                                       "r_ohm_per_km: 0, x_ohm_per_km: 0"),
+        "r_without_x": GOOD.replace(", x_ohm_per_km: 0.401", ""),
+        "parent_not_string": GOOD.replace(
+            "x_ohm_per_km: 0.401}", "x_ohm_per_km: 0.401}\n  - {id: lat, length_km: 1.0, "
+            "r_ohm_per_km: 0.227, x_ohm_per_km: 0.401, parent: 3, offset_km: 1.0}"),
+        "offset_without_parent": GOOD.replace("length_km: 5.0", "length_km: 5.0, offset_km: 1.0"),
+        "devices_not_list": GOOD.split("devices:")[0] + "devices: {kind: load}\n",
+        "device_segment_empty": GOOD.replace("segment: main, xi_km: 2.0", "segment: '', xi_km: 2.0"),
+        "device_without_xi": GOOD.replace("xi_km: 2.0, ", ""),
+        "device_id_empty": GOOD.replace("xi_km: 2.0", "xi_km: 2.0, id: ''"),
+        "watts_without_base": (
+            "segments:\n"
+            "  - {id: m, length_km: 1.0, g_pu_per_km: 1.0, b_pu_per_km: 2.0}\n"
+            "devices:\n"
+            "  - {kind: load, segment: m, xi_km: 0.5, p_W: -1.0}\n"
+        ),
     }
     with pytest.raises(GridFileError, match=needle):
         load_grid(write_tmp(tmp_path, docs[mutation]))

@@ -578,14 +578,14 @@ def test_grid_prepares_each_mesh_pair_set_and_legs_once(monkeypatch):
     assert request(grid, 0.05, sigma=0.04) == {"mesh": 2, "pairs": 2, "legs": 1}
     # an idle station keeps its column at zero power, so its pairs stay
     assert request(grid, 0.05, sigma=0.04, idle=("lat-st",)) == {"mesh": 2, "pairs": 2, "legs": 1}
-    # the layout keeps the pairs of its last sampling only: back at sigma
-    # 0.03, the mesh is cached but the pairs are found again
-    assert request(grid, 0.05, idle=("lat-st",)) == {"mesh": 2, "pairs": 3, "legs": 1}
+    # the grid keeps the pairs of each sigma: back at sigma 0.03, the mesh
+    # and the pairs are both cached
+    assert request(grid, 0.05, idle=("lat-st",)) == {"mesh": 2, "pairs": 2, "legs": 1}
     # one layout holds every station, and each set of station ids its placement
-    assert set(grid._cache) == {"mesh", "layout", "placement", "dispatch"}
+    assert set(grid._cache) == {"mesh", "layout", "placement", "pairs", "dispatch"}
     assert len(grid._cache["layout"]) == 1
     # a dataclasses.replace copy starts with nothing prepared
-    assert request(dataclasses.replace(grid), 0.05) == {"mesh": 3, "pairs": 4, "legs": 2}
+    assert request(dataclasses.replace(grid), 0.05) == {"mesh": 3, "pairs": 3, "legs": 2}
 
 
 def test_a_pickled_grid_leaves_its_prepared_arrays_behind():
