@@ -26,8 +26,10 @@ explicitly dropped at the bank.  The log is kept as columns too, and the
 HandOff records are built only when a caller reads plan.trace.
 
 The passes read the grid's own Device records.  What no request changes
-(the legs, the station order and bounds, and the plan's id, position and
-bound columns) is built once per grid and kept on it.  A plan holds its
+is built once per grid and kept on it: the legs, the station order and
+bounds, the plan's id, position and bound columns, each load's principle
+term g*P + b*Q, and the active pass, which never reads the request: its
+values, seeds_p and P hand-offs, which each request copies.  A plan holds its
 stations as columns: a request adds only its p, q and q_cap columns, with
 q_cap computed once as one vector from the final p, and the
 StationDispatch rows are built only when a caller reads plan.stations.
@@ -213,15 +215,15 @@ def _forward(quantity, legs, bounds, update, trace):
 
 def _walks(legs) -> tuple[tuple[tuple[int, object], ...], ...]:
     """Per leg, the (kind, item) events of the principle walk, far end first:
-    kind 0 a child tap (item: the child leg's id), 1 a load (the Device),
-    2 a station (its index in station order).  At a tied position loads and
-    child taps count as beyond the station."""
+    kind 0 a child tap (item: the child leg's id), 1 a load (its term
+    g*p_pu + b*q_pu), 2 a station (its index in station order).  At a tied
+    position loads and child taps count as beyond the station."""
     walks = []
     base = 0
     for leg in legs:
         events = (
             [(xi, 0, child) for xi, child in leg.taps]
-            + [(ld.xi_km, 1, ld) for ld in leg.loads]
+            + [(ld.xi_km, 1, leg.g * ld.p_pu + leg.b * ld.q_pu) for ld in leg.loads]
             + [(st.xi_km, 2, base + i) for i, st in enumerate(leg.stations)]
         )
         events.sort(key=lambda t: (-t[0], t[1]))
@@ -247,7 +249,7 @@ def _principle(prep, p, caps):
             if kind == 0:
                 run += subtree[item]
             elif kind == 1:
-                run += g * item.p_pu + b * item.q_pu
+                run += item
             else:
                 cap = caps[item]
                 raw = -(run + g * p[item]) / b
@@ -258,11 +260,13 @@ def _principle(prep, p, caps):
 
 
 def _refine(bounds, p, order, p_run):
-    """Place the undelivered request p_run, visiting stations in `order`
-    (bank-nearest first) and filling each up to its derated bounds.
+    """Place p_run less each value of p (in station order), visiting stations
+    in `order` (bank-nearest first) and filling each up to its derated bounds.
 
     Updates p in place and returns what could not be placed.
     """
+    for value in p:
+        p_run = p_run - value
     for k in order:
         if p_run == 0.0:
             break
@@ -279,25 +283,17 @@ def _refine(bounds, p, order, p_run):
     return p_run
 
 
-def _active(prep, p_ref, trace):
-    """Two-pass active dispatch. Returns (p, leftover, seeds) in station order."""
-    p, seeds = _forward("P", prep.legs, prep.bounds,
-                        lambda value, _k, load: value - load.p_pu, trace)
-    for value in p:
-        p_ref = p_ref - value
-    return p, _refine(prep.bounds, p, prep.order, p_ref), seeds
-
-
 def _reactive(prep, p, caps, mode, trace):
     """Reactive set points for fixed active dispatch, inside the stations'
-    caps. Returns (q, seeds)."""
+    caps. Returns (q, seeds_q)."""
     if mode == "principle":
-        return _principle(prep, p, caps.tolist()), [0.0] * len(p)
+        return _principle(prep, p, caps.tolist()), prep.seeds_q
     if mode != "literal":
         raise ValueError(f"unknown mode {mode!r}; expected 'literal' or 'principle'")
     g_over_b = prep.g_over_b
-    return _forward("Q", prep.legs, list(zip((-caps).tolist(), caps.tolist())),
-                    lambda _value, k, load: g_over_b[k] * (p[k] - load.p_pu), trace)
+    q, seeds = _forward("Q", prep.legs, list(zip((-caps).tolist(), caps.tolist())),
+                        lambda _value, k, load: g_over_b[k] * (p[k] - load.p_pu), trace)
+    return q, tuple(zip(prep.ids, seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +327,10 @@ def _legs(grid: GridTree) -> list[_Leg]:
 
 
 class _Prepared(NamedTuple):
-    """What every dispatch of one grid reads: no request changes it.
-
-    Station order lists each leg's stations in turn; the plan columns and
-    bank_bounds list the stations bank-nearest first, as index picks them
-    from station order."""
+    """What every dispatch of one grid reads, its active pass included: no
+    request changes it.  Station order lists each leg's stations in turn;
+    the plan columns and bank_bounds list the stations bank-nearest first,
+    as index picks them from station order."""
 
     legs: tuple[_Leg, ...]
     ids: tuple[str, ...]                     # station order
@@ -346,24 +341,30 @@ class _Prepared(NamedTuple):
     walks: tuple[tuple, ...]                 # per leg, the principle walk's events
     columns: tuple[tuple, ...]               # plan ids, xi_km, p_min_eff, p_max_eff
     bank_bounds: np.ndarray                  # (2, stations): derated lo, hi
+    p: tuple[float, ...]                     # the active pass's values, unrefined
+    seeds_p: tuple[tuple[str, float], ...]   # its seeds, as plan.seeds_p
+    handoffs_p: tuple[tuple, ...]            # its hand-off columns; Q's follow
+    seeds_q: tuple[tuple[str, float], ...]   # principle mode's: all 0.0
 
 
 def _prepare(grid: GridTree) -> _Prepared:
-    """The grid's dispatch legs and station order, built once per grid."""
+    """The grid's dispatch legs, order and active pass, built once per grid."""
     def build() -> _Prepared:
         legs = tuple(_legs(grid))
         stations = tuple(st for leg in legs for st in leg.stations)
         order = sorted(range(len(stations)), key=lambda k: (stations[k].xi_km, stations[k].id))
         bounds = tuple((st.p_min_eff, st.p_max_eff) for st in stations)
         bank = [stations[k] for k in order]
-        lo = tuple(st.p_min_eff for st in bank)
-        hi = tuple(st.p_max_eff for st in bank)
-        return _Prepared(legs, tuple(st.id for st in stations), bounds, tuple(order),
-                         np.array(order, dtype=np.intp),
+        lo, hi = tuple(st.p_min_eff for st in bank), tuple(st.p_max_eff for st in bank)
+        ids = tuple(st.id for st in stations)
+        trace: tuple[list, ...] = ([], [], [], [])
+        p, seeds = _forward("P", legs, bounds, lambda value, _k, load: value - load.p_pu, trace)
+        return _Prepared(legs, ids, bounds, tuple(order), np.array(order, dtype=np.intp),
                          tuple(leg.g / leg.b for leg in legs for _ in leg.stations),
                          _walks(legs),
                          (tuple(st.id for st in bank), tuple(st.xi_km for st in bank), lo, hi),
-                         np.array((lo, hi), dtype=float))
+                         np.array((lo, hi), dtype=float), tuple(p), tuple(zip(ids, seeds)),
+                         tuple(map(tuple, trace)), tuple((sid, 0.0) for sid in ids))
     return grid._cached("dispatch", None, build)
 
 
@@ -424,18 +425,16 @@ def synthesize_tree(grid: GridTree, p_ref: float, mode: str = "literal") -> Disp
     _check_request(p_ref)
     grid.validated()
     prep = _prepare(grid)
-    trace: tuple[list, ...] = ([], [], [], [])    # the hand-off columns
-    p, leftover, seeds_p = _active(prep, p_ref, trace)
+    p = list(prep.p)
+    leftover = _refine(prep.bounds, p, prep.order, p_ref)
+    trace = tuple(map(list, prep.handoffs_p))    # the hand-off columns, P first
     p_vec = np.array(p, dtype=float)
     caps = station_q_caps(p_vec)    # once per plan: the reactive bounds and q_cap
     q, seeds_q = _reactive(prep, p, caps, mode, trace)
     k = prep.index
     return _plan(prep, p_vec[k], np.array(q, dtype=float)[k], caps[k],
-                 p_ref=p_ref,
-                 leftover_p=leftover,
-                 handoffs=tuple(map(tuple, trace)),
-                 seeds_p=tuple(zip(prep.ids, seeds_p)),
-                 seeds_q=tuple(zip(prep.ids, seeds_q)))
+                 p_ref=p_ref, leftover_p=leftover, handoffs=tuple(map(tuple, trace)),
+                 seeds_p=prep.seeds_p, seeds_q=seeds_q)
 
 
 def audit_trace(plan: DispatchPlan) -> float:

@@ -184,8 +184,8 @@ class GridTree:
       mapping with those ids places: each layout station's position among
       them, or -1 when it is idle, and each segment's closest spacing of
       loads and placed stations, for the spacing warnings;
-    - the dispatch legs, station order and bounds, and a plan's id,
-      position and bound columns, bank-nearest first.
+    - the dispatch legs, station order and bounds, a plan's bank-nearest
+      id, position and bound columns, and the active pass's result.
 
     Each kind keeps at most CACHED_PER_KIND entries.  The cache cannot go
     stale: segments and devices are stored as frozen records in tuples.
@@ -390,7 +390,7 @@ def validate_grid(grid: GridTree) -> GridValidationReport:
 
 def _check_sigma(sigma_km: float) -> None:
     if not (sigma_km > 0.0 and math.isfinite(sigma_km)):
-        raise ValueError(f"sigma must be positive, got {sigma_km}")
+        raise ValueError(f"sigma must be positive and finite, got {sigma_km}")
     # the kernels square sigma (2 pi sigma^2 overflows above ~5e153) and shift
     # runs by powers of two above 24 sigma: keep both far inside float range
     if sigma_km > 1e150:

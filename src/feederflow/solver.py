@@ -92,8 +92,8 @@ class SolverSettings:
     theta_bank_rad: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.step_km is not None and not self.step_km > 0.0:
-            raise ValueError(f"step_km must be positive, got {self.step_km}")
+        if self.step_km is not None and not 0.0 < self.step_km < math.inf:
+            raise ValueError(f"step_km must be positive and finite, got {self.step_km}")
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,16 @@ def test_impossible_mesh_is_domain_error(tmp_path, capsys, command, sigma, nodes
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["run", "compare", "xcheck"])
+def test_non_positive_or_non_finite_sigma_is_domain_error(tmp_path, capsys, command, sigma):
+    out = tmp_path / "o"
+    assert main([command, "--grid", SINGLE, f"--sigma={sigma}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: sigma must be positive and finite, got {float(sigma)!r}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.filterwarnings("ignore:sigma=")
 @pytest.mark.parametrize("sigma", ["1e150", "1.0000000000000002e150", "1e200", "1e308"])
 @pytest.mark.parametrize("command", ["run", "compare"])

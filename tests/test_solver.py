@@ -190,8 +190,9 @@ def test_trunk_with_more_edges_than_the_recursion_limit():
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        SolverSettings(step_km=0.0)
+    for step_km in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"^step_km must be positive and finite, got {step_km}$"):
+            SolverSettings(step_km=step_km)
 
 
 @pytest.mark.parametrize("sigma,step_km,message", [

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 import feederflow.dispatch as dispatch_module
@@ -29,9 +30,11 @@ from feederflow import (
     SolverSettings,
     VoltageCollapseError,
     audit_trace,
+    bundled_grid_path,
     compute_metrics,
     load_feeder_tree,
     load_single_feeder,
+    parse_grid,
     power_density,
     solve_nonlinear,
     station_q_cap,
@@ -586,6 +589,57 @@ def test_grid_prepares_each_mesh_pair_set_and_legs_once(monkeypatch):
     assert len(grid._cache["layout"]) == 1
     # a dataclasses.replace copy starts with nothing prepared
     assert request(dataclasses.replace(grid), 0.05) == {"mesh": 3, "pairs": 3, "legs": 2}
+
+
+def test_active_pass_runs_once_per_grid(monkeypatch):
+    # the far-to-near P pass never reads the request, so the grid keeps it
+    doc = yaml.safe_load(bundled_grid_path("feeder_tree").read_text())
+    grid = parse_grid(doc)
+    passes = []
+    forward = dispatch_module._forward
+
+    def counting(quantity, *args):
+        passes.append(quantity)
+        return forward(quantity, *args)
+
+    monkeypatch.setattr(dispatch_module, "_forward", counting)
+    plans = {}
+    for p_ref in (-0.3, 0.0, 0.05, 1e9):
+        plans[p_ref] = synthesize_tree(grid, p_ref, "literal")
+        synthesize_tree(grid, p_ref, "principle")
+        uniform_baseline(grid, p_ref)
+    assert passes.count("P") == 1
+    assert passes.count("Q") == 4
+    # a replaced grid with one load changed runs the pass again, and plans
+    # as a grid freshly loaded with that load
+    entry = next(d for d in doc["devices"] if d.get("id") == "a-ld-1")
+    entry["p_W"] = -500.0e3
+    fresh = parse_grid(doc)
+    load = next(d for d in fresh.devices if d.id == "a-ld-1")
+    changed = dataclasses.replace(grid, devices=tuple(
+        load if d.id == load.id else d for d in grid.devices))
+    for p_ref in plans:
+        plan = synthesize_tree(changed, p_ref, "literal")
+        assert plan != plans[p_ref]
+        assert repr(plan) == repr(synthesize_tree(fresh, p_ref, "literal"))
+    assert passes.count("P") == 3
+
+
+@pytest.mark.parametrize("make", [load_feeder_tree, two_level])
+def test_requests_do_not_change_the_cached_active_pass(make):
+    # literal requests append Q hand-offs after the cached P ones: each plan
+    # must match one from a fresh copy of the grid that has never planned
+    grid = make()
+    requests = [(p_ref, mode) for p_ref in (-1.0, 0.05, -0.05, 0.3, 1.0)
+                for mode in ("literal", "principle")]
+    for p_ref, mode in requests + requests[::-1]:
+        plan = synthesize_tree(grid, p_ref, mode)
+        expected = synthesize_tree(pickle.loads(pickle.dumps(grid)), p_ref, mode)
+        assert plan == expected
+        for name in ("handoffs", "seeds_p", "seeds_q", "leftover_p"):
+            assert repr(getattr(plan, name)) == repr(getattr(expected, name)), name
+        assert audit_trace(plan) == 0.0
+    assert "Q" in synthesize_tree(grid, 0.05).handoffs[0]
 
 
 def test_a_pickled_grid_leaves_its_prepared_arrays_behind():
