@@ -8,17 +8,19 @@ junctions) and then v, theta from the bank outward, and the pair is
 iterated to a fixed point in v (the sweep of Shirmohammadi et al. 1988).
 
 Segments are split at interior taps into edges with a uniform mesh each.
-Every state lives in one padded (edges, max_cells + 1) array, node j of an
-edge in column j of its row, so a sweep is a fixed number of whole-array
-operations whatever the number of edges: the midpoint rule's recurrences
-are row-wise cumulative sums, and only the junction values (s, w at each
-edge's far end, v, theta at its start) come from scalar loops over the
-edges in post-order and pre-order.  Pad cells of a reversed cumsum's input
-hold -0.0, the exact identity of IEEE addition, so every value is bit for
-bit what a cumsum over the edge alone gives.  s does not depend on v and
-theta does not feed back, so both are integrated once.  The partially
-linearized system is the nonlinear one with the v feedback pinned at 1
-(exact: 1.0**3 and x / 1.0 are exact), so it converges on the second sweep.
+Every state lives in one flat buffer: edges are grouped into power-of-two
+width buckets, key (cells - 1).bit_length(), each a (rows, widest + 1)
+block whose rows hold an edge's node j and cell j at position j, so a row
+ends in a pad cell.  A sweep makes one call per elementwise operation and
+one cumsum per bucket whatever the number of edges; only the junction
+values (s, w at each edge's far end, v, theta at its start) come from
+scalar loops over the edges in post-order and pre-order.  Pad cells of a
+cumsum's input hold -0.0, the exact identity of IEEE addition, so every
+value is bit for bit what a cumsum over the edge alone gives.  s does not
+depend on v and theta does not feed back, so both are integrated once.
+The partially linearized system is the nonlinear one with the v feedback
+pinned at 1 (exact: 1.0**3 and x / 1.0 are exact), so it converges on the
+second sweep.
 Densities are sampled at cell midpoints only, in one call per solve.  The
 mesh depends only on the grid, the step and sigma, so the grid keeps it
 and a repeated solve only samples and sweeps.
@@ -49,8 +51,8 @@ COLLAPSE_FLOOR_PU = 0.5
 # Sweeps stop at a voltage change <= TOL_V pu, or raise after MAX_SWEEPS.
 TOL_V = 1e-9
 MAX_SWEEPS = 100
-# A mesh of more padded nodes than this (edges x (most cells + 1)) is
-# refused before it is allocated; each state array is one float per node.
+# A mesh whose buffer (rows x (widest + 1) per width bucket) holds more
+# positions than this is refused before it is allocated.
 MAX_MESH_NODES = 4_000_000
 
 
@@ -84,7 +86,7 @@ class SolverSettings:
     sigma is the width of the supplied density's kernels, so any feeder
     length resolves its kernels.  An explicit step_km must itself satisfy
     step <= sigma/2, which is enforced against the supplied field.  Either
-    way the mesh may hold at most MAX_MESH_NODES padded nodes.
+    way the mesh buffer may hold at most MAX_MESH_NODES positions.
     Integration is the second-order midpoint rule.
     """
 
@@ -94,6 +96,8 @@ class SolverSettings:
     def __post_init__(self) -> None:
         if self.step_km is not None and not 0.0 < self.step_km < math.inf:
             raise ValueError(f"step_km must be positive and finite, got {self.step_km}")
+        if not math.isfinite(self.theta_bank_rad):
+            raise ValueError(f"theta_bank_rad must be finite, got {self.theta_bank_rad}")
 
 
 @dataclass(frozen=True)
@@ -184,15 +188,21 @@ class _Mesh:
     edge of its segment first, then tapped segments in declared order.
     Rows are swept in the tree order of GridTree.post_order.
 
+    The buffer holds the width buckets in ascending order, each bucket's
+    rows in declared order: blocks lists each bucket's (start, stop, span),
+    row e runs from position first[e] to its far end last[e], and h_pos, g,
+    b and z2 are per position.  Node states end in one more pad node, so
+    that a node state's midpoints fill the buffer.
+
     A mesh depends only on the grid, step_km and sigma, so the grid keeps
     it (see _mesh) with what every solve reads off it: the density's sample
-    runs and cell midpoints, the valid cells and nodes, where each segment's
-    nodes end in the flattened profile and their trapezoid groups, and the
-    leaf rows (with their segments) and junction rows (with their children)
-    that the residual diagnostics read.  Every edge's cell count is known
-    before anything is allocated.  A mesh of more than MAX_MESH_NODES padded
-    nodes is refused, and so is one whose step exceeds sigma/2: a refused
-    mesh is never cached.
+    runs and cell midpoints, the positions of the real cells and nodes,
+    where each segment's nodes end in the flattened profile and their
+    trapezoid groups, and the leaf rows (with their segments) and junction
+    rows (with their children) that the residual diagnostics read.  Every
+    edge's cell count is known before anything is allocated.  A mesh whose
+    buffer holds more than MAX_MESH_NODES positions is refused, and so is
+    one whose step exceeds sigma/2: a refused mesh is never cached.
     """
 
     def __init__(self, grid: GridTree, settings: SolverSettings, sigma_km: float):
@@ -218,17 +228,18 @@ class _Mesh:
             self.rows[s.id] = range(first, len(x0))
             if s.parent is None:
                 roots.append(first)
-        # every edge's cell count is known before anything is allocated
-        worst = max(ratios)
-        nodes = math.inf    # a step so small that the count overflows
-        if math.isfinite(worst):
-            nodes = len(ratios) * (max(2, math.ceil(worst - 1e-12)) + 1)
+        # every edge's cell count, and so the buffer, is known before anything is allocated
+        nodes = math.inf    # a step so small that a cell count, or their sum, overflows
+        if all(map(math.isfinite, ratios)):
+            n = [max(2, math.ceil(r - 1e-12)) for r in ratios]
+            bucket = [(k - 1).bit_length() for k in n]
+            span = {b: max(k for k, c in zip(n, bucket) if c == b) + 1 for b in sorted(set(bucket))}
+            nodes = sum(float(span[b]) for b in bucket)
         if nodes > MAX_MESH_NODES:
             what = (f"sigma={sigma_km} km" if settings.step_km is None
                     else f"step_km={settings.step_km}")
             raise ValueError(f"{what} needs a mesh of {nodes:.4g} nodes, "
                              f"more than MAX_MESH_NODES={MAX_MESH_NODES}")
-        n = [max(2, math.ceil(r - 1e-12)) for r in ratios]
         h = [w / k for w, k in zip(widths, n)]
         if max(h) > sigma_km / 2.0 + 1e-15:
             raise ValueError(
@@ -242,25 +253,33 @@ class _Mesh:
         # any children-first order gives the same bits: the sweeps read kids
         self.post = [e for s in grid.post_order() for e in reversed(self.rows[s.id])]
         self.roots, self.kids, self.n, self.h = roots, kids, n, h
-        self.cells = max(n)
-        self.last = (np.arange(len(n)), np.array(n))    # the far-end node of each row
-        cols = np.arange(self.cells)
-        self.pad = np.flatnonzero(cols >= self.last[1][:, None])
-        self.h_col = np.array(h)[:, None]
-        self.g, self.b, self.z2 = (c[:, None] for c in np.array(line).T)
-        self.x = np.array(x0)[:, None] + self.h_col * np.arange(self.cells + 1)
-        self.cell_valid = cols < self.last[1][:, None]
-        self.node_valid = np.arange(self.cells + 1) <= self.last[1][:, None]
+        # buckets in ascending width, each bucket's rows in declared order
+        self.order = np.array(sorted(range(len(n)), key=bucket.__getitem__), dtype=np.intp)
+        self.span = np.array([span[bucket[e]] for e in self.order])
+        stops = np.cumsum([bucket.count(b) * w for b, w in span.items()]).tolist()
+        self.blocks = list(zip([0, *stops[:-1]], stops, span.values()))
+        self.first = np.empty(len(n), dtype=np.intp)
+        self.first[self.order] = np.cumsum(self.span) - self.span
+        self.last = self.first + n
+        self.h_pos = self._spread(h)
+        self.g, self.b, self.z2 = (self._spread(c) for c in zip(*line))
+        col = np.arange(self.h_pos.size) - self._spread(self.first)    # position in the row
+        self.pad = np.flatnonzero(col >= self._spread(n))
+        rows = [np.arange(a, a + k + 1) for a, k in zip(self.first, n)]    # each row's nodes
+        self.cells = _positions(np.concatenate([r[:-1] for r in rows]))
+        self.nodes = _positions(np.concatenate(rows))
+        x = self._spread(x0) + self.h_pos * col
+        self.x = x[self.nodes]
         # the density is sampled at cell midpoints, one run per segment
-        ends = self._segment_ends(self.cell_valid)
+        ends = self._segment_ends(n)
         self.runs = [(seg_id, b - a) for seg_id, a, b in zip(self.rows, [0, *ends], ends)]
-        self.x_mid = (self.x[:, :-1] + 0.5 * self.h_col)[self.cell_valid]
+        self.x_mid = (x + 0.5 * self.h_pos)[self.cells]
         self.segment_ids = tuple(self.rows)
-        self.node_ends = tuple(self._segment_ends(self.node_valid))
+        self.node_ends = tuple(self._segment_ends([k + 1 for k in n]))
         self.trapezoid_groups = _trapezoid_groups(self.node_ends)
         # what the residual diagnostics read: the open-end rows with their
         # segments, the junction rows, and every (junction, child) pair in
-        # kids order
+        # kids order, with each child's first position
         seg_of = {e: seg_id for seg_id, rows in self.rows.items() for e in rows}
         leaves = [e for e, fed in enumerate(kids) if not fed]
         junctions = [e for e, fed in enumerate(kids) if fed]
@@ -268,19 +287,32 @@ class _Mesh:
         self.leaves = np.array(leaves, dtype=np.intp)
         self.junctions = np.array(junctions, dtype=np.intp)
         self.kid_parents = np.array([e for e in junctions for _ in kids[e]], dtype=np.intp)
-        self.kid_rows = np.array([c for e in junctions for c in kids[e]], dtype=np.intp)
+        self.kid_starts = self.first[[c for e in junctions for c in kids[e]]]
 
-    def _segment_ends(self, valid: np.ndarray) -> list[int]:
-        """Where each segment's entries end in the row-major flattening of
-        the True cells of valid."""
-        return np.cumsum(valid.sum(axis=1))[[r.stop - 1 for r in self.rows.values()]].tolist()
+    def _segment_ends(self, counts) -> list[int]:
+        """Where each segment's entries end when each row has counts[row]."""
+        return np.cumsum(counts)[[r.stop - 1 for r in self.rows.values()]].tolist()
+
+    def _spread(self, per_row) -> np.ndarray:
+        """A per-row value (declared rows) at every position of its row."""
+        return np.repeat(np.asarray(per_row)[self.order], self.span)
+
+    def _cumsum(self, f: np.ndarray, step: int) -> np.ndarray:
+        """Row-wise cumulative sums of f, one call per bucket; step -1 sums
+        from each row's far end."""
+        out = np.empty_like(f)
+        for a, b, w in self.blocks:
+            np.cumsum(f[a:b].reshape(-1, w)[:, ::step], axis=1,
+                      out=out[a:b].reshape(-1, w)[:, ::step])
+        return out
 
     def backward(self, f: np.ndarray) -> np.ndarray:
         """Integrate f (per cell) from every far end toward the bank; an
-        edge's far-end value is the sum of its children's near-end values."""
-        f.reshape(-1)[self.pad] = -0.0
-        rc = np.cumsum(f[:, ::-1], axis=1)[:, ::-1]
-        total = rc[:, 0].tolist()
+        edge's far-end value is the sum of its children's near-end values.
+        Pad nodes repeat their row's far-end value."""
+        f[self.pad] = -0.0
+        rc = self._cumsum(f, -1)
+        total = rc[self.first].tolist()
         end = [0.0] * len(total)
         near = [0.0] * len(total)
         for e in self.post:
@@ -289,33 +321,37 @@ class _Mesh:
                 acc += near[c]
             end[e] = acc
             near[e] = acc - self.h[e] * total[e]
-        out = np.empty((len(end), self.cells + 1))
-        out[:, :-1] = np.array(end)[:, None] - self.h_col * rc
-        out[:, -1] = end    # a pad node on all but the longest rows: keep it finite
-        out[self.last] = end
+        out = np.empty(f.size + 1)
+        out[:-1] = self._spread(end) - self.h_pos * rc
+        out[-1] = 0.0
         return out
 
     def forward(self, f: np.ndarray, at_bank: float, scale: bool) -> np.ndarray:
         """Integrate f (per cell, times h if scale) from the bank outward;
         an edge starts at its parent's far-end value.  Pad nodes repeat
-        their row's far-end value, so whole-array min and max stay exact."""
-        f.reshape(-1)[self.pad] = -0.0
-        cs = np.cumsum(f, axis=1)
-        total = cs[self.last[0], self.last[1] - 1].tolist()
+        their row's far-end value, so whole-buffer min and max stay exact."""
+        f[self.pad] = -0.0
+        cs = self._cumsum(f, 1)
+        total = cs[self.last].tolist()    # a pad cell adds -0.0 to the far end
         h = self.h if scale else [1.0] * len(total)
         start = [at_bank] * len(total)
         for e in reversed(self.post):
             end = start[e] + h[e] * total[e]
             for c in self.kids[e]:
                 start[c] = end
-        out = np.empty((len(start), self.cells + 1))
-        out[:, 0] = start
-        out[:, 1:] = np.array(start)[:, None] + (self.h_col * cs if scale else cs)
+        out = np.empty(f.size + 1)
+        out[1:] = self._spread(start) + (self.h_pos * cs if scale else cs)
+        out[self.first] = start
         return out
 
 
+def _positions(index: np.ndarray):
+    """index, or the equal slice when it is 0, 1, 2, ... (no gather)."""
+    return slice(0, index.size) if np.array_equal(index, np.arange(index.size)) else index
+
+
 def _mid(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a[:, :-1] + a[:, 1:])
+    return 0.5 * (a[:-1] + a[1:])
 
 
 def _mesh(grid: GridTree, settings: SolverSettings, sigma_km: float) -> _Mesh:
@@ -327,9 +363,9 @@ def _mesh(grid: GridTree, settings: SolverSettings, sigma_km: float) -> _Mesh:
 def _sample_density(mesh: _Mesh, density: DensityField):
     """Sample every segment's density at the midpoints of all its edges'
     cells, one run per segment in a single call; pad cells stay 0."""
-    p = np.zeros((len(mesh.n), mesh.cells))
+    p = np.zeros(mesh.h_pos.size)
     q = np.zeros_like(p)
-    p[mesh.cell_valid], q[mesh.cell_valid] = density.sample(mesh.runs, mesh.x_mid)
+    p[mesh.cells], q[mesh.cells] = density.sample(mesh.runs, mesh.x_mid)
     return p, q
 
 
@@ -361,35 +397,36 @@ def _solve(grid: GridTree, density: DensityField, settings: SolverSettings,
 
     if nonlinear:
         v_mid = _mid(v)
-    theta = mesh.forward(-mesh.h_col * s_mid / v_mid ** 2, settings.theta_bank_rad, scale=False)
-    return _assemble_profile(mesh, (mesh.x, theta, v, s, w), sweeps, change)
+    theta = mesh.forward(-mesh.h_pos * s_mid / v_mid ** 2, settings.theta_bank_rad, scale=False)
+    return _assemble_profile(mesh, (theta, v, s, w), sweeps, change)
 
 
 def _assemble_profile(mesh: _Mesh, states, sweeps: int, change: float) -> VoltageProfile:
-    columns = [a[mesh.node_valid] for a in states]
-    # conservation diagnostics straight off the converged arrays
-    _, _, v, s, w = states
+    """The profile of the node states (theta, v, s, w); x is the mesh's."""
+    columns = [a[mesh.nodes] for a in states]
+    # conservation diagnostics straight off the converged buffers
+    _, v, s, w = states
     v_end, s_end, w_end = (a[mesh.last] for a in (v, s, w))
     leaves, junctions = mesh.leaves, mesh.junctions
-    parents, kids = mesh.kid_parents, mesh.kid_rows
+    parents, kids = mesh.kid_parents, mesh.kid_starts
     fed = []
     for a in (s, w):
         # each junction's children in kids order, added one by one to 0.0
         # as sum() adds them
         total = np.zeros(len(mesh.n))
-        np.add.at(total, parents, a[kids, 0])
+        np.add.at(total, parents, a[kids])
         fed.append(total[junctions])
     return VoltageProfile(
-        mesh.segment_ids, mesh.node_ends, *columns,
+        mesh.segment_ids, mesh.node_ends, mesh.x, *columns,
         sweeps=sweeps,
         last_change=change,
         terminal_v=tuple(zip(mesh.leaf_segs, v_end[leaves].tolist())),
-        bank_residual=_worst(v[mesh.roots, 0] - 1.0),
+        bank_residual=_worst(v[mesh.first[mesh.roots]] - 1.0),
         terminal_s_max=_worst(s_end[leaves]),
         terminal_w_max=_worst(w_end[leaves]),
         junction_s_max=_worst(s_end[junctions] - fed[0]),
         junction_w_max=_worst(w_end[junctions] - fed[1]),
-        junction_v_max=_worst(v[kids, 0] - v_end[parents]),
+        junction_v_max=_worst(v[kids] - v_end[parents]),
         trapezoid_groups=mesh.trapezoid_groups,
     )
 

@@ -140,6 +140,21 @@ def test_impossible_mesh_is_domain_error(tmp_path, capsys, command, sigma, nodes
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("sigma,nodes", [
+    ("8e-308", "inf"),          # every edge's cell count is finite, their sum is not
+    ("1e-307", "1.6e+308"),     # a finite sum beyond 2**1023
+])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_mesh_count_beyond_the_float_range_is_domain_error(tmp_path, capsys, command, sigma,
+                                                           nodes):
+    out = tmp_path / "o"
+    assert main([command, "--grid", TREE, f"--sigma={sigma}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: sigma={float(sigma)!r} km needs a mesh of {nodes} nodes, "
+                   "more than MAX_MESH_NODES=4000000\n")
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "0", "-1"])
 @pytest.mark.parametrize("command", ["run", "compare", "xcheck"])
 def test_non_positive_or_non_finite_sigma_is_domain_error(tmp_path, capsys, command, sigma):

@@ -195,6 +195,13 @@ def test_settings_validation():
             SolverSettings(step_km=step_km)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_bank_angle_is_refused(theta):
+    # a non-finite bank angle used to "converge" with a non-finite theta column
+    with pytest.raises(ValueError, match=f"^theta_bank_rad must be finite, got {theta}$"):
+        SolverSettings(theta_bank_rad=theta)
+
+
 @pytest.mark.parametrize("sigma,step_km,message", [
     (1e-320, None, "sigma=1e-320 km needs a mesh of inf nodes"),     # the cell count overflows
     (1e-300, None, "sigma=1e-300 km needs a mesh of 1e+301 nodes"),
@@ -238,21 +245,24 @@ TAPPED_TREE = GridTree(
 
 
 def mesh_nodes(grid, sigma):
-    """edges x (most cells + 1), counted from the geometry: each segment is
-    cut at its children's interior offsets, and an edge of width w with step
-    min(length/2000, sigma/2) takes the fewest cells (at least 2) whose
-    width is at most the step, up to rounding."""
-    edges, cells = 0, 2
+    """The mesh buffer's positions, counted from the geometry: each segment
+    is cut at its children's interior offsets, an edge of width w with step
+    min(length/2000, sigma/2) takes the fewest cells n (at least 2) whose
+    width is at most the step, up to rounding, and the edges of each width
+    bucket (n - 1).bit_length() take a row of the bucket's most cells + 1."""
+    rows, widest = {}, {}
     for s in grid.segments:
         step = min(s.length_km / 2000.0, sigma / 2.0)
         taps = {c.offset_km for c in grid.segments if c.parent == s.id and c.offset_km < s.length_km}
         bounds = [0.0, *sorted(taps), s.length_km]
-        edges += len(bounds) - 1
         for a, b in zip(bounds, bounds[1:]):
             ratio = (b - a) / step
             near = round(ratio)
-            cells = max(cells, near if abs(ratio - near) < 1e-9 else math.ceil(ratio))
-    return edges * (cells + 1)
+            cells = max(2, near if abs(ratio - near) < 1e-9 else math.ceil(ratio))
+            key = (cells - 1).bit_length()
+            rows[key] = rows.get(key, 0) + 1
+            widest[key] = max(widest.get(key, 0), cells)
+    return sum(rows[key] * (widest[key] + 1) for key in rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -271,7 +281,7 @@ def test_mesh_is_refused_exactly_above_the_node_limit(sigma, slack):
                 feederflow.solver._Mesh(TAPPED_TREE, SolverSettings(), sigma)
         else:
             mesh = feederflow.solver._Mesh(TAPPED_TREE, SolverSettings(), sigma)
-            assert mesh.x.size == nodes
+            assert mesh.h_pos.size == nodes
     finally:
         feederflow.solver.MAX_MESH_NODES = original
 

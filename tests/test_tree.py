@@ -889,7 +889,7 @@ def test_property_density_of_a_plan_is_the_density_of_its_power_map(case, mode, 
 def _residuals_edge_by_edge(mesh, v, s, w):
     """The diagnostics of _assemble_profile, one solver edge at a time."""
     v_end, s_end, w_end = (a[mesh.last].tolist() for a in (v, s, w))
-    v0, s0, w0 = (a[:, 0].tolist() for a in (v, s, w))
+    v0, s0, w0 = (a[mesh.first].tolist() for a in (v, s, w))
     seg_of = {e: seg_id for seg_id, rows in mesh.rows.items() for e in rows}
     terminal_v = []
     term_s = term_w = junc_s = junc_w = junc_v = 0.0
@@ -919,16 +919,117 @@ def test_property_residual_diagnostics_match_an_edge_by_edge_walk(case, seed):
     grid, _ = case
     mesh = solver_module._mesh(grid.validated(), SolverSettings(step_km=0.05), 0.1)
     rng = np.random.default_rng(seed)
-    theta, v, s, w = (rng.normal(size=mesh.x.shape) for _ in range(4))
-    profile = solver_module._assemble_profile(mesh, (mesh.x, theta, v, s, w), 1, 0.0)
+    theta, v, s, w = (rng.normal(size=mesh.h_pos.size + 1) for _ in range(4))
+    profile = solver_module._assemble_profile(mesh, (theta, v, s, w), 1, 0.0)
     assert repr(_diagnostics(profile)) == repr(_residuals_edge_by_edge(mesh, v, s, w))
 
 
 def test_residual_diagnostics_without_junctions_are_zero():
     grid = GridTree(PerUnitBase(1.0, 1.0), (FeederSegment("main", 1.0, 3.0, 6.0),))
     mesh = solver_module._mesh(grid.validated(), SolverSettings(step_km=0.05), 0.1)
-    v, s, w = np.random.default_rng(0).normal(size=(3, *mesh.x.shape))
-    profile = solver_module._assemble_profile(mesh, (mesh.x, v, v, s, w), 1, 0.0)
+    v, s, w = np.random.default_rng(0).normal(size=(3, mesh.h_pos.size + 1))
+    profile = solver_module._assemble_profile(mesh, (v, v, s, w), 1, 0.0)
     assert mesh.junctions.size == 0
     assert (profile.junction_s_max, profile.junction_w_max, profile.junction_v_max) == (0.0,) * 3
     assert repr(_diagnostics(profile)) == repr(_residuals_edge_by_edge(mesh, v, s, w))
+
+
+# -- the bucketed mesh buffer ------------------------------------------------
+
+WIDE_STEP_KM = 0.025
+WIDE_SIGMA_KM = 0.05
+
+
+def wide_tree():
+    """A 5 km trunk tapped every 0.1 km from 0.05 km on by 50 one-kilometre
+    laterals, so that its edges have 2, 4 (trunk) and 40 cells (laterals):
+    a load on the trunk and on every lateral, a station on every second
+    lateral, and the stations' (p, q)."""
+    segs = [FeederSegment("trunk", 5.0, 3.881, 6.856)]
+    devices = [Device("load", "trunk", 2.52, "trunk-load", p_pu=-0.01, q_pu=-0.002)]
+    power = {}
+    for k in range(50):
+        sid, tap = f"lat{k}", round(0.05 + 0.1 * k, 9)
+        segs.append(FeederSegment(sid, 1.0, 3.881 * (1.0 + 0.002 * k), 6.856,
+                                  parent="trunk", offset_km=tap))
+        devices.append(Device("load", sid, tap + 0.5, f"{sid}-load",
+                              p_pu=-0.002 * (1 + k % 3), q_pu=-0.0005 * (k % 2)))
+        if k % 2 == 0:
+            devices.append(Device("station", sid, tap + 0.25, f"{sid}-st",
+                                  p_min_pu=-0.02, p_max_pu=0.02))
+            power[f"{sid}-st"] = (0.002, 0.0005 * (k % 4 - 1))
+    return GridTree(PerUnitBase(1.0, 1.0), tuple(segs), tuple(devices)), power
+
+
+# recorded with the padded (edges, most cells + 1) layout
+WIDE_TREE_SHA256 = {
+    "x_km": "705fb128e133f5e4f6012c84f673a25f33a39a0a1877e05cc27d4535e07aaf53",
+    "theta_rad": "ee6cc10325509126aad220232713da2d5bff7a613f9477e1e2182c91c54648c6",
+    "v_pu": "8e9b12efd0c01b005a6b5edee3971769a8a87f1b38ba2f3022c15e029ad8293c",
+    "s": "c000aab8674618dbf8cae105fedef6ffd67cf758bd11298d82c46b8688f1f814",
+    "w": "cbf6dafca06cf64b397eba73e65746c249c8ecdf630b7e569ae10163e1bde0b3",
+}
+WIDE_TREE_DIAGNOSTICS_SHA256 = "5b097fd010fad45b14bfdc510f6ed77997a8565239ea44220261b864244ce75b"
+
+
+def test_wide_tree_profile_frozen_exact_on_an_unpadded_buffer():
+    grid, power = wide_tree()
+    solver_settings = SolverSettings(step_km=WIDE_STEP_KM)
+    profile = solve_nonlinear(grid, power_density(grid, power, WIDE_SIGMA_KM), solver_settings)
+    assert {f: hashlib.sha256(getattr(profile, f).tobytes()).hexdigest()
+            for f in WIDE_TREE_SHA256} == WIDE_TREE_SHA256
+    assert (profile.sweeps, repr(profile.last_change)) == (6, "4.3135151006623573e-10")
+    assert (hashlib.sha256(repr(_diagnostics(profile)).encode()).hexdigest()
+            == WIDE_TREE_DIAGNOSTICS_SHA256)
+    # one width per bucket: the buffer holds every node once and no padding
+    mesh = solver_module._mesh(grid, solver_settings, WIDE_SIGMA_KM)
+    assert sorted(set(mesh.n)) == [2, 4, 40]
+    assert len(mesh.blocks) == 3
+    assert mesh.h_pos.size == sum(k + 1 for k in mesh.n) == profile.node_ends[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_tree(), st.sampled_from([0.004, 0.01, 0.05]))
+def test_property_bucketed_buffer_is_at_most_twice_the_real_nodes(case, step_km):
+    grid, _ = case
+    mesh = solver_module._mesh(grid.validated(), SolverSettings(step_km=step_km), 0.1)
+    real = sum(k + 1 for k in mesh.n)
+    assert real <= mesh.h_pos.size <= 2 * real
+    assert len(mesh.blocks) <= (max(mesh.n) - 1).bit_length()
+    # each edge sits in the block of its power-of-two width, (cells - 1).bit_length(),
+    # whose widest edge sets the block's span
+    assert sum((b - a) // span for a, b, span in mesh.blocks) == len(mesh.n)
+    for e, k in enumerate(mesh.n):
+        block = next(blk for blk in mesh.blocks if blk[0] <= mesh.first[e] < blk[1])
+        assert (k - 1).bit_length() == (block[2] - 2).bit_length()
+        assert block[2] // 2 < k + 1 <= block[2]
+        assert mesh.last[e] == mesh.first[e] + k
+    assert [span for _, _, span in mesh.blocks] == sorted(
+        {max(j for j in mesh.n if (j - 1).bit_length() == (k - 1).bit_length()) + 1
+         for k in mesh.n})
+
+
+@pytest.mark.parametrize("scale,sweeps,v_min", [
+    (19.5, 53, "0.6002201560863685"),     # converges just above the collapse floor
+    (20.0, None, "0.49963288943636863"),
+    (1000.0, None, "-79.55961910039112"),
+])
+def test_near_collapse_keeps_every_pad_and_straddle_finite(scale, sweeps, v_min):
+    # edges of 2 to 40 cells: pad cells, pad nodes and the midpoints that
+    # straddle two rows all take part; error::RuntimeWarning fails on any
+    # overflow or invalid value among them
+    grid, power = many_edge_tree()
+    devices = tuple(dataclasses.replace(d, p_pu=d.p_pu * scale, q_pu=d.q_pu * scale)
+                    if d.kind == "load" else d for d in grid.devices)
+    grid = GridTree(grid.base, grid.segments, devices)
+    density = power_density(grid, power, MANY_EDGE_SIGMA_KM)
+    solver_settings = SolverSettings(step_km=MANY_EDGE_STEP_KM)
+    if sweeps is None:
+        with pytest.raises(VoltageCollapseError) as caught:
+            solve_nonlinear(grid, density, solver_settings)
+        assert repr(caught.value.v_min) == v_min
+        return
+    profile = solve_nonlinear(grid, density, solver_settings)
+    assert (profile.sweeps, repr(profile.v_min())) == (sweeps, v_min)
+    for f in ("x_km", "theta_rad", "v_pu", "s", "w"):
+        assert np.all(np.isfinite(getattr(profile, f)))
