@@ -5,70 +5,20 @@ coarse-grained power densities), solves the resulting two-point boundary
 problem by backward-forward sweeps, evaluates exact closed forms for point
 injections on a straight feeder, and synthesizes station set points that
 deliver a requested total power while keeping the voltage profile flat.
+
+Each public name is declared once, in the ``__all__`` of the submodule
+that defines it; the package re-exports those lists.
 """
-from .analytic import ClosedFormProfile, PointInjection, PointInjectionSet, injections_from_grid
-from .dispatch import (
-    DispatchPlan,
-    HandOff,
-    StationDispatch,
-    audit_trace,
-    synthesize,
-    synthesize_tree,
-    uniform_baseline,
-)
-from .grid import (
-    DensityField,
-    Device,
-    FeederSegment,
-    GridTree,
-    GridValidationReport,
-    PerUnitBase,
-    power_density,
-    station_q_cap,
-    to_per_unit,
-    validate_grid,
-)
-from .gridio import (
-    GridFileError,
-    load_grid,
-    parse_grid,
-    write_dispatch_csv,
-    write_metrics_json,
-    write_profile_csv,
-)
-from .metrics import MetricsReport, compute_metrics
-from .scenarios import (
-    FEEDER_TREE_PREF,
-    SINGLE_FEEDER_PREF,
-    bundled_grid_path,
-    load_feeder_tree,
-    load_single_feeder,
-)
-from .solver import (
-    ConvergenceError,
-    SegmentProfile,
-    SolverError,
-    SolverSettings,
-    VoltageCollapseError,
-    VoltageProfile,
-    solve_linearized,
-    solve_nonlinear,
-)
+from . import analytic, dispatch, grid, gridio, metrics, scenarios, solver
+from .analytic import *  # noqa: F403
+from .dispatch import *  # noqa: F403
+from .grid import *  # noqa: F403
+from .gridio import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .scenarios import *  # noqa: F403
+from .solver import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClosedFormProfile", "PointInjection", "PointInjectionSet", "injections_from_grid",
-    "DispatchPlan", "HandOff", "StationDispatch", "audit_trace",
-    "synthesize", "synthesize_tree", "uniform_baseline",
-    "DensityField", "Device", "FeederSegment", "GridTree", "GridValidationReport",
-    "PerUnitBase", "power_density", "station_q_cap", "to_per_unit", "validate_grid",
-    "GridFileError", "load_grid", "parse_grid",
-    "write_dispatch_csv", "write_metrics_json", "write_profile_csv",
-    "MetricsReport", "compute_metrics",
-    "FEEDER_TREE_PREF", "SINGLE_FEEDER_PREF", "bundled_grid_path",
-    "load_feeder_tree", "load_single_feeder",
-    "ConvergenceError", "SegmentProfile", "SolverError", "SolverSettings",
-    "VoltageCollapseError", "VoltageProfile", "solve_linearized", "solve_nonlinear",
-    "__version__",
-]
+__all__ = [*analytic.__all__, *dispatch.__all__, *grid.__all__, *gridio.__all__,
+           *metrics.__all__, *scenarios.__all__, *solver.__all__, "__version__"]

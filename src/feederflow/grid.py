@@ -306,9 +306,17 @@ def _nonfinite(what: str, item, names: tuple[str, ...]) -> list[str]:
 CSV_UNSAFE = frozenset(',"\r\n')
 
 
+def _z2(s: FeederSegment) -> float:
+    """s.z2, or inf where the float power overflows (it raises, not rounds)."""
+    try:
+        return s.z2
+    except OverflowError:
+        return math.inf
+
+
 def validate_grid(grid: GridTree) -> GridValidationReport:
     """Collect every structural violation instead of failing on the first."""
-    bad: list[str] = []
+    bad: list[str] = [] if grid.segments else ["a grid needs at least one segment"]
     seen_ids: set[str] = set()
     for s in grid.segments:
         if s.id in seen_ids:
@@ -322,6 +330,9 @@ def validate_grid(grid: GridTree) -> GridValidationReport:
             bad += _nonfinite(f"segment {s.id!r}", s, ("g_pu_per_km", "b_pu_per_km"))
         elif not (s.g_pu_per_km > 0.0 and s.b_pu_per_km > 0.0):
             bad.append(f"segment {s.id!r}: G and B must be positive")
+        elif not 0.0 < _z2(s) < math.inf:
+            bad.append(f"segment {s.id!r}: |z|^2 = G^2 + B^2 must be positive and finite, "
+                       f"got G={s.g_pu_per_km}, B={s.b_pu_per_km}")
         if s.parent is not None:
             if s.parent == s.id:
                 bad.append(f"segment {s.id!r} is its own parent")
@@ -547,7 +558,9 @@ class DensityField:
 
     The columns come from the grid's cached layout, with every station, so
     a construction only writes the stations' p and q; a station that
-    station_power leaves out is idle, at 0.0.  Sampling costs O(devices x
+    station_power leaves out is idle, at 0.0.  A NaN or infinite p or q is
+    refused, naming the station; bounds and the cone are power_density's
+    checks.  Sampling costs O(devices x
     window), not O(devices x points): each device is evaluated only on the
     samples inside its own cut-off window.  One call can sample every
     segment of a tree, each segment's samples given as a run, with one sort
@@ -561,7 +574,13 @@ class DensityField:
         _check_sigma(sigma_km)
         ids, p, q = _station_columns(station_power)
         layout, index, min_gaps = _placement(grid, ids)
-        self._setup(grid, layout, _station_pq(p, q, index), min_gaps, sigma_km)
+        pq = _station_pq(p, q, index)
+        bad = ~np.isfinite(pq).all(axis=0)    # an idle station's 0.0 is finite
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"station {layout.stations[k].id!r}: p and q must be finite, "
+                             f"got p={pq[0, k]}, q={pq[1, k]}")
+        self._setup(grid, layout, pq, min_gaps, sigma_km)
 
     def _setup(self, grid: GridTree, layout: _Layout, pq: np.ndarray, min_gaps: list,
                sigma_km: float) -> None:
@@ -601,14 +620,15 @@ class DensityField:
         x_flat = x.reshape(-1)
         pairs = self._grid._cached("pairs", (self.sigma_km, tuple(runs), x_flat.tobytes()),
                                    lambda: _kernel_pairs(self._layout, self.sigma_km, runs, x_flat))
-        p = np.zeros(x.shape)
-        q = np.zeros(x.shape)
-        for out, power in ((p, self._pq[0]), (q, self._pq[1])):
-            # each pair's device power times its kernel, device-major
+        pq = []
+        for power in self._pq:
+            # each pair's device power times its kernel, device-major (in
+            # place: a third pair-sized array raises the peak RSS), added to
+            # its sample in pair order from 0.0
             weights = np.repeat(power[pairs.cols], pairs.kept)
             weights *= pairs.kern
-            np.add.at(out.reshape(-1), pairs.idx, weights)
-        return p, q
+            pq.append(np.bincount(pairs.idx, weights, x.size).reshape(x.shape))
+        return tuple(pq)
 
 
 def power_density(grid: GridTree, plan=None, sigma_km: float = 0.05) -> DensityField:

@@ -387,7 +387,7 @@ def _solve(grid: GridTree, density: DensityField, settings: SolverSettings,
         w = mesh.backward(s_mid2 / v_mid ** 3 - gp_bq / (v_mid * mesh.z2))
         v_old, v = v, mesh.forward(_mid(w), 1.0, scale=True)
         v_min = float(v.min())
-        if v_min < COLLAPSE_FLOOR_PU:
+        if not v_min >= COLLAPSE_FLOOR_PU:    # a NaN state stops at its first sweep
             raise VoltageCollapseError(v_min)
         change = float(np.max(np.abs(v - v_old)))
         if change <= TOL_V:
@@ -409,13 +409,9 @@ def _assemble_profile(mesh: _Mesh, states, sweeps: int, change: float) -> Voltag
     v_end, s_end, w_end = (a[mesh.last] for a in (v, s, w))
     leaves, junctions = mesh.leaves, mesh.junctions
     parents, kids = mesh.kid_parents, mesh.kid_starts
-    fed = []
-    for a in (s, w):
-        # each junction's children in kids order, added one by one to 0.0
-        # as sum() adds them
-        total = np.zeros(len(mesh.n))
-        np.add.at(total, parents, a[kids])
-        fed.append(total[junctions])
+    # each junction's children in kids order, added one by one to 0.0 as
+    # sum() adds them
+    fed = [np.bincount(parents, a[kids], len(mesh.n))[junctions] for a in (s, w)]
     return VoltageProfile(
         mesh.segment_ids, mesh.node_ends, mesh.x, *columns,
         sweeps=sweeps,

@@ -155,6 +155,24 @@ def test_mesh_count_beyond_the_float_range_is_domain_error(tmp_path, capsys, com
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("gb", [
+    "1e160",     # G**2 raised OverflowError: a traceback
+    "1e154",     # |z|^2 was inf: a flat profile and exit 0
+    "1e-200",    # |z|^2 was 0: NaN sweeps and exit 3
+])
+@pytest.mark.parametrize("command", ["run", "compare", "xcheck"])
+def test_a_line_whose_z2_is_zero_or_not_finite_is_domain_error(tmp_path, capsys, command, gb):
+    path = tmp_path / "line.yaml"
+    path.write_text(NO_DEVICES.replace("3.881", gb).replace("6.856", gb)
+                    + "devices:\n  - {kind: load, segment: m, xi_km: 4.5, p_pu: -0.1}\n")
+    out = tmp_path / "o"
+    assert main([command, "--grid", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid grid: segment 'm': |z|^2 = G^2 + B^2 must be positive and finite, "
+        f"got G={float(gb)!r}, B={float(gb)!r}\n")
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "0", "-1"])
 @pytest.mark.parametrize("command", ["run", "compare", "xcheck"])
 def test_non_positive_or_non_finite_sigma_is_domain_error(tmp_path, capsys, command, sigma):

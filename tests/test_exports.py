@@ -32,6 +32,27 @@ def test_every_exported_name_resolves_once():
     assert feederflow.station_q_cap is feederflow.dispatch.station_q_cap
 
 
+def test_package_declares_no_public_name_of_its_own():
+    # a submodule's __all__ is the one declaration of each public name: the
+    # package star-imports it and lists only the names it binds itself
+    path = Path(feederflow.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    submodules = {m.name for m in pkgutil.iter_modules(feederflow.__path__)}
+    own = set(_module_level_names(tree)) - submodules
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [a.name for a in node.names]
+            if node.module is None:
+                assert set(names) <= submodules, names
+            else:
+                assert names == ["*"], f"from .{node.module} import {', '.join(names)}"
+    declared = [n for n in tree.body if isinstance(n, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets)]
+    assert len(declared) == 1
+    literal = [c.value for c in ast.walk(declared[0].value) if isinstance(c, ast.Constant)]
+    assert set(literal) <= own - {"__all__"}, literal
+
+
 def _module_level_names(tree: ast.Module) -> list[str]:
     """The names a module binds at its top level: defs, classes,
     assignments and imports."""

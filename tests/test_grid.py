@@ -180,6 +180,31 @@ def test_validate_rejects_non_finite_numbers(changes, violation):
     assert validate_grid(grid).violations == (violation,)
 
 
+def test_validate_rejects_a_grid_with_no_segments():
+    # a grid file cannot say this (parse_grid wants a non-empty list); a
+    # library caller can, and the solver's mesh would fail on it
+    grid = GridTree(PerUnitBase(1.0, 1.0), ())
+    assert validate_grid(grid).violations == ("a grid needs at least one segment",)
+
+
+@pytest.mark.parametrize("gb", [
+    pytest.param(1e160, id="z2-raises-OverflowError"),
+    pytest.param(1e154, id="z2-inf"),
+    pytest.param(1e-200, id="z2-zero"),
+])
+def test_validate_rejects_a_line_whose_z2_is_zero_or_not_finite(gb):
+    grid = make_single([Device("load", "main", 4.0, "l", p_pu=-0.05)], g=gb, b=gb)
+    assert validate_grid(grid).violations == (
+        f"segment 'main': |z|^2 = G^2 + B^2 must be positive and finite, got G={gb}, B={gb}",)
+
+
+def test_validate_accepts_a_subnormal_z2():
+    # 2e-320 is positive: what the solver then makes of it is physics
+    grid = make_single([Device("load", "main", 4.0, "l", p_pu=-0.05)], g=1e-160, b=1e-160)
+    assert 0.0 < grid.segments[0].z2 < 2.3e-308
+    assert validate_grid(grid).ok
+
+
 def test_validated_raises_with_all_messages():
     grid = make_single([Device("load", "main", 9.0, "l", p_pu=-0.1)])
     with pytest.raises(ValueError, match="strictly inside"):
@@ -392,6 +417,20 @@ def test_station_power_must_be_a_pq_pair(value):
             power_density(grid, power)
         with pytest.raises((ValueError, TypeError)):
             DensityField(grid, power, 0.05)
+
+
+@pytest.mark.parametrize("p,q", [(NAN, 0.0), (INF, 0.0), (-INF, 0.0),
+                                 (0.01, NAN), (0.01, INF), (0.01, -INF)])
+def test_density_field_refuses_non_finite_station_powers(p, q):
+    grid = make_single([
+        Device("station", "main", 1.5, "a", p_min_pu=-0.1, p_max_pu=0.1),
+        Device("station", "main", 3.5, "b", p_min_pu=-0.1, p_max_pu=0.1),
+    ])
+    with pytest.raises(ValueError, match=re.escape(
+            f"station 'b': p and q must be finite, got p={p}, q={q}")):
+        DensityField(grid, {"a": (0.01, 0.0), "b": (p, q)}, 0.05)
+    # finite values outside the bounds and the cone are the caller's to pass
+    DensityField(grid, {"a": (0.01, 0.0), "b": (1.0, 1.0)}, 0.05)
 
 
 def _station_check_loop(grid, power):

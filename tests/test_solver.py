@@ -122,6 +122,31 @@ def test_voltage_collapse_detected():
     assert exc.value.v_min < 0.5
 
 
+def test_a_nan_state_collapses_at_the_first_sweep(monkeypatch):
+    # a NaN v fails every comparison: the collapse test is written so that
+    # it stops the solve instead of 100 NaN sweeps and a ConvergenceError
+    class NanDensity:
+        sigma_km = 0.05
+
+        def sample(self, runs, x_km):
+            return np.full(x_km.shape, np.nan), np.zeros(x_km.shape)
+
+    sweeps = []
+    forward = feederflow.solver._Mesh.forward    # v's pass, once per sweep
+    monkeypatch.setattr(feederflow.solver._Mesh, "forward",
+                        lambda mesh, *args, **kw: sweeps.append(1) or forward(mesh, *args, **kw))
+    with pytest.raises(VoltageCollapseError) as exc:
+        solve_nonlinear(single_injection_grid(), NanDensity())
+    assert math.isnan(exc.value.v_min)
+    assert len(sweeps) == 1
+
+
+def test_solve_refuses_a_grid_with_no_segments():
+    grid = GridTree(PerUnitBase(1.0, 1.0), ())
+    with pytest.raises(ValueError, match="^invalid grid: a grid needs at least one segment$"):
+        solve_nonlinear(grid, DensityField(grid, None, 0.05))
+
+
 def test_linearized_rejects_trees(feeder_tree):
     with pytest.raises(ValueError, match="single"):
         solve_linearized(feeder_tree, power_density(feeder_tree, None))
