@@ -176,7 +176,8 @@ class GridTree:
     passing result, and a private cache fills on first use:
 
     - the solver mesh, keyed by (step_km, sigma), with its sample runs,
-      midpoints, valid-cell masks, leaf rows and junction children;
+      midpoints, real-cell and node positions, leaf rows and junction
+      children (solver._Mesh says how its flat buffer is laid out);
     - the density layout, one per grid: a column for every device, the
       loads' p and q, the station slots and derated bounds;
     - the density's kernel pairs, keyed by (sigma, sample runs, samples);

@@ -34,8 +34,10 @@ the JSON files Python's shortest round-trip repr.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain, repeat
 from pathlib import Path
+from typing import NoReturn
 
 import yaml
 
@@ -65,7 +67,28 @@ class GridFileError(Exception):
     """Unreadable or malformed grid file (I/O, YAML syntax, schema)."""
 
 
-def _fail(source: str, msg: str) -> None:
+# The schema, one table per record; the allowed keys are derived from them.
+_TOP_KEYS = frozenset(("base", "segments", "devices"))
+_BASE_KEYS = ("power_VA", "voltage_V")       # PerUnitBase's fields, in order
+# a segment's line parameters: the ohmic pair (needs a base) or the per-unit pair
+_LINE_PAIRS = (("r_ohm_per_km", "x_ohm_per_km"), ("g_pu_per_km", "b_pu_per_km"))
+_SEGMENT_KEYS = frozenset(("id", "length_km", "parent", "offset_km", *chain(*_LINE_PAIRS)))
+# per device kind, a row per power: (per-unit key, which is also the Device
+# field, SI key, whether one of the two is required)
+_DEVICE_POWERS = {
+    "load": (("p_pu", "p_W", True), ("q_pu", "q_VAr", False)),
+    "station": (("p_min_pu", "p_min_W", True), ("p_max_pu", "p_max_W", True)),
+}
+# how a kind's power keys, given on the other kind, are said to apply to it
+_APPLIES_TO = {"load": "loads (station set points come from dispatch)", "station": "stations"}
+_POWER_KEYS = {kind: [k for row in rows for k in row[:2]] for kind, rows in _DEVICE_POWERS.items()}
+_DEVICE_KEYS = frozenset(("kind", "segment", "xi_km", "id", *chain(*_POWER_KEYS.values())))
+# per kind, the other kind's keys in declared order, each with what it applies to
+_REFUSED = {kind: [(key, _APPLIES_TO[other]) for other in _DEVICE_POWERS if other != kind
+                   for key in _POWER_KEYS[other]] for kind in _DEVICE_POWERS}
+
+
+def _fail(source: str, msg: str) -> NoReturn:
     raise GridFileError(f"{source}: {msg}")
 
 
@@ -73,7 +96,10 @@ def _num(value, source: str, where: str) -> float:
     if isinstance(value, bool) or value is None:
         _fail(source, f"{where}: expected a number, got {value!r}")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:   # an int beyond the float range, read as 1.0e400 is
+            return math.inf if value > 0 else -math.inf
     if isinstance(value, str):
         # YAML 1.1 reads e.g. "12e6" as a string; accept it as a number
         try:
@@ -83,23 +109,53 @@ def _num(value, source: str, where: str) -> float:
     _fail(source, f"{where}: expected a number, got {value!r}")
 
 
-def _check_keys(entry: dict, allowed: set[str], source: str, where: str) -> None:
+def _sorted_keys(keys) -> list:
+    """keys sorted; if their types do not compare, by type name, then str or repr."""
+    try:
+        return sorted(keys)
+    except TypeError:
+        return sorted(keys, key=lambda k: (type(k).__name__, k if isinstance(k, str) else repr(k)))
+
+
+def _check_keys(entry, allowed: frozenset, source: str, where: str) -> None:
     if not isinstance(entry, dict):
         _fail(source, f"{where}: expected a mapping, got {type(entry).__name__}")
-    unknown = sorted(set(entry) - allowed)
-    if unknown:
+    if not allowed.issuperset(entry):
+        unknown = _sorted_keys(set(entry) - allowed)
         _fail(source, f"{where}: unknown keys {unknown}; allowed keys {sorted(allowed)}")
 
 
-def _one_of(entry: dict, keys: tuple[str, ...], source: str, where: str, required: bool):
-    present = [k for k in keys if k in entry]
-    if len(present) > 1:
-        _fail(source, f"{where}: give exactly one of {list(keys)}, got {present}")
-    if not present:
+def _number(entry: dict, key: str, source: str, where: str, missing: str = "is required"):
+    """entry[key] as a float; a missing key is refused with "<key> <missing>"."""
+    if key not in entry:
+        _fail(source, f"{where}: {key} {missing}")
+    return _num(entry[key], source, f"{where}.{key}")
+
+
+def _name(entry: dict, key: str, source: str, where: str) -> str:
+    """entry[key], which must be a non-empty string."""
+    value = entry.get(key)
+    if not isinstance(value, str) or not value:
+        _fail(source, f"{where}: {key} must be a non-empty string")
+    return value
+
+
+def _power(entry: dict, row: tuple, base: PerUnitBase | None, source: str, where: str) -> float:
+    """The power of a _DEVICE_POWERS row: given per unit, or in SI units and
+    divided by the base power; 0.0 if neither is given and it is optional."""
+    pu_key, si_key, required = row
+    if si_key not in entry:
+        if pu_key in entry:
+            return _num(entry[pu_key], source, f"{where}.{pu_key}")
         if required:
-            _fail(source, f"{where}: one of {list(keys)} is required")
-        return None, None
-    return present[0], entry[present[0]]
+            _fail(source, f"{where}: one of {[pu_key, si_key]} is required")
+        return 0.0
+    if pu_key in entry:
+        _fail(source, f"{where}: give exactly one of {[pu_key, si_key]}, got {[pu_key, si_key]}")
+    value = _num(entry[si_key], source, f"{where}.{si_key}")
+    if base is None:
+        _fail(source, f"{where}: {si_key} needs a base section")
+    return value / base.power_va
 
 
 def load_grid(path: str | Path) -> GridTree:
@@ -120,20 +176,17 @@ def load_grid(path: str | Path) -> GridTree:
 def parse_grid(doc, source: str = "<grid>") -> GridTree:
     if not isinstance(doc, dict):
         _fail(source, f"top level must be a mapping, got {type(doc).__name__}")
-    _check_keys(doc, {"base", "segments", "devices"}, source, "top level")
+    _check_keys(doc, _TOP_KEYS, source, "top level")
 
     base = None
     if "base" in doc:
         entry = doc["base"]
-        _check_keys(entry, {"power_VA", "voltage_V"}, source, "base")
-        for key in ("power_VA", "voltage_V"):
+        _check_keys(entry, frozenset(_BASE_KEYS), source, "base")
+        for key in _BASE_KEYS:     # every key's presence before any value
             if key not in entry:
                 _fail(source, f"base: {key} is required")
         try:
-            base = PerUnitBase(
-                power_va=_num(entry["power_VA"], source, "base.power_VA"),
-                voltage_v=_num(entry["voltage_V"], source, "base.voltage_V"),
-            )
+            base = PerUnitBase(*(_number(entry, key, source, "base") for key in _BASE_KEYS))
         except ValueError as exc:
             _fail(source, f"base: {exc}")
 
@@ -143,115 +196,55 @@ def parse_grid(doc, source: str = "<grid>") -> GridTree:
     segments = []
     for k, entry in enumerate(raw_segments):
         where = f"segments[{k}]"
-        _check_keys(
-            entry,
-            {"id", "length_km", "r_ohm_per_km", "x_ohm_per_km",
-             "g_pu_per_km", "b_pu_per_km", "parent", "offset_km"},
-            source, where,
-        )
-        seg_id = entry.get("id")
-        if not isinstance(seg_id, str) or not seg_id:
-            _fail(source, f"{where}: id must be a non-empty string")
-        if "length_km" not in entry:
-            _fail(source, f"{where}: length_km is required")
-        length = _num(entry["length_km"], source, f"{where}.length_km")
-        ohmic = [k_ for k_ in ("r_ohm_per_km", "x_ohm_per_km") if k_ in entry]
-        perunit = [k_ for k_ in ("g_pu_per_km", "b_pu_per_km") if k_ in entry]
+        _check_keys(entry, _SEGMENT_KEYS, source, where)
+        seg_id = _name(entry, "id", source, where)
+        length = _number(entry, "length_km", source, where)
+        ohmic, perunit = ([key for key in pair if key in entry] for pair in _LINE_PAIRS)
         if ohmic and perunit:
             _fail(source, f"{where}: give ohmic or per-unit line parameters, not both")
         if len(ohmic) == 2:
             if base is None:
                 _fail(source, f"{where}: ohmic parameters need a base section")
             try:
-                g, b = to_per_unit(
-                    _num(entry["r_ohm_per_km"], source, f"{where}.r_ohm_per_km"),
-                    _num(entry["x_ohm_per_km"], source, f"{where}.x_ohm_per_km"),
-                    base,
-                )
+                g, b = to_per_unit(*(_number(entry, key, source, where) for key in ohmic), base)
             except ValueError as exc:
                 _fail(source, f"{where}: {exc}")
         elif len(perunit) == 2:
-            g = _num(entry["g_pu_per_km"], source, f"{where}.g_pu_per_km")
-            b = _num(entry["b_pu_per_km"], source, f"{where}.b_pu_per_km")
+            g, b = (_number(entry, key, source, where) for key in perunit)
         else:
-            _fail(source, f"{where}: give r_ohm_per_km+x_ohm_per_km or "
-                          "g_pu_per_km+b_pu_per_km")
+            _fail(source, f"{where}: give {' or '.join(map('+'.join, _LINE_PAIRS))}")
         parent = entry.get("parent")
         if parent is not None and not isinstance(parent, str):
             _fail(source, f"{where}: parent must be a segment id string")
-        offset = 0.0
-        if parent is not None:
-            if "offset_km" not in entry:
-                _fail(source, f"{where}: offset_km is required with parent")
-            offset = _num(entry["offset_km"], source, f"{where}.offset_km")
-        elif "offset_km" in entry:
+        if parent is None and "offset_km" in entry:
             _fail(source, f"{where}: offset_km only applies with parent")
-        segments.append(FeederSegment(
-            id=seg_id, length_km=length, g_pu_per_km=g, b_pu_per_km=b,
-            parent=parent, offset_km=offset,
-        ))
+        offset = (0.0 if parent is None
+                  else _number(entry, "offset_km", source, where, "is required with parent"))
+        segments.append(FeederSegment(seg_id, length, g, b, parent, offset))
 
-    raw_devices = doc.get("devices", [])
-    if raw_devices is None:
-        raw_devices = []
+    raw_devices = [] if doc.get("devices") is None else doc["devices"]
     if not isinstance(raw_devices, list):
         _fail(source, "devices: expected a list")
     devices = []
-    counters = {"load": 0, "station": 0}
+    counters = dict.fromkeys(_DEVICE_POWERS, 0)
     for k, entry in enumerate(raw_devices):
         where = f"devices[{k}]"
-        _check_keys(
-            entry,
-            {"kind", "segment", "xi_km", "id", "p_pu", "p_W", "q_pu", "q_VAr",
-             "p_min_pu", "p_min_W", "p_max_pu", "p_max_W"},
-            source, where,
-        )
+        _check_keys(entry, _DEVICE_KEYS, source, where)
         kind = entry.get("kind")
-        if kind not in ("load", "station"):
+        if not isinstance(kind, str) or kind not in _DEVICE_POWERS:
             _fail(source, f"{where}: kind must be 'load' or 'station', got {kind!r}")
-        seg_ref = entry.get("segment")
-        if not isinstance(seg_ref, str) or not seg_ref:
-            _fail(source, f"{where}: segment must be a non-empty string")
-        if "xi_km" not in entry:
-            _fail(source, f"{where}: xi_km is required")
-        xi = _num(entry["xi_km"], source, f"{where}.xi_km")
+        seg_ref = _name(entry, "segment", source, where)
+        xi = _number(entry, "xi_km", source, where)
         counters[kind] += 1
-        dev_id = entry.get("id")
-        if dev_id is None:
-            dev_id = f"{kind}-{counters[kind]}"
-        elif not isinstance(dev_id, str) or not dev_id:
-            _fail(source, f"{where}: id must be a non-empty string")
-
-        def in_pu(pu_key: str, w_key: str, required: bool) -> float:
-            key, value = _one_of(entry, (pu_key, w_key), source, where, required)
-            if key is None:
-                return 0.0
-            value = _num(value, source, f"{where}.{key}")
-            if key == w_key:
-                if base is None:
-                    _fail(source, f"{where}: {w_key} needs a base section")
-                return value / base.power_va
-            return value
-
-        if kind == "load":
-            for bad_key in ("p_min_pu", "p_min_W", "p_max_pu", "p_max_W"):
-                if bad_key in entry:
-                    _fail(source, f"{where}: {bad_key} only applies to stations")
-            devices.append(Device(
-                kind="load", segment=seg_ref, xi_km=xi, id=dev_id,
-                p_pu=in_pu("p_pu", "p_W", required=True),
-                q_pu=in_pu("q_pu", "q_VAr", required=False),
-            ))
-        else:
-            for bad_key in ("p_pu", "p_W", "q_pu", "q_VAr"):
-                if bad_key in entry:
-                    _fail(source, f"{where}: {bad_key} only applies to loads "
-                                  "(station set points come from dispatch)")
-            devices.append(Device(
-                kind="station", segment=seg_ref, xi_km=xi, id=dev_id,
-                p_min_pu=in_pu("p_min_pu", "p_min_W", required=True),
-                p_max_pu=in_pu("p_max_pu", "p_max_W", required=True),
-            ))
+        dev_id = (f"{kind}-{counters[kind]}" if entry.get("id") is None
+                  else _name(entry, "id", source, where))
+        for key, applies_to in _REFUSED[kind]:
+            if key in entry:
+                _fail(source, f"{where}: {key} only applies to {applies_to}")
+        powers = {}
+        for row in _DEVICE_POWERS[kind]:
+            powers[row[0]] = _power(entry, row, base, source, where)
+        devices.append(Device(kind, seg_ref, xi, dev_id, **powers))
 
     if base is None:
         base = PerUnitBase(power_va=1.0, voltage_v=1.0)

@@ -375,25 +375,28 @@ def _solve(grid: GridTree, density: DensityField, settings: SolverSettings,
     mesh = _mesh(grid, settings, density.sigma_km)
     p, q = _sample_density(mesh, density)
     gp_bq = mesh.g * p + mesh.b * q
-    s = mesh.backward((mesh.b * p - mesh.g * q) / mesh.z2)
-    s_mid = _mid(s)
-    s_mid2 = s_mid ** 2
-    v = np.ones_like(s)
-    v_mid = np.ones_like(s_mid)       # the linearized system's fixed feedback
+    # a subnormal |z|^2 may drive the states to inf or NaN; the collapse
+    # check below stops that sweep, so numpy need not warn about it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = mesh.backward((mesh.b * p - mesh.g * q) / mesh.z2)
+        s_mid = _mid(s)
+        s_mid2 = s_mid ** 2
+        v = np.ones_like(s)
+        v_mid = np.ones_like(s_mid)       # the linearized system's fixed feedback
 
-    for sweeps in range(1, MAX_SWEEPS + 1):    # MAX_SWEEPS >= 1 sets both names
-        if nonlinear:
-            v_mid = _mid(v)
-        w = mesh.backward(s_mid2 / v_mid ** 3 - gp_bq / (v_mid * mesh.z2))
-        v_old, v = v, mesh.forward(_mid(w), 1.0, scale=True)
-        v_min = float(v.min())
-        if not v_min >= COLLAPSE_FLOOR_PU:    # a NaN state stops at its first sweep
-            raise VoltageCollapseError(v_min)
-        change = float(np.max(np.abs(v - v_old)))
-        if change <= TOL_V:
-            break
-    else:
-        raise ConvergenceError(MAX_SWEEPS, change)
+        for sweeps in range(1, MAX_SWEEPS + 1):    # MAX_SWEEPS >= 1 sets both names
+            if nonlinear:
+                v_mid = _mid(v)
+            w = mesh.backward(s_mid2 / v_mid ** 3 - gp_bq / (v_mid * mesh.z2))
+            v_old, v = v, mesh.forward(_mid(w), 1.0, scale=True)
+            v_min = float(v.min())
+            if not v_min >= COLLAPSE_FLOOR_PU:    # a NaN state stops at its first sweep
+                raise VoltageCollapseError(v_min)
+            change = float(np.max(np.abs(v - v_old)))
+            if change <= TOL_V:
+                break
+        else:
+            raise ConvergenceError(MAX_SWEEPS, change)
 
     if nonlinear:
         v_mid = _mid(v)

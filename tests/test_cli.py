@@ -674,3 +674,51 @@ def test_a_non_finite_number_in_any_checked_field_is_named(case):
         assert stderr.getvalue().startswith("error: invalid grid: ")
         assert message in stderr.getvalue()
         assert not out.exists()
+
+
+@pytest.mark.parametrize("text,unknown", [
+    (NO_DEVICES + "1: x\nfoo: y\n", "top level: unknown keys [1, 'foo']"),
+    (NO_DEVICES.replace("length_km: 5.0", "length_km: 5.0, ~: 1, a: 2"),
+     "segments[0]: unknown keys [None, 'a']"),
+    (STATIONS_ONLY.replace("xi_km: 1.5", "xi_km: 1.5, 1: x, foo: y"),
+     "devices[0]: unknown keys [1, 'foo']"),
+], ids=["top_level", "segment", "device"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unknown_keys_of_mixed_types_are_io_errors(tmp_path, capsys, command, text, unknown):
+    # sorting keys of types that do not compare used to raise a TypeError
+    path, out = tmp_path / "grid.yaml", tmp_path / "o"
+    path.write_text(text)
+    argv = [command, "--grid", str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {unknown}; allowed keys [")
+    assert err.count("\n") == 1 and err.endswith("]\n")
+    assert not out.exists()
+
+
+def test_an_integer_beyond_the_float_range_is_domain_error(tmp_path, capsys):
+    # float() of it used to raise OverflowError; it reads as inf, as 1.0e400 does
+    path, out = tmp_path / "grid.yaml", tmp_path / "o"
+    path.write_text(NO_DEVICES.replace("length_km: 5.0", "length_km: 1" + "0" * 400))
+    message = "segment 'm': length must be positive, got inf"
+    assert main(["validate", "--grid", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"violation: {message}\n" in captured.out
+    assert captured.err == ""
+    assert main(["run", "--grid", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid grid: ") and message in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "xcheck"])
+def test_a_subnormal_z2_collapses_on_one_error_line(tmp_path, capsys, command):
+    # G = B = 1e-160 passes validation; the sweep overflows and collapses,
+    # and numpy's overflow warnings no longer precede the error line
+    path, out = tmp_path / "line.yaml", tmp_path / "o"
+    path.write_text(HEAVY.replace("3.881", "1e-160").replace("6.856", "1e-160"))
+    assert main([command, "--grid", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: voltage collapse region: v dropped to -inf pu (floor 0.5)\n")
+    assert not out.exists()

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import re
+import textwrap
+from pathlib import Path
 
 import pytest
 import yaml
@@ -14,7 +17,9 @@ from feederflow import (
     solve_nonlinear,
     synthesize,
     synthesize_tree,
+    validate_grid,
 )
+from feederflow import gridio
 from feederflow.gridio import (
     DISPATCH_HEADER,
     PROFILE_HEADER,
@@ -143,6 +148,11 @@ def test_libyaml_and_python_loaders_agree(name):
         ("device_without_xi", r"devices\[0\]: xi_km is required"),
         ("device_id_empty", r"devices\[0\]: id must be a non-empty string"),
         ("watts_without_base", r"devices\[0\]: p_W needs a base section"),
+        ("unknown_int_and_str", r"devices\[0\]: unknown keys \[1, 'foo'\]; allowed keys \['id',"),
+        ("unknown_null_and_str", r"devices\[0\]: unknown keys \[None, 'a'\]; allowed keys"),
+        ("unknown_mixed_top", r"top level: unknown keys \[1, 'foo'\]; allowed keys \['base',"),
+        ("unknown_strings_sorted", r"segments\[0\]: unknown keys \['Zeta', 'alpha'\];"),
+        ("kind_a_list", r"devices\[0\]: kind must be 'load' or 'station', got \['load'\]"),
     ],
 )
 def test_schema_rejections(tmp_path, mutation, needle):
@@ -193,6 +203,11 @@ def test_schema_rejections(tmp_path, mutation, needle):
             "devices:\n"
             "  - {kind: load, segment: m, xi_km: 0.5, p_W: -1.0}\n"
         ),
+        "unknown_int_and_str": GOOD.replace("xi_km: 2.0", "xi_km: 2.0, 1: x, foo: y"),
+        "unknown_null_and_str": GOOD.replace("xi_km: 2.0", "xi_km: 2.0, ~: 1, a: 2"),
+        "unknown_mixed_top": GOOD + "1: x\nfoo: y\n",
+        "unknown_strings_sorted": GOOD.replace("length_km: 5.0", "length_km: 5.0, alpha: 1, Zeta: 2"),
+        "kind_a_list": GOOD.replace("kind: load", "kind: [load]"),
     }
     with pytest.raises(GridFileError, match=needle):
         load_grid(write_tmp(tmp_path, docs[mutation]))
@@ -201,6 +216,37 @@ def test_schema_rejections(tmp_path, mutation, needle):
 def test_parse_rejects_non_mapping():
     with pytest.raises(GridFileError):
         parse_grid(["not", "a", "mapping"])
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_an_integer_beyond_the_float_range_reads_as_inf(tmp_path, sign):
+    # as a YAML float literal beyond the range (1.0e400) already reads
+    big = sign + "1" + "0" * 400
+    grid = load_grid(write_tmp(tmp_path, GOOD.replace("length_km: 5.0", f"length_km: {big}")
+                               .replace("p_W: -720.0e3", f"p_W: {big}")))
+    assert grid.segments[0].length_km == float(f"{sign}inf")
+    assert grid.loads()[0].p_pu == float(f"{sign}inf")
+    assert f"length must be positive, got {sign}inf" in validate_grid(grid).violations[0]
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def documented_grids():
+    """The YAML examples of the schema: under the README's "Grid files"
+    heading, and in the gridio module docstring."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Grid files"):]
+    yield "README", re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+    doc = gridio.__doc__.split("::\n\n", 1)[1]
+    yield "gridio", textwrap.dedent(doc.split("\n\n", 1)[0])
+
+
+@pytest.mark.parametrize("name,text", list(documented_grids()))
+def test_documented_schema_examples_parse_and_validate(name, text):
+    grid = parse_grid(yaml.load(text, Loader=YAML_LOADER), source=name)
+    assert grid.loads() and grid.stations()
+    assert validate_grid(grid).violations == ()
 
 
 # -- deterministic writers -----------------------------------------------------
