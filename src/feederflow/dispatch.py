@@ -29,7 +29,14 @@ The passes read the grid's own Device records.  What no request changes
 is built once per grid and kept on it: the legs, the station order and
 bounds, the plan's id, position and bound columns, each load's principle
 term g*P + b*Q, and the active pass, which never reads the request: its
-values, seeds_p and P hand-offs, which each request copies.  A plan holds its
+values, seeds_p and P hand-offs, which each request copies.  The refinement
+changes stations bank-nearest first and stops once the request is met, so
+every station before the first one it visits, in the far-to-near station
+order, keeps its unrefined p.  The reactive walk at a station reads only
+that station's p and cap and what it carries from the stations walked
+before, so up to that first station a request's reactive pass is the one
+over the unrefined p.  The grid keeps that pass per mode, with the walk's
+state before each station, and each request resumes it there.  A plan holds its
 stations as columns: a request adds only its p, q and q_cap columns, with
 q_cap computed once as one vector from the final p, and the
 StationDispatch rows are built only when a caller reads plan.stations.
@@ -162,7 +169,7 @@ def _hand_off(trace, *event) -> None:
         column.append(value)
 
 
-def _forward(quantity, legs, bounds, update, trace):
+def _forward(quantity, legs, bounds, update, trace, start=None, record=None):
     """One far-to-near clamp-and-forward pass over every leg.
 
     Each station is seeded with the hand-offs it received from child legs
@@ -170,16 +177,21 @@ def _forward(quantity, legs, bounds, update, trace):
     station.  It then absorbs the loads strictly beyond it, value =
     update(value, k, load), until the value leaves bounds[k] = (lo, hi),
     where it clamps and forwards the excess.  A station that consumes no load
-    keeps its seed unclamped.  Returns (values, seeds) in station order.
+    keeps its seed unclamped.
+
+    start resumes the walk before station k = len(values) as (values, leg,
+    first, residual, src, j, incoming): the values of the stations before
+    it, the leg and the index in it of station k, and the walk's state
+    there; None starts at the first station.  Returns (values, seeds), the
+    seeds of the stations walked.  record, when given, gets the state before
+    each station walked appended as (residual, j, hand-offs logged).
     """
-    incoming: dict[str, list[float]] = {}
-    values: list[float] = []
+    values, leg_index, first, residual, src, j, incoming = start or ([], 0, 0, 0.0, "", 0, {})
     seeds: list[float] = []
-    for leg in legs:
-        residual = 0.0
-        src = ""
-        j = 0
-        for st in leg.stations:
+    for leg in legs[leg_index:]:
+        for st in leg.stations[first:] if first else leg.stations:
+            if record is not None:
+                record.append((residual, j, len(trace[0])))
             k = len(values)
             seed = 0.0
             for amount in incoming.pop(st.id, ()):  # hand-offs arrived earlier
@@ -209,6 +221,7 @@ def _forward(quantity, legs, bounds, update, trace):
             _hand_off(trace, quantity, residual, src, leg.bank_side)
             if leg.bank_side is not None:
                 incoming.setdefault(leg.bank_side, []).append(residual)
+        first, residual, j = 0, 0.0, 0
     assert not incoming, "hand-off targeted an already-processed station"
     return values, seeds
 
@@ -232,30 +245,34 @@ def _walks(legs) -> tuple[tuple[tuple[int, object], ...], ...]:
     return tuple(walks)
 
 
-def _principle(prep, p, caps):
+def _principle(prep, p, caps, q, subtree, start=(0, 0, 0.0), runs=None):
     """Per-station Q driving the running sum of g*P + b*Q beyond it to zero,
     each clamped to its station's cap.
 
     The sum covers the whole subtree beyond the walk point, each device
     weighted with its own segment's parameters; the walk order is the
-    grid's (see _walks).
+    grid's (see _walks).  start = (leg, at, run) resumes the walk at event
+    `at` of that leg's walk with the running sum run; q is filled from
+    there on, and subtree, each leg's sum at its near end, must hold the
+    legs before it.  runs, when given, gets the sum before each station.
     """
-    q = [0.0] * len(p)
-    subtree: dict[str, float] = {}
-    for leg, walk in zip(prep.legs, prep.walks):
+    leg_index, at, run = start
+    for leg, walk in zip(prep.legs[leg_index:], prep.walks[leg_index:]):
         g, b = leg.g, leg.b
-        run = 0.0
-        for kind, item in walk:
+        for kind, item in walk[at:] if at else walk:
             if kind == 0:
                 run += subtree[item]
             elif kind == 1:
                 run += item
             else:
+                if runs is not None:
+                    runs[item] = run
                 cap = caps[item]
                 raw = -(run + g * p[item]) / b
                 q[item] = min(max(raw, -cap), cap)
                 run += g * p[item] + b * q[item]
         subtree[leg.id] = run
+        at, run = 0, 0.0
     return q
 
 
@@ -263,13 +280,14 @@ def _refine(bounds, p, order, p_run):
     """Place p_run less each value of p (in station order), visiting stations
     in `order` (bank-nearest first) and filling each up to its derated bounds.
 
-    Updates p in place and returns what could not be placed.
+    Updates p in place and returns (what could not be placed, how many
+    stations of order it visited): the other stations keep their p.
     """
     for value in p:
         p_run = p_run - value
-    for k in order:
+    for visited, k in enumerate(order):
         if p_run == 0.0:
-            break
+            return p_run, visited
         lo, hi = bounds[k]
         if p[k] + p_run > hi:
             p_run = p_run - hi + p[k]
@@ -280,20 +298,16 @@ def _refine(bounds, p, order, p_run):
         else:
             p[k] = p[k] + p_run
             p_run = 0.0
-    return p_run
+    return p_run, len(order)
 
 
-def _reactive(prep, p, caps, mode, trace):
-    """Reactive set points for fixed active dispatch, inside the stations'
-    caps. Returns (q, seeds_q)."""
-    if mode == "principle":
-        return _principle(prep, p, caps.tolist()), prep.seeds_q
-    if mode != "literal":
-        raise ValueError(f"unknown mode {mode!r}; expected 'literal' or 'principle'")
+def _literal(prep, p, caps, trace, start=None, record=None):
+    """The literal reactive pass: _forward over Q with the plain per-load
+    update, inside each station's cap."""
     g_over_b = prep.g_over_b
-    q, seeds = _forward("Q", prep.legs, list(zip((-caps).tolist(), caps.tolist())),
-                        lambda _value, k, load: g_over_b[k] * (p[k] - load.p_pu), trace)
-    return q, tuple(zip(prep.ids, seeds))
+    return _forward("Q", prep.legs, list(zip((-caps).tolist(), caps.tolist())),
+                    lambda _value, k, load: g_over_b[k] * (p[k] - load.p_pu), trace,
+                    start=start, record=record)
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +351,15 @@ class _Prepared(NamedTuple):
     bounds: tuple[tuple[float, float], ...]  # derated (lo, hi) per station
     order: tuple[int, ...]                   # station indices, bank-nearest first
     index: np.ndarray                        # order, as an index array
+    # reach[m]: the least station index among order[:m], or the station count
+    reach: np.ndarray
     g_over_b: tuple[float, ...]              # per station, its segment's g / b
     walks: tuple[tuple, ...]                 # per leg, the principle walk's events
     columns: tuple[tuple, ...]               # plan ids, xi_km, p_min_eff, p_max_eff
     bank_bounds: np.ndarray                  # (2, stations): derated lo, hi
     p: tuple[float, ...]                     # the active pass's values, unrefined
     seeds_p: tuple[tuple[str, float], ...]   # its seeds, as plan.seeds_p
-    handoffs_p: tuple[tuple, ...]            # its hand-off columns; Q's follow
-    seeds_q: tuple[tuple[str, float], ...]   # principle mode's: all 0.0
+    handoffs_p: tuple[tuple, ...]            # its hand-off columns
 
 
 def _prepare(grid: GridTree) -> _Prepared:
@@ -360,12 +375,100 @@ def _prepare(grid: GridTree) -> _Prepared:
         trace: tuple[list, ...] = ([], [], [], [])
         p, seeds = _forward("P", legs, bounds, lambda value, _k, load: value - load.p_pu, trace)
         return _Prepared(legs, ids, bounds, tuple(order), np.array(order, dtype=np.intp),
+                         np.minimum.accumulate(np.array([len(ids), *order], dtype=np.intp)),
                          tuple(leg.g / leg.b for leg in legs for _ in leg.stations),
                          _walks(legs),
                          (tuple(st.id for st in bank), tuple(st.xi_km for st in bank), lo, hi),
                          np.array((lo, hi), dtype=float), tuple(p), tuple(zip(ids, seeds)),
-                         tuple(map(tuple, trace)), tuple((sid, 0.0) for sid in ids))
+                         tuple(map(tuple, trace)))
     return grid._cached("dispatch", None, build)
+
+
+_MODES = ("literal", "principle")
+
+# the walk's state before a station, one record per station and one past the
+# last: the leg and the station's index in it (literal) or its event's
+# index in the leg's walk (principle), then what the walk carries there
+_LITERAL_STATE = np.dtype([("leg", np.intp), ("first", np.intp), ("residual", float),
+                           ("j", np.intp), ("logged", np.intp)])
+_PRINCIPLE_STATE = np.dtype([("leg", np.intp), ("at", np.intp), ("run", float)])
+
+
+class _Reactive(NamedTuple):
+    """One mode's reactive pass over the unrefined active values.
+
+    The pass reads a station's own p and cap and what the walk carries from
+    the stations before it, so a request's pass equals this one up to the
+    first station its refinement visited, and resumes there from the state
+    kept here."""
+
+    q: tuple[float, ...]                    # station order
+    seeds_q: tuple[tuple[str, float], ...]  # as plan.seeds_q
+    handoffs: tuple[tuple, ...]             # the P hand-off columns, then Q's
+    state: np.ndarray                       # _LITERAL_STATE or _PRINCIPLE_STATE
+    # literal: (source leg, target station, target id, amount) of each
+    # hand-off that leaves a leg for a station, in log order
+    ends: tuple[tuple, ...]
+    subtree: dict[str, float]               # principle: each leg's sum at its near end
+
+
+def _reactive_pass(grid: GridTree, prep: _Prepared, mode: str) -> _Reactive:
+    """The mode's reactive pass on the grid's unrefined p, built once per
+    grid and mode."""
+    def build() -> _Reactive:
+        p = list(prep.p)
+        caps = station_q_caps(np.array(p, dtype=float))
+        end = (len(prep.legs), 0)    # where the walk stands after the last station
+        if mode == "principle":
+            runs = [0.0] * (len(p) + 1)
+            subtree: dict[str, float] = {}
+            q = _principle(prep, p, caps.tolist(), [0.0] * len(p), subtree, runs=runs)
+            where = [(leg, at) for leg, walk in enumerate(prep.walks)
+                     for at, (kind, _item) in enumerate(walk) if kind == 2] + [end]
+            return _Reactive(tuple(q), tuple((sid, 0.0) for sid in prep.ids), prep.handoffs_p,
+                             np.array([(*w, run) for w, run in zip(where, runs)], _PRINCIPLE_STATE),
+                             (), subtree)
+        trace = tuple(map(list, prep.handoffs_p))
+        record: list[tuple] = []
+        q, seeds = _literal(prep, p, caps, trace, record=record)
+        record.append((0.0, 0, len(trace[0])))
+        where = [(leg, first) for leg, item in enumerate(prep.legs)
+                 for first in range(len(item.stations))] + [end]
+        station = {sid: k for k, sid in enumerate(prep.ids)}
+        leg_of = {sid: leg for sid, (leg, _first) in zip(prep.ids, where)}
+        q_handoffs = [column[len(prep.handoffs_p[0]):] for column in trace[1:]]
+        ends = tuple((leg_of[source], station[target], target, amount)
+                     for amount, source, target in zip(*q_handoffs)
+                     if target is not None and leg_of[source] != leg_of[target])
+        return _Reactive(tuple(q), tuple(zip(prep.ids, seeds)), tuple(map(tuple, trace)),
+                         np.array([w + rec for w, rec in zip(where, record)], _LITERAL_STATE),
+                         ends, {})
+    return grid._cached("dispatch", mode, build)
+
+
+def _reactive(grid: GridTree, prep: _Prepared, mode: str, p, caps: np.ndarray, r: int):
+    """(q, seeds_q, hand-off columns) of a request whose refinement left the
+    stations before station r as the grid's active pass set them: the
+    grid's reactive pass up to r, resumed there."""
+    const = _reactive_pass(grid, prep, mode)
+    if mode == "principle":
+        q = _principle(prep, p, caps.tolist(), list(const.q), dict(const.subtree),
+                       start=const.state[r].item())
+        return q, const.seeds_q, const.handoffs
+    leg, first, residual, j, logged = const.state[r].item()
+    incoming: dict[str, list[float]] = {}
+    for source_leg, k, target, amount in const.ends:
+        if source_leg >= leg:    # logged after station r
+            break
+        if k >= r:               # not yet taken up before station r
+            incoming.setdefault(target, []).append(amount)
+    # a residual in hand at r was forwarded by the station before it
+    src = prep.ids[r - 1] if residual != 0.0 else ""
+    trace: tuple[list, ...] = ([], [], [], [])
+    q, seeds = _literal(prep, p, caps, trace,
+                        (list(const.q[:r]), leg, first, residual, src, j, incoming))
+    return (q, const.seeds_q[:r] + tuple(zip(prep.ids[r:], seeds)),
+            tuple(old[:logged] + tuple(new) for old, new in zip(const.handoffs, trace)))
 
 
 def _plan(prep: _Prepared, p: np.ndarray, q: np.ndarray, q_cap: np.ndarray,
@@ -424,16 +527,17 @@ def synthesize_tree(grid: GridTree, p_ref: float, mode: str = "literal") -> Disp
     """
     _check_request(p_ref)
     grid.validated()
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected 'literal' or 'principle'")
     prep = _prepare(grid)
     p = list(prep.p)
-    leftover = _refine(prep.bounds, p, prep.order, p_ref)
-    trace = tuple(map(list, prep.handoffs_p))    # the hand-off columns, P first
+    leftover, visited = _refine(prep.bounds, p, prep.order, p_ref)
     p_vec = np.array(p, dtype=float)
     caps = station_q_caps(p_vec)    # once per plan: the reactive bounds and q_cap
-    q, seeds_q = _reactive(prep, p, caps, mode, trace)
+    q, seeds_q, handoffs = _reactive(grid, prep, mode, p, caps, int(prep.reach[visited]))
     k = prep.index
     return _plan(prep, p_vec[k], np.array(q, dtype=float)[k], caps[k],
-                 p_ref=p_ref, leftover_p=leftover, handoffs=tuple(map(tuple, trace)),
+                 p_ref=p_ref, leftover_p=leftover, handoffs=handoffs,
                  seeds_p=prep.seeds_p, seeds_q=seeds_q)
 
 

@@ -186,7 +186,10 @@ class GridTree:
       them, or -1 when it is idle, and each segment's closest spacing of
       loads and placed stations, for the spacing warnings;
     - the dispatch legs, station order and bounds, a plan's bank-nearest
-      id, position and bound columns, and the active pass's result.
+      id, position and bound columns, and the active pass's result; and
+      per reactive mode, the reactive pass over the unrefined active
+      values with the walk's state before each station, which a request
+      resumes at the first station its refinement visited.
 
     Each kind keeps at most CACHED_PER_KIND entries.  The cache cannot go
     stale: segments and devices are stored as frozen records in tuples.

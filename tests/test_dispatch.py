@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -285,6 +286,71 @@ def test_property_oracle_equivalence(case):
     assert [s.p_pu for s in far_first] == p_want
     assert [s.q_pu for s in far_first] == q_want
     assert plan.leftover_p == left
+    q_want, _total = oracle.principle_pass(
+        p_want, [d.xi_km for d in sta], [d.xi_km for d in loads], [d.p_pu for d in loads],
+        [d.q_pu for d in loads], grid.segments[0].g_pu_per_km, grid.segments[0].b_pu_per_km)
+    far_first = list(reversed(synthesize(grid, p_ref, "principle").stations))
+    assert [s.q_pu for s in far_first] == q_want
+
+
+@st.composite
+def trunk_with_laterals(draw):
+    """A 4 km trunk with up to two 2 km laterals joined straight to it, and
+    the oracle's description of it.  Devices sit on lattices: a quarter km
+    on the laterals, half a km on the trunk, whose devices may thus share a
+    junction's position."""
+    def powers():
+        raw = draw(st.floats(0.01, 0.2))
+        return -raw * draw(st.floats(0.1, 1.0)), raw
+
+    def leg(seg_id, start, spots, step, at=None):
+        g, b = draw(st.floats(0.5, 8.0)), draw(st.floats(0.5, 8.0))
+        kinds = draw(st.lists(st.sampled_from("-sl"), min_size=spots, max_size=spots))
+        stations, loads, devices = [], [], []
+        for k in reversed(range(spots)):        # far-to-near
+            xi = start + step * (k + 1)
+            if kinds[k] == "s":
+                lo, hi = powers()
+                stations.append((f"{seg_id}-s{k}", xi, lo, hi))
+                devices.append(Device("station", seg_id, xi, f"{seg_id}-s{k}",
+                                      p_min_pu=lo, p_max_pu=hi))
+            elif kinds[k] == "l":
+                p, q = -draw(st.floats(0.0, 0.3)), draw(st.floats(-0.1, 0.1))
+                loads.append((xi, p, q))
+                devices.append(Device("load", seg_id, xi, f"{seg_id}-l{k}", p_pu=p, q_pu=q))
+        return {"g": g, "b": b, "at": at, "stations": stations, "loads": loads}, devices
+
+    legs, devices, segments = [], [], []
+    for n in range(draw(st.integers(0, 2))):
+        at = 0.5 * draw(st.integers(1, 8))
+        lateral, on_it = leg(f"lat{n}", at, 7, 0.25, at)
+        legs.append(lateral)
+        devices += on_it
+        segments.append(FeederSegment(f"lat{n}", 2.0, lateral["g"], lateral["b"],
+                                      parent="trunk", offset_km=at))
+    trunk, on_it = leg("trunk", 0.0, 7, 0.5)
+    legs.append(trunk)
+    segments.insert(0, FeederSegment("trunk", 4.0, trunk["g"], trunk["b"]))
+    return GridTree(PerUnitBase(1.0, 1.0), tuple(segments), tuple(devices + on_it)), legs
+
+
+@settings(max_examples=100, deadline=None)
+@given(trunk_with_laterals(),
+       st.lists(st.floats(-1.0, 1.0) | st.sampled_from((0.0, -0.0)), min_size=4, max_size=6))
+def test_property_warm_grid_matches_oracle(case, requests):
+    # one grid object answers every request: each resumes the reactive pass
+    # the grid keeps, at the first station its refinement visited
+    grid, legs = case
+    for p_ref in requests:
+        for mode in ("literal", "principle"):
+            plan = synthesize_tree(grid, p_ref, mode)
+            want, left = oracle.tree_dispatch(legs, p_ref, mode)
+            seeds = dict(plan.seeds_q)
+            got = {row.station_id: (row.p_pu, row.q_pu, seeds[row.station_id])
+                   for row in plan.stations}
+            assert repr(got) == repr({sid: want[sid] for sid in got})
+            assert set(got) == set(want)
+            assert repr(plan.leftover_p) == repr(left)
 
 
 @settings(max_examples=60, deadline=None)
@@ -431,3 +497,68 @@ def test_plan_trace_is_built_from_its_columns_on_first_read(single_feeder, feede
     assert trace is plan.trace and len(built) == len(trace)
     assert hashlib.sha256(repr(trace).encode()).hexdigest() == FROZEN_TRACE_SHA256[name, mode]
     assert _plan_of(grid, mode).handoffs == plan.handoffs
+
+
+# -- one grid answering a sweep of requests -------------------------------------
+
+def seeded_feeder(seed=19, pairs=200):
+    """A 20 km feeder of `pairs` stations, each with one load just beyond it."""
+    rng = random.Random(seed)
+    devices = []
+    for k in range(pairs):
+        x = 0.1 * k + 0.05
+        raw = rng.uniform(0.001, 0.02)
+        devices.append(Device("station", "main", x, f"s{k:03d}",
+                              p_min_pu=-raw * rng.uniform(0.1, 1.0), p_max_pu=raw))
+        devices.append(Device("load", "main", x + rng.uniform(0.01, 0.09), f"l{k:03d}",
+                              p_pu=-rng.uniform(0.0, 0.02), q_pu=rng.uniform(-0.01, 0.01)))
+    return GridTree(PerUnitBase(1.0, 1.0), (FeederSegment("main", 20.05, 3.881, 6.856),),
+                    tuple(devices))
+
+
+def idle_feeder():
+    """Loads only nearer the bank than every station: the active pass sets
+    every station to 0.0, so a request of 0.0 leaves each as it was."""
+    return make_single([
+        Device("load", "main", 0.5, "l0", p_pu=-0.02, q_pu=0.01),
+        Device("station", "main", 1.0, "s0", p_min_pu=-0.1, p_max_pu=0.1),
+        Device("station", "main", 2.0, "s1", p_min_pu=-0.1, p_max_pu=0.1),
+        Device("load", "main", 0.8, "l1", p_pu=-0.01),
+    ])
+
+
+def sweep_requests(scale, seed=19):
+    """36 seeded requests within +-1.5 scale, then 0.0, -0.0 and +-1e9."""
+    rng = random.Random(seed)
+    return [round(rng.uniform(-1.5, 1.5) * scale, 9) for _ in range(36)] + [0.0, -0.0, 1e9, -1e9]
+
+
+# sha256 over every plan of the sweep, recorded before the reactive pass
+# resumed at the first station the refinement visited
+FROZEN_SWEEP_SHA256 = {
+    "idle": "8de6bdc591bde28a1381fa7141d180256bf18d246f94638ae2dd2691f40c7ab4",
+    "seeded": "93ad38a632101874bb8c354b176bf7f102e5393abf15db38b0f6dc542495d235",
+    "tree": "a06f78d8a108166d76bfc3bd9cbe199421564014eefac242ab8f76c86e3a371b",
+}
+
+
+def _sweep_digest(grid, requests):
+    digest = hashlib.sha256()
+    plans = {}
+    for order in (requests, requests[::-1]):
+        for p_ref in order:
+            for mode in ("literal", "principle"):
+                plan = synthesize_tree(grid, p_ref, mode)
+                for part in (plan, plan.handoffs, plan.seeds_p, plan.seeds_q):
+                    digest.update(repr(part).encode())
+                # the same request gives the same plan whatever came before
+                assert repr(plans.setdefault((repr(p_ref), mode), plan)) == repr(plan)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_SWEEP_SHA256))
+def test_frozen_request_sweep(feeder_tree, name):
+    # the requests run forward and then in reverse on one grid object
+    grid, scale = {"seeded": (seeded_feeder(), 2.0), "tree": (feeder_tree, 0.2),
+                   "idle": (idle_feeder(), 0.03)}[name]
+    assert _sweep_digest(grid, sweep_requests(scale)) == FROZEN_SWEEP_SHA256[name]

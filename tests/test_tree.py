@@ -1,4 +1,5 @@
 """Branched-feeder dispatch: hand-off routing, audit, and flat-feeder parity."""
+import collections
 import dataclasses
 import hashlib
 import math
@@ -250,6 +251,24 @@ def test_tree_uniform_baseline(feeder_tree):
 def test_tree_mode_validation(feeder_tree):
     with pytest.raises(ValueError, match="unknown mode"):
         synthesize_tree(feeder_tree, 0.01, mode="verbatim")
+
+
+def test_unknown_mode_is_refused_before_the_grid_prepares_anything():
+    grid = load_feeder_tree()
+    message = r"^unknown mode 'bogus'; expected 'literal' or 'principle'$"
+    with pytest.raises(ValueError, match=message):
+        synthesize_tree(grid, 0.01, "bogus")
+    assert grid._cache == {}
+    # the grid keeps one reactive pass per known mode: any number of unknown
+    # modes leaves what it holds in place
+    for mode in ("literal", "principle"):
+        synthesize_tree(grid, 0.01, mode)
+    held = {key: id(value) for key, value in grid._cache["dispatch"].items()}
+    assert sorted(held, key=str) == [None, "literal", "principle"]
+    for n in range(2 * grid_module.CACHED_PER_KIND):
+        with pytest.raises(ValueError, match="unknown mode"):
+            synthesize_tree(grid, 0.01, f"mode-{n}")
+    assert {key: id(value) for key, value in grid._cache["dispatch"].items()} == held
 
 
 def test_tree_principle_mode_stays_in_cone(feeder_tree):
@@ -592,25 +611,34 @@ def test_grid_prepares_each_mesh_pair_set_and_legs_once(monkeypatch):
 
 
 def test_active_pass_runs_once_per_grid(monkeypatch):
-    # the far-to-near P pass never reads the request, so the grid keeps it
+    # the far-to-near P pass never reads the request, so the grid keeps it;
+    # it keeps each mode's Q pass over those unrefined values too, with the
+    # walk's state before each station, and every request resumes that walk
     doc = yaml.safe_load(bundled_grid_path("feeder_tree").read_text())
     grid = parse_grid(doc)
-    passes = []
-    forward = dispatch_module._forward
+    passes = collections.Counter()
+    forward, principle = dispatch_module._forward, dispatch_module._principle
 
-    def counting(quantity, *args):
-        passes.append(quantity)
-        return forward(quantity, *args)
+    def counting_forward(quantity, *args, **kwargs):
+        passes[quantity, kwargs.get("start") is not None, kwargs.get("record") is not None] += 1
+        return forward(quantity, *args, **kwargs)
 
-    monkeypatch.setattr(dispatch_module, "_forward", counting)
+    def counting_principle(*args, **kwargs):
+        passes["principle", kwargs.get("start") is not None, kwargs.get("runs") is not None] += 1
+        return principle(*args, **kwargs)
+
+    monkeypatch.setattr(dispatch_module, "_forward", counting_forward)
+    monkeypatch.setattr(dispatch_module, "_principle", counting_principle)
     plans = {}
     for p_ref in (-0.3, 0.0, 0.05, 1e9):
         plans[p_ref] = synthesize_tree(grid, p_ref, "literal")
         synthesize_tree(grid, p_ref, "principle")
         uniform_baseline(grid, p_ref)
-    assert passes.count("P") == 1
-    assert passes.count("Q") == 4
-    # a replaced grid with one load changed runs the pass again, and plans
+    # (pass, resumed, recording the walk's states): one pass from the start
+    # per quantity and mode, and each request resumed
+    assert passes == {("P", False, False): 1, ("Q", False, True): 1, ("Q", True, False): 4,
+                      ("principle", False, True): 1, ("principle", True, False): 4}
+    # a replaced grid with one load changed runs the passes again, and plans
     # as a grid freshly loaded with that load
     entry = next(d for d in doc["devices"] if d.get("id") == "a-ld-1")
     entry["p_W"] = -500.0e3
@@ -622,7 +650,8 @@ def test_active_pass_runs_once_per_grid(monkeypatch):
         plan = synthesize_tree(changed, p_ref, "literal")
         assert plan != plans[p_ref]
         assert repr(plan) == repr(synthesize_tree(fresh, p_ref, "literal"))
-    assert passes.count("P") == 3
+    assert passes == {("P", False, False): 3, ("Q", False, True): 3, ("Q", True, False): 12,
+                      ("principle", False, True): 1, ("principle", True, False): 4}
 
 
 @pytest.mark.parametrize("make", [load_feeder_tree, two_level])
