@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _station_columns
+from .grid import _placement, _station_columns
 
 __all__ = ["PointInjection", "PointInjectionSet", "ClosedFormProfile", "injections_from_grid"]
 
@@ -65,6 +65,7 @@ def injections_from_grid(grid, plan=None) -> PointInjectionSet:
         raise ValueError("closed forms apply to a single straight feeder only")
     seg = grid.segments[0]
     ids, p, q = _station_columns(plan)
+    _placement(grid, ids)    # refuses an id that names no station
     power = dict(zip(ids, zip(p, q)))
     pts = []
     for d in grid.devices:

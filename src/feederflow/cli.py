@@ -206,8 +206,31 @@ EXIT_CODES = {GridFileError: EXIT_IO, OSError: EXIT_IO, SolverError: EXIT_SOLVER
               ValueError: EXIT_DOMAIN}
 
 
+def _join_negative_numbers(argv: list[str]) -> list[str]:
+    """argv with each negative number that follows a long option joined to
+    it, as in --pref=-5e-2: argparse takes only the forms -5, -.5 and -0.5
+    for a negative number and reads any other token that starts with "-",
+    such as -5e-2 or -inf, as an option.  Every long option but --help
+    (which argparse also takes abbreviated) takes a value."""
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and len(prev) > 2 and "=" not in prev
+                and not "--help".startswith(prev) and arg.startswith("-")):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_numbers(argv))
     try:
         return args.func(args)
     except tuple(EXIT_CODES) as exc:

@@ -9,8 +9,11 @@ it plus any residual handed to it, clamps to its derated bounds and
 forwards the excess.  A residual left at a segment's near end is handed to
 the nearest bank-side station on the path to the bank, or dropped at the
 bank when there is none; that target depends only on the segment, so it is
-fixed per segment.  A refinement pass then walks every station from the
-bank outward until the requested total is met exactly.
+fixed per segment.  The residual is the leg's carry, ends[leg], and the
+target lists the leg among its arrivals; the target sits on an ancestor
+segment, which post order walks after the leg.  A refinement pass then
+walks every station from the bank outward until the requested total is
+met exactly.
 
 The ``literal`` reactive mode runs the same clamp-and-forward pass with the
 plain per-load update g/b*(p_i - P_load), including its overwrite of the
@@ -34,15 +37,17 @@ changes stations bank-nearest first and stops once the request is met, so
 every station before the first one it visits, in the far-to-near station
 order, keeps its unrefined p.  The reactive walk at a station reads only
 that station's p and cap and what it carries from the stations walked
-before, so up to that first station a request's reactive pass is the one
-over the unrefined p.  The grid keeps that pass per mode, with the walk's
-state before each station, and each request resumes it there.  A plan holds its
-stations as columns: a request adds only its p, q and q_cap columns, with
-q_cap computed once as one vector from the final p, and the
-StationDispatch rows are built only when a caller reads plan.stations.
-A caller with bare station and load lists builds a one-segment GridTree
-and calls synthesize.  Plans are keyed by device id, so devices built in
-code need a non-empty id; validate_grid rejects an unnamed one.
+before, the legs' carries included, so up to that first station a
+request's reactive pass is the one over the unrefined p.  The grid keeps
+that pass per mode, with the start tuple its walk recorded before each
+station and the legs' carries, and a request resumes the walk from that
+tuple and a copy of the carries.  A plan holds its stations as columns: a
+request adds only its p, q and q_cap columns, with q_cap computed once as
+one vector from the final p, and the StationDispatch rows are built only
+when a caller reads plan.stations.  A caller with bare station and load
+lists builds a one-segment GridTree and calls synthesize.  Plans are keyed
+by device id, so devices built in code need a non-empty id; validate_grid
+rejects an unnamed one.
 """
 from __future__ import annotations
 
@@ -156,10 +161,12 @@ class _Leg(NamedTuple):
     loads: tuple[Device, ...]          # far end first
     g: float
     b: float
-    taps: tuple[tuple[float, str], ...]    # (junction xi, child leg id)
+    taps: tuple[tuple[float, int], ...]    # (junction xi, child leg index)
     # station id that takes a residual left at the near end; None drops it
     # at the bank
     bank_side: str | None
+    # per station, the legs whose near-end residual it takes, in post order
+    arrivals: tuple[tuple[int, ...], ...]
 
 
 def _hand_off(trace, *event) -> None:
@@ -169,33 +176,35 @@ def _hand_off(trace, *event) -> None:
         column.append(value)
 
 
-def _forward(quantity, legs, bounds, update, trace, start=None, record=None):
+def _forward(quantity, legs, bounds, update, trace, values, ends, start=None, record=None):
     """One far-to-near clamp-and-forward pass over every leg.
 
-    Each station is seeded with the hand-offs it received from child legs
-    (summed in trace order) plus the residual forwarded by the previous
-    station.  It then absorbs the loads strictly beyond it, value =
-    update(value, k, load), until the value leaves bounds[k] = (lo, hi),
-    where it clamps and forwards the excess.  A station that consumes no load
-    keeps its seed unclamped.
+    Each leg's near-end residual, 0.0 for none, is carried in ends[leg].
+    Each station is seeded with the carries of the legs in its arrivals
+    (in post order, the order their hand-offs were logged; adding a 0.0
+    carry changes no bit, as a seed is never -0.0) plus the residual
+    forwarded by the previous station.  It then absorbs the loads strictly
+    beyond it, value = update(value, k, load), until the value leaves
+    bounds[k] = (lo, hi), where it clamps and forwards the excess.  A
+    station that consumes no load keeps its seed unclamped.
 
-    start resumes the walk before station k = len(values) as (values, leg,
-    first, residual, src, j, incoming): the values of the stations before
-    it, the leg and the index in it of station k, and the walk's state
-    there; None starts at the first station.  Returns (values, seeds), the
-    seeds of the stations walked.  record, when given, gets the state before
-    each station walked appended as (residual, j, hand-offs logged).
+    values holds the values of the stations before the walk's first one,
+    which start = (leg, index in leg, residual, src, j, hand-offs logged)
+    places, None the first station; ends must hold the carries of the
+    legs before that leg.  Returns (values, seeds), the seeds of the
+    stations walked.  record, when given, gets that start tuple before
+    every station walked and once past the last.
     """
-    values, leg_index, first, residual, src, j, incoming = start or ([], 0, 0, 0.0, "", 0, {})
+    leg_index, first, residual, src, j, _logged = start or (0, 0, 0.0, "", 0, 0)
     seeds: list[float] = []
-    for leg in legs[leg_index:]:
-        for st in leg.stations[first:] if first else leg.stations:
+    for n, leg in enumerate(legs[leg_index:], leg_index):
+        for i, st in enumerate(leg.stations[first:] if first else leg.stations, first):
             if record is not None:
-                record.append((residual, j, len(trace[0])))
+                record.append((n, i, residual, src, j, len(trace[0])))
             k = len(values)
             seed = 0.0
-            for amount in incoming.pop(st.id, ()):  # hand-offs arrived earlier
-                seed = seed + amount
+            for arriving in leg.arrivals[i]:
+                seed = seed + ends[arriving]
             if residual != 0.0:
                 _hand_off(trace, quantity, residual, src, st.id)
                 seed = seed + residual
@@ -217,20 +226,21 @@ def _forward(quantity, legs, bounds, update, trace, start=None, record=None):
                 src = st.id  # clamped: the excess goes bank-ward
                 break
             values.append(value)
+        ends[n] = residual
         if residual != 0.0:
             _hand_off(trace, quantity, residual, src, leg.bank_side)
-            if leg.bank_side is not None:
-                incoming.setdefault(leg.bank_side, []).append(residual)
         first, residual, j = 0, 0.0, 0
-    assert not incoming, "hand-off targeted an already-processed station"
+    if record is not None:
+        record.append((len(legs), 0, 0.0, src, 0, len(trace[0])))
     return values, seeds
 
 
 def _walks(legs) -> tuple[tuple[tuple[int, object], ...], ...]:
     """Per leg, the (kind, item) events of the principle walk, far end first:
-    kind 0 a child tap (item: the child leg's id), 1 a load (its term
-    g*p_pu + b*q_pu), 2 a station (its index in station order).  At a tied
-    position loads and child taps count as beyond the station."""
+    kind 0 a child tap (item: the child leg's index), 1 a load (its term
+    g*p_pu + b*q_pu), 2 a station (its index in station order and the
+    event's own index in the walk, where a walk resumed there starts).  At
+    a tied position loads and child taps count as beyond the station."""
     walks = []
     base = 0
     for leg in legs:
@@ -240,39 +250,47 @@ def _walks(legs) -> tuple[tuple[tuple[int, object], ...], ...]:
             + [(st.xi_km, 2, base + i) for i, st in enumerate(leg.stations)]
         )
         events.sort(key=lambda t: (-t[0], t[1]))
-        walks.append(tuple((kind, item) for _xi, kind, item in events))
+        walks.append(tuple((kind, (item, at) if kind == 2 else item)
+                           for at, (_xi, kind, item) in enumerate(events)))
         base += len(leg.stations)
     return tuple(walks)
 
 
-def _principle(prep, p, caps, q, subtree, start=(0, 0, 0.0), runs=None):
+def _principle(prep, p, caps, q, ends, start=None, record=None):
     """Per-station Q driving the running sum of g*P + b*Q beyond it to zero,
     each clamped to its station's cap.
 
     The sum covers the whole subtree beyond the walk point, each device
     weighted with its own segment's parameters; the walk order is the
-    grid's (see _walks).  start = (leg, at, run) resumes the walk at event
-    `at` of that leg's walk with the running sum run; q is filled from
-    there on, and subtree, each leg's sum at its near end, must hold the
-    legs before it.  runs, when given, gets the sum before each station.
+    grid's (see _walks).  Each leg's sum at its near end is carried in
+    ends[leg], and a child tap adds its child's carry.  start = (leg, event
+    index, run) resumes the walk at that event of the leg's walk with the
+    running sum run, None at the start; q is filled from there on, and
+    ends must hold the carries of the legs before that leg.  record, when
+    given, gets that start tuple before every station walked and once past
+    the last.
     """
-    leg_index, at, run = start
-    for leg, walk in zip(prep.legs[leg_index:], prep.walks[leg_index:]):
+    leg_index, at, run = start or (0, 0, 0.0)
+    walked = zip(prep.legs[leg_index:], prep.walks[leg_index:])
+    for n, (leg, walk) in enumerate(walked, leg_index):
         g, b = leg.g, leg.b
         for kind, item in walk[at:] if at else walk:
             if kind == 0:
-                run += subtree[item]
+                run += ends[item]
             elif kind == 1:
                 run += item
             else:
-                if runs is not None:
-                    runs[item] = run
-                cap = caps[item]
-                raw = -(run + g * p[item]) / b
-                q[item] = min(max(raw, -cap), cap)
-                run += g * p[item] + b * q[item]
-        subtree[leg.id] = run
+                k, event = item
+                if record is not None:
+                    record.append((n, event, run))
+                cap = caps[k]
+                raw = -(run + g * p[k]) / b
+                q[k] = min(max(raw, -cap), cap)
+                run += g * p[k] + b * q[k]
+        ends[n] = run
         at, run = 0, 0.0
+    if record is not None:
+        record.append((len(prep.legs), 0, 0.0))
     return q
 
 
@@ -301,13 +319,13 @@ def _refine(bounds, p, order, p_run):
     return p_run, len(order)
 
 
-def _literal(prep, p, caps, trace, start=None, record=None):
+def _literal(prep, p, caps, trace, values, ends, start=None, record=None):
     """The literal reactive pass: _forward over Q with the plain per-load
     update, inside each station's cap."""
     g_over_b = prep.g_over_b
     return _forward("Q", prep.legs, list(zip((-caps).tolist(), caps.tolist())),
                     lambda _value, k, load: g_over_b[k] * (p[k] - load.p_pu), trace,
-                    start=start, record=record)
+                    values, ends, start=start, record=record)
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +340,32 @@ def _legs(grid: GridTree) -> list[_Leg]:
     for d in sorted(grid.devices, key=lambda d: (-d.xi_km, d.id)):
         (stations if d.kind == "station" else loads)[d.segment].append(d)
     post = grid.post_order()
+    rank = {seg.id: n for n, seg in enumerate(post)}
     # a residual leaving a segment's near end goes to the parent's first
     # station (far end first: the nearest) at or before the junction, else
     # wherever a residual leaving the parent would go; parents come first
-    bank_side: dict[str, str | None] = {}
+    bank_side: dict[str, Device | None] = {}
     for seg in reversed(post):
         target = None
         if seg.parent is not None:
             pos = grid.segment_start_km(seg.id)
-            target = next((st.id for st in stations[seg.parent] if st.xi_km <= pos),
+            target = next((st for st in stations[seg.parent] if st.xi_km <= pos),
                           bank_side[seg.parent])
         bank_side[seg.id] = target
+    # per station id, the legs whose near-end residual it takes, in post
+    # order: the order their hand-offs are logged
+    arrivals: dict[str, list[int]] = {}
+    for n, seg in enumerate(post):
+        target = bank_side[seg.id]
+        if target is not None:
+            assert rank[target.segment] > n, "a residual must arrive before its target is walked"
+            arrivals.setdefault(target.id, []).append(n)
     return [_Leg(seg.id, tuple(stations[seg.id]), tuple(loads[seg.id]),
                  seg.g_pu_per_km, seg.b_pu_per_km,
-                 tuple((grid.segment_start_km(c.id), c.id) for c in grid.children_of(seg.id)),
-                 bank_side[seg.id])
+                 tuple((grid.segment_start_km(c.id), rank[c.id])
+                       for c in grid.children_of(seg.id)),
+                 None if bank_side[seg.id] is None else bank_side[seg.id].id,
+                 tuple(tuple(arrivals.get(st.id, ())) for st in stations[seg.id]))
             for seg in post]
 
 
@@ -373,7 +402,8 @@ def _prepare(grid: GridTree) -> _Prepared:
         lo, hi = tuple(st.p_min_eff for st in bank), tuple(st.p_max_eff for st in bank)
         ids = tuple(st.id for st in stations)
         trace: tuple[list, ...] = ([], [], [], [])
-        p, seeds = _forward("P", legs, bounds, lambda value, _k, load: value - load.p_pu, trace)
+        p, seeds = _forward("P", legs, bounds, lambda value, _k, load: value - load.p_pu, trace,
+                            [], [0.0] * len(legs))
         return _Prepared(legs, ids, bounds, tuple(order), np.array(order, dtype=np.intp),
                          np.minimum.accumulate(np.array([len(ids), *order], dtype=np.intp)),
                          tuple(leg.g / leg.b for leg in legs for _ in leg.stations),
@@ -386,30 +416,21 @@ def _prepare(grid: GridTree) -> _Prepared:
 
 _MODES = ("literal", "principle")
 
-# the walk's state before a station, one record per station and one past the
-# last: the leg and the station's index in it (literal) or its event's
-# index in the leg's walk (principle), then what the walk carries there
-_LITERAL_STATE = np.dtype([("leg", np.intp), ("first", np.intp), ("residual", float),
-                           ("j", np.intp), ("logged", np.intp)])
-_PRINCIPLE_STATE = np.dtype([("leg", np.intp), ("at", np.intp), ("run", float)])
-
 
 class _Reactive(NamedTuple):
     """One mode's reactive pass over the unrefined active values.
 
     The pass reads a station's own p and cap and what the walk carries from
     the stations before it, so a request's pass equals this one up to the
-    first station its refinement visited, and resumes there from the state
-    kept here."""
+    first station its refinement visited, and resumes there from the start
+    tuple the walk recorded and a copy of the legs' carries."""
 
     q: tuple[float, ...]                    # station order
     seeds_q: tuple[tuple[str, float], ...]  # as plan.seeds_q
     handoffs: tuple[tuple, ...]             # the P hand-off columns, then Q's
-    state: np.ndarray                       # _LITERAL_STATE or _PRINCIPLE_STATE
-    # literal: (source leg, target station, target id, amount) of each
-    # hand-off that leaves a leg for a station, in log order
-    ends: tuple[tuple, ...]
-    subtree: dict[str, float]               # principle: each leg's sum at its near end
+    # the walk's start tuple before each station, and once past the last
+    state: tuple[tuple, ...]
+    ends: tuple[float, ...]                 # each leg's near-end carry
 
 
 def _reactive_pass(grid: GridTree, prep: _Prepared, mode: str) -> _Reactive:
@@ -418,31 +439,16 @@ def _reactive_pass(grid: GridTree, prep: _Prepared, mode: str) -> _Reactive:
     def build() -> _Reactive:
         p = list(prep.p)
         caps = station_q_caps(np.array(p, dtype=float))
-        end = (len(prep.legs), 0)    # where the walk stands after the last station
+        ends = [0.0] * len(prep.legs)
+        state: list[tuple] = []
         if mode == "principle":
-            runs = [0.0] * (len(p) + 1)
-            subtree: dict[str, float] = {}
-            q = _principle(prep, p, caps.tolist(), [0.0] * len(p), subtree, runs=runs)
-            where = [(leg, at) for leg, walk in enumerate(prep.walks)
-                     for at, (kind, _item) in enumerate(walk) if kind == 2] + [end]
+            q = _principle(prep, p, caps.tolist(), [0.0] * len(p), ends, record=state)
             return _Reactive(tuple(q), tuple((sid, 0.0) for sid in prep.ids), prep.handoffs_p,
-                             np.array([(*w, run) for w, run in zip(where, runs)], _PRINCIPLE_STATE),
-                             (), subtree)
+                             tuple(state), tuple(ends))
         trace = tuple(map(list, prep.handoffs_p))
-        record: list[tuple] = []
-        q, seeds = _literal(prep, p, caps, trace, record=record)
-        record.append((0.0, 0, len(trace[0])))
-        where = [(leg, first) for leg, item in enumerate(prep.legs)
-                 for first in range(len(item.stations))] + [end]
-        station = {sid: k for k, sid in enumerate(prep.ids)}
-        leg_of = {sid: leg for sid, (leg, _first) in zip(prep.ids, where)}
-        q_handoffs = [column[len(prep.handoffs_p[0]):] for column in trace[1:]]
-        ends = tuple((leg_of[source], station[target], target, amount)
-                     for amount, source, target in zip(*q_handoffs)
-                     if target is not None and leg_of[source] != leg_of[target])
+        q, seeds = _literal(prep, p, caps, trace, [], ends, record=state)
         return _Reactive(tuple(q), tuple(zip(prep.ids, seeds)), tuple(map(tuple, trace)),
-                         np.array([w + rec for w, rec in zip(where, record)], _LITERAL_STATE),
-                         ends, {})
+                         tuple(state), tuple(ends))
     return grid._cached("dispatch", mode, build)
 
 
@@ -451,22 +457,13 @@ def _reactive(grid: GridTree, prep: _Prepared, mode: str, p, caps: np.ndarray, r
     stations before station r as the grid's active pass set them: the
     grid's reactive pass up to r, resumed there."""
     const = _reactive_pass(grid, prep, mode)
+    start, ends = const.state[r], list(const.ends)
     if mode == "principle":
-        q = _principle(prep, p, caps.tolist(), list(const.q), dict(const.subtree),
-                       start=const.state[r].item())
-        return q, const.seeds_q, const.handoffs
-    leg, first, residual, j, logged = const.state[r].item()
-    incoming: dict[str, list[float]] = {}
-    for source_leg, k, target, amount in const.ends:
-        if source_leg >= leg:    # logged after station r
-            break
-        if k >= r:               # not yet taken up before station r
-            incoming.setdefault(target, []).append(amount)
-    # a residual in hand at r was forwarded by the station before it
-    src = prep.ids[r - 1] if residual != 0.0 else ""
+        return (_principle(prep, p, caps.tolist(), list(const.q), ends, start=start),
+                const.seeds_q, const.handoffs)
     trace: tuple[list, ...] = ([], [], [], [])
-    q, seeds = _literal(prep, p, caps, trace,
-                        (list(const.q[:r]), leg, first, residual, src, j, incoming))
+    q, seeds = _literal(prep, p, caps, trace, list(const.q[:r]), ends, start=start)
+    logged = start[-1]
     return (q, const.seeds_q[:r] + tuple(zip(prep.ids[r:], seeds)),
             tuple(old[:logged] + tuple(new) for old, new in zip(const.handoffs, trace)))
 

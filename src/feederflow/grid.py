@@ -184,12 +184,15 @@ class GridTree:
     - per tuple of station ids, the placement of the stations a plan or
       mapping with those ids places: each layout station's position among
       them, or -1 when it is idle, and each segment's closest spacing of
-      loads and placed stations, for the spacing warnings;
-    - the dispatch legs, station order and bounds, a plan's bank-nearest
+      loads and placed stations, for the spacing warnings (a tuple with an
+      id that names no station is refused, and nothing is kept);
+    - the dispatch legs, each station's arrivals (the legs whose near-end
+      residual it takes), station order and bounds, a plan's bank-nearest
       id, position and bound columns, and the active pass's result; and
       per reactive mode, the reactive pass over the unrefined active
-      values with the walk's state before each station, which a request
-      resumes at the first station its refinement visited.
+      values with the start tuple its walk recorded before each station
+      and each leg's near-end carry, from which a request resumes at the
+      first station its refinement visited.
 
     Each kind keeps at most CACHED_PER_KIND entries.  The cache cannot go
     stale: segments and devices are stored as frozen records in tuples.
@@ -468,12 +471,18 @@ def _placement(grid: GridTree, ids: tuple) -> tuple[_Layout, np.ndarray, list]:
     """The grid's layout, and, kept on the grid per tuple of ids, where the
     stations with these ids are placed: each layout station's position in
     ids (the last of a repeated id), or -1 when it is idle, and each
-    segment's closest spacing of its loads and placed stations."""
+    segment's closest spacing of its loads and placed stations.  An id
+    that names no station of the grid is refused, naming it."""
     layout = grid._cached("layout", None, lambda: _Layout(grid))
 
     def build():
         pos = {sid: k for k, sid in enumerate(ids)}
         index = np.array([pos.get(d.id, -1) for d in layout.stations], dtype=np.intp)
+        if np.count_nonzero(index >= 0) < len(pos):
+            known = {d.id for d in layout.stations}
+            unknown = next(sid for sid in ids if sid not in known)
+            raise ValueError(f"station power given for {unknown!r}, which names no station "
+                             "of the grid")
         xs: dict[str, list[float]] = {}
         for d in grid.devices:
             if d.kind == "load" or (d.kind == "station" and d.id in pos):
@@ -562,13 +571,14 @@ class DensityField:
 
     The columns come from the grid's cached layout, with every station, so
     a construction only writes the stations' p and q; a station that
-    station_power leaves out is idle, at 0.0.  A NaN or infinite p or q is
-    refused, naming the station; bounds and the cone are power_density's
-    checks.  Sampling costs O(devices x
-    window), not O(devices x points): each device is evaluated only on the
-    samples inside its own cut-off window.  One call can sample every
-    segment of a tree, each segment's samples given as a run, with one sort
-    and one kernel pass for all of them.  The (device, sample, kernel)
+    station_power leaves out is idle, at 0.0, and an id of station_power
+    that names no station of the grid is refused.  A NaN or infinite p or q
+    is refused, naming the station; bounds and the cone are power_density's
+    checks.  Sampling costs O(devices x window), not O(devices x points):
+    each device is evaluated only on the samples inside its own cut-off
+    window.  One call can sample every segment of a tree, each segment's
+    samples given as a run, with one sort and one kernel pass for all of
+    them.  The (device, sample, kernel)
     pairs are kept on the grid per sigma, runs and x, and replayed with
     this field's powers, so a repeated solve of a new plan evaluates no
     kernel.
@@ -639,11 +649,11 @@ def power_density(grid: GridTree, plan=None, sigma_km: float = 0.05) -> DensityF
     """Build the sampled density field for a validated grid.
 
     plan may be a DispatchPlan or any mapping station-id -> (p_pu, q_pu);
-    None leaves every station idle.  Placed station values are checked
-    against the derated active bounds and the power-factor cone before
-    being accepted; the first offending station in declaration order is
-    named, with the P (bounds) or Q (cone) hand-offs that a DispatchPlan's
-    trace sent it.
+    None leaves every station idle, and an id that names no station of the
+    grid is refused.  Placed station values are checked against the derated
+    active bounds and the power-factor cone before being accepted; the
+    first offending station in declaration order is named, with the P
+    (bounds) or Q (cone) hand-offs that a DispatchPlan's trace sent it.
     """
     ids, p, q = _station_columns(plan)
     layout, index, min_gaps = _placement(grid, ids)

@@ -26,10 +26,10 @@ Grid files are YAML with three sections::
         p_min_pu: -0.0334      # or p_min_W / p_max_W
         p_max_pu: 0.0334
 
-Unknown keys are rejected so typos cannot silently change a study.  All
-writers emit platform-independent bytes: "\n" newlines, no timestamps,
-negative zero normalized; the CSV files give floats 12 significant digits,
-the JSON files Python's shortest round-trip repr.
+Unknown and repeated keys are rejected so typos cannot silently change a
+study.  All writers emit platform-independent bytes: "\n" newlines, no
+timestamps, negative zero normalized; the CSV files give floats 12
+significant digits, the JSON files Python's shortest round-trip repr.
 """
 from __future__ import annotations
 
@@ -65,6 +65,28 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 class GridFileError(Exception):
     """Unreadable or malformed grid file (I/O, YAML syntax, schema)."""
+
+
+class _UniqueKeys:
+    """Mixed into a YAML loader: a key repeated in one mapping, which both
+    loaders would read as its last value, is refused with its line."""
+
+    def construct_mapping(self, node, deep=False):
+        pairs = node.value[:]    # as written: a merge key would flatten into node.value
+        mapping = super().construct_mapping(node, deep)
+        if len(mapping) < len(pairs):    # some keys are equal: find a repeated one
+            seen = set()
+            for key, _value in pairs:
+                if isinstance(key, yaml.ScalarNode):
+                    if (key.tag, key.value) in seen:
+                        raise GridFileError(f"line {key.start_mark.line + 1}: "
+                                            f"key {key.value!r} is repeated")
+                    seen.add((key.tag, key.value))
+        return mapping
+
+
+class _GridLoader(_UniqueKeys, YAML_LOADER):
+    """The loader of grid files."""
 
 
 # The schema, one table per record; the allowed keys are derived from them.
@@ -167,9 +189,11 @@ def load_grid(path: str | Path) -> GridTree:
     except OSError as exc:
         raise GridFileError(f"{path}: cannot read: {exc}") from exc
     try:
-        doc = yaml.load(text, Loader=YAML_LOADER)
+        doc = yaml.load(text, Loader=_GridLoader)
     except yaml.YAMLError as exc:
         raise GridFileError(f"{path}: YAML syntax error: {exc}") from exc
+    except GridFileError as exc:    # a repeated key
+        raise GridFileError(f"{path}: {exc}") from None
     return parse_grid(doc, source=str(path))
 
 

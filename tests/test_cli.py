@@ -183,6 +183,47 @@ def test_non_positive_or_non_finite_sigma_is_domain_error(tmp_path, capsys, comm
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("spelled", [["--pref", "-5e-2"], ["--pref", "-5E-2"],
+                                     ["--pre", "-5e-2"], ["--pref", "-0.5e-1"]])
+def test_a_negative_request_in_scientific_notation_reads_as_a_number(tmp_path, capsys, spelled):
+    # argparse takes -0.05 and -.05 as numbers but -5e-2 as an option
+    outs = []
+    for args in (["--pref=-0.05"], spelled):
+        out = tmp_path / str(len(outs))
+        assert main(["run", "--grid", SINGLE, *args, "--out", str(out)]) == 0
+        outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outs[0] == outs[1]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("args,err", [
+    (["--sigma", "-1e-3"], "error: sigma must be positive and finite, got -0.001\n"),
+    (["--sigma", "-inf"], "error: sigma must be positive and finite, got -inf\n"),
+    (["--pref", "-inf"], "error: requested power p_ref must be finite, got -inf\n"),
+], ids=["sigma=-1e-3", "sigma=-inf", "pref=-inf"])
+@pytest.mark.parametrize("command", ["run", "compare", "xcheck"])
+def test_a_negative_number_after_an_option_reaches_the_domain_checks(tmp_path, capsys, command,
+                                                                     args, err):
+    out = tmp_path / "o"
+    assert main([command, "--grid", SINGLE, *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_an_option_still_needs_its_value(capsys):
+    # only a number is joined to the option before it: an option in the
+    # value's place is still a missing value, and --help takes no value
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--grid", SINGLE, "--pref", "--mode", "uniform"])
+    assert exc.value.code == 2
+    assert "argument --pref: expected one argument" in capsys.readouterr().err
+    for flag in ("--help", "--he"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", flag, "-5e-2"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: feederflow run")
+
+
 @pytest.mark.filterwarnings("ignore:sigma=")
 @pytest.mark.parametrize("sigma", ["1e150", "1.0000000000000002e150", "1e200", "1e308"])
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -693,6 +734,17 @@ def test_unknown_keys_of_mixed_types_are_io_errors(tmp_path, capsys, command, te
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {unknown}; allowed keys [")
     assert err.count("\n") == 1 and err.endswith("]\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_repeated_key_is_an_io_error(tmp_path, capsys, command):
+    # YAML alone keeps the last value: this grid would load a 50 km line
+    path, out = tmp_path / "grid.yaml", tmp_path / "o"
+    path.write_text(NO_DEVICES.replace("length_km: 5.0", "length_km: 5.0, length_km: 50.0"))
+    argv = [command, "--grid", str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 2: key 'length_km' is repeated\n"
     assert not out.exists()
 
 

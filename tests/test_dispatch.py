@@ -353,6 +353,35 @@ def test_property_warm_grid_matches_oracle(case, requests):
             assert repr(plan.leftover_p) == repr(left)
 
 
+def test_a_resumed_principle_walk_takes_the_carry_of_a_lateral_it_did_not_walk():
+    # post order walks lat, then the trunk: far, the tap at 1.0, near.  The
+    # request refines near and then far, so principle resumes at far and
+    # must add lat's kept near-end sum at the tap; lat's capped station
+    # leaves that sum far from zero, and it flips near's q to the other cap
+    g, b = 3.881, 6.856
+    legs = [
+        {"g": g, "b": b, "at": 1.0, "stations": [("lat-st", 2.5, -0.1, 0.1)],
+         "loads": [(2.75, -0.08, -0.2)]},
+        {"g": g, "b": b, "at": None,
+         "stations": [("far", 2.0, -0.1, 0.1), ("near", 0.5, -0.1, 0.1)],
+         "loads": [(3.0, -0.05, 0.0)]},
+    ]
+    grid = GridTree(
+        PerUnitBase(1.0, 1.0),
+        (FeederSegment("trunk", 4.0, g, b), FeederSegment("lat", 2.0, g, b, parent="trunk",
+                                                          offset_km=1.0)),
+        (Device("station", "lat", 2.5, "lat-st", p_min_pu=-0.1, p_max_pu=0.1),
+         Device("load", "lat", 2.75, "lat-ld", p_pu=-0.08, q_pu=-0.2),
+         Device("station", "trunk", 2.0, "far", p_min_pu=-0.1, p_max_pu=0.1),
+         Device("station", "trunk", 0.5, "near", p_min_pu=-0.1, p_max_pu=0.1),
+         Device("load", "trunk", 3.0, "t-ld", p_pu=-0.05)))
+    for p_ref in (0.25, 0.25, 0.0, 0.25):
+        plan = synthesize_tree(grid, p_ref, "principle")
+        want, _left = oracle.tree_dispatch(legs, p_ref, "principle")
+        assert repr(plan.as_power_map()) == repr({sid: want[sid][:2] for sid in plan.ids})
+    assert plan.as_power_map()["near"] == (0.09000000000000001, station_q_cap(0.09000000000000001))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(-0.11, 0.11), st.floats(0.5, 8.0), st.floats(0.5, 8.0))
 def test_property_leftover_zero_within_capacity(p_ref, g, b):

@@ -14,6 +14,7 @@ from feederflow import (
     FeederSegment,
     GridTree,
     PerUnitBase,
+    injections_from_grid,
     power_density,
     station_q_cap,
     synthesize,
@@ -431,6 +432,28 @@ def test_density_field_refuses_non_finite_station_powers(p, q):
         DensityField(grid, {"a": (0.01, 0.0), "b": (p, q)}, 0.05)
     # finite values outside the bounds and the cone are the caller's to pass
     DensityField(grid, {"a": (0.01, 0.0), "b": (1.0, 1.0)}, 0.05)
+
+
+@pytest.mark.parametrize("sid", ["ghost", "l1", "main"])    # a typo, a load's, a segment's
+def test_a_station_power_map_refuses_an_id_that_names_no_station(sid):
+    # such an entry used to be dropped: the map read as if it were absent
+    grid = make_single([
+        Device("station", "main", 1.5, "a", p_min_pu=-0.1, p_max_pu=0.1),
+        Device("load", "main", 2.5, "l1", p_pu=-0.05),
+        Device("station", "main", 3.5, "b", p_min_pu=-0.1, p_max_pu=0.1),
+    ])
+    message = re.escape(f"station power given for {sid!r}, which names no station of the grid")
+    for power in ({sid: (0.01, 0.0)}, {"a": (0.01, 0.0), sid: (0.0, 0.0), "b": (0.01, 0.0)}):
+        for consumer in (lambda: power_density(grid, power),
+                         lambda: DensityField(grid, power, 0.05),
+                         lambda: injections_from_grid(grid, power)):
+            with pytest.raises(ValueError, match=message):
+                consumer()
+        assert tuple(power) not in grid._cache["placement"]
+    # the same stations without the stray id place as before
+    power = {"a": (0.01, 0.0), "b": (0.01, 0.0)}
+    assert power_density(grid, power).sample("main", np.array([1.5]))[0][0] > 0.0
+    assert len(injections_from_grid(grid, power)) == 3
 
 
 def _station_check_loop(grid, power):

@@ -229,7 +229,50 @@ def test_an_integer_beyond_the_float_range_reads_as_inf(tmp_path, sign):
     assert f"length must be positive, got {sign}inf" in validate_grid(grid).violations[0]
 
 
-REPO = Path(__file__).resolve().parents[1]
+REPEATED_KEYS = {
+    # where: (text, line, key); YAML alone keeps the last value
+    "top": (GOOD + "base: {power_VA: 1.0e6, voltage_V: 400.0}\n", 7, "base"),
+    "segment": (GOOD.replace("length_km: 5.0", "length_km: 5.0, length_km: 50.0"), 3, "length_km"),
+    "device": (GOOD.replace("xi_km: 2.0", "xi_km: 2.0, 'xi_km': 3.0"), 5, "xi_km"),
+    "block": (GOOD.replace("{kind: station, segment: main, xi_km: 1.0, p_min_W: -400.0e3, "
+                           "p_max_W: 400.0e3}", "kind: station\n    segment: main\n"
+                           "    xi_km: 1.0\n    p_min_W: -400.0e3\n    p_max_W: 400.0e3\n"
+                           "    xi_km: 1.5"), 11, "xi_km"),
+}
+
+
+@pytest.mark.parametrize("loader", ["libyaml", "python"])
+@pytest.mark.parametrize("where", list(REPEATED_KEYS))
+def test_a_repeated_key_is_refused_with_its_line(tmp_path, monkeypatch, where, loader):
+    if loader == "python":
+        monkeypatch.setattr(gridio, "_GridLoader",
+                            type("PythonGridLoader", (gridio._UniqueKeys, yaml.SafeLoader), {}))
+    elif not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    text, line, key = REPEATED_KEYS[where]
+    assert yaml.safe_load(text)    # plain YAML reads it, keeping the last value
+    path = write_tmp(tmp_path, text)
+    with pytest.raises(GridFileError) as exc:
+        load_grid(path)
+    assert str(exc.value) == f"{path}: line {line}: key {key!r} is repeated"
+
+
+@pytest.mark.parametrize("loader", ["libyaml", "python"])
+def test_a_key_in_another_mapping_or_over_a_merge_is_not_repeated(tmp_path, monkeypatch, loader):
+    if loader == "python":
+        monkeypatch.setattr(gridio, "_GridLoader",
+                            type("PythonGridLoader", (gridio._UniqueKeys, yaml.SafeLoader), {}))
+    text = (GOOD.replace("  - {id: main,", "  - &line {id: main,")
+            .replace("devices:", "  - {<<: *line, id: lat, length_km: 1.0, parent: main, "
+                                 "offset_km: 2.5}\ndevices:")
+            + "  - {kind: load, segment: lat, xi_km: 3.0, p_W: -1.0e3}\n")
+    grid = load_grid(write_tmp(tmp_path, text))
+    assert [(s.id, s.length_km, s.parent) for s in grid.segments] == [
+        ("main", 5.0, None), ("lat", 1.0, "main")]
+    assert len(grid.loads()) == 2
+
+
+REPO =Path(__file__).resolve().parents[1]
 
 
 def documented_grids():

@@ -624,7 +624,7 @@ def test_active_pass_runs_once_per_grid(monkeypatch):
         return forward(quantity, *args, **kwargs)
 
     def counting_principle(*args, **kwargs):
-        passes["principle", kwargs.get("start") is not None, kwargs.get("runs") is not None] += 1
+        passes["principle", kwargs.get("start") is not None, kwargs.get("record") is not None] += 1
         return principle(*args, **kwargs)
 
     monkeypatch.setattr(dispatch_module, "_forward", counting_forward)
