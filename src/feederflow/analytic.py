@@ -18,6 +18,7 @@ Point queries cost O(log N) via bisection on the cached interval data.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +39,19 @@ class PointInjectionSet:
     """Injections on a feeder of given length, ordered far end first."""
 
     def __init__(self, injections, g_pu_per_km: float, b_pu_per_km: float, length_km: float):
-        if not length_km > 0.0:
-            raise ValueError(f"feeder length must be positive, got {length_km}")
-        if not (g_pu_per_km > 0.0 and b_pu_per_km > 0.0):
-            raise ValueError("G and B must be positive")
+        if not 0.0 < length_km < math.inf:
+            raise ValueError(f"feeder length must be positive and finite, got {length_km}")
+        if not (0.0 < g_pu_per_km < math.inf and 0.0 < b_pu_per_km < math.inf):
+            raise ValueError("G and B must be positive and finite, "
+                             f"got {g_pu_per_km}, {b_pu_per_km}")
         items = sorted(injections, key=lambda inj: -inj.xi_km)
         for inj in items:
             if not (0.0 < inj.xi_km < length_km):
                 raise ValueError(f"injection at xi={inj.xi_km} outside (0, {length_km})")
+            for field in ("p_pu", "q_pu"):
+                if not math.isfinite(value := getattr(inj, field)):
+                    raise ValueError(f"injection at xi={inj.xi_km}: {field} must be finite, "
+                                     f"got {value}")
         for a, b in zip(items, items[1:]):
             if a.xi_km == b.xi_km:
                 raise ValueError(f"two injections share xi={a.xi_km}; merge them first")
@@ -102,10 +108,10 @@ class ClosedFormProfile:
             f[k] = f[k - 1] + self._C[k - 1] ** 2 * (xi[k - 1] - xi[k - 2]) / z4
         self._f = f
         self._xi_asc = xi[::-1].copy()
-        # interval with k injections beyond: upper end xi_k, lower end xi_{k+1}
-        # (the bank, 0, for k = N)
-        self._upper = np.concatenate(([np.nan], xi))
-        self._lower = np.concatenate(([np.nan], xi[1:], [0.0])) if n else np.array([np.nan])
+        # row k is the interval with k injections beyond it, from xi_k down to
+        # xi_{k+1}; row 0 starts at the feeder end, row N ends at the bank
+        self._upper = np.concatenate(([inj.length_km], xi))
+        self._lower = np.concatenate((xi, [0.0]))
         # cache v at the interval lower ends: v_low[k] = v(xi_{k+1}), v_low[N] = v(0) = 1
         v_low = np.ones(n + 1)
         for k in range(n - 1, -1, -1):
@@ -118,66 +124,36 @@ class ClosedFormProfile:
         self._v_low = v_low
         self._z2, self._z4 = z2, z4
 
-    # -- index helpers ------------------------------------------------------
-
-    def _beyond(self, x: np.ndarray, side: str) -> np.ndarray:
-        """Number of injections strictly beyond x, side-resolved at ties."""
+    def _query(self, x_km, side: str):
+        """x as an array, whether x_km was one, and each x's row (ties go to `side`)."""
+        x = np.asarray(x_km, dtype=float)
+        if not np.all((x >= 0.0) & (x <= self.inj.length_km)):
+            raise ValueError("query outside [0, feeder length]")
         if side not in ("above", "below"):
             raise ValueError(f"side must be 'above' or 'below', got {side!r}")
         srt = "right" if side == "above" else "left"
-        return len(self.inj) - np.searchsorted(self._xi_asc, x, side=srt)
+        return x, bool(x.shape), len(self.inj) - np.searchsorted(self._xi_asc, x, side=srt)
 
-    def _check_domain(self, x: np.ndarray) -> None:
-        if np.any(x < 0.0) or np.any(x > self.inj.length_km):
-            raise ValueError("query outside [0, feeder length]")
-
-    @staticmethod
-    def _as_query(x_km):
-        x = np.asarray(x_km, dtype=float)
-        return x, bool(x.shape)
-
-    # -- closed forms -------------------------------------------------------
+    # -- closed forms: row 0 has C = S = f = 0, so w = 0 and v = v(xi_1) there --
 
     def transfer_density(self, x_km, side: str = "above"):
         """s(x) = -(running injection sum beyond x)/Z^2, piecewise constant."""
-        x, vec = self._as_query(x_km)
-        self._check_domain(x)
-        n = self._beyond(x, side)
+        _, vec, n = self._query(x_km, side)
         out = -self._C[n] / self._z2
         return out if vec else float(out)
 
     def gradient(self, x_km, side: str = "above"):
         """w(x) = dv/dx, piecewise affine with quadratic-loss slope."""
-        x, vec = self._as_query(x_km)
-        self._check_domain(x)
-        if len(self.inj) == 0:
-            out = np.zeros_like(x)
-            return out if vec else 0.0
-        n = self._beyond(x, side)
-        safe = np.maximum(n, 1)
-        val = (
-            self._C[safe] ** 2 / self._z4 * (x - self._upper[safe])
-            + self._S[safe] / self._z2
-            + self._f[safe]
-        )
-        out = np.where(n == 0, 0.0, val)
+        x, vec, n = self._query(x_km, side)
+        out = self._C[n] ** 2 / self._z4 * (x - self._upper[n]) + self._S[n] / self._z2 + self._f[n]
         return out if vec else float(out)
 
     def amplitude(self, x_km):
         """v(x), continuous, v(0) = 1."""
-        x, vec = self._as_query(x_km)
-        self._check_domain(x)
-        if len(self.inj) == 0:
-            out = np.ones_like(x)
-            return out if vec else 1.0
-        n = self._beyond(x, "above")
-        safe = np.maximum(n, 1)
-        upper, lower = self._upper[safe], self._lower[safe]
-        quad = self._C[safe] ** 2 / (2.0 * self._z4) * ((x - upper) ** 2 - (lower - upper) ** 2)
-        lin = (self._S[safe] / self._z2 + self._f[safe]) * (x - lower)
-        val = self._v_low[safe] + quad + lin
-        # beyond the farthest injection v stays at v(xi_1)
-        out = np.where(n == 0, self._v_low[0], val)
+        x, vec, n = self._query(x_km, "above")
+        upper, lower = self._upper[n], self._lower[n]
+        quad = self._C[n] ** 2 / (2.0 * self._z4) * ((x - upper) ** 2 - (lower - upper) ** 2)
+        out = self._v_low[n] + quad + (self._S[n] / self._z2 + self._f[n]) * (x - lower)
         return out if vec else float(out)
 
     # convenience for tests and demos

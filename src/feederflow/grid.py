@@ -398,6 +398,9 @@ def validate_grid(grid: GridTree) -> GridValidationReport:
                 bad.append(
                     f"device {label}: station bounds [{d.p_min_pu}, {d.p_max_pu}] must straddle 0"
                 )
+            elif not math.isfinite(station_q_cap(d.p_min_eff) + station_q_cap(d.p_max_eff)):
+                bad.append(f"device {label}: station bounds [{d.p_min_pu}, {d.p_max_pu}] "
+                           "overflow the power-factor cap")
     for seg_id, entries in positions.items():
         entries.sort()
         for (x0, l0), (x1, l1) in zip(entries, entries[1:]):

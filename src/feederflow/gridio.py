@@ -186,7 +186,7 @@ def load_grid(path: str | Path) -> GridTree:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GridFileError(f"{path}: cannot read: {exc}") from exc
     try:
         doc = yaml.load(text, Loader=_GridLoader)

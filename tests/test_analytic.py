@@ -5,6 +5,8 @@ B = 6.856 (not the full-precision per-unit conversion) and double-checked
 against an independent two-point boundary-value integration before being
 frozen here; see the single-injection block.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,28 @@ def test_domain_and_input_validation(feeder_tree):
         PointInjectionSet([], G, B, 0.0)
     with pytest.raises(ValueError):
         PointInjectionSet([], -1.0, B, 5.0)
+    # non-finite queries: NaN is outside [0, L] too, for every closed form
+    for x in (math.nan, math.inf, -math.inf, [1.0, math.nan]):
+        for query in (cf.transfer_density, cf.gradient, cf.amplitude):
+            with pytest.raises(ValueError, match="outside"):
+                query(x)
+    # the side is checked on the empty set as well
+    empty = ClosedFormProfile(PointInjectionSet([], G, B, 5.0))
+    for query in (empty.transfer_density, empty.gradient):
+        with pytest.raises(ValueError, match="side"):
+            query(1.0, side="left")
+    # non-finite inputs are refused by name
+    one = [PointInjection(2.0, -0.1)]
+    with pytest.raises(ValueError, match="length must be positive and finite, got inf"):
+        PointInjectionSet(one, G, B, math.inf)
+    for g, b in ((math.inf, B), (G, math.inf)):
+        with pytest.raises(ValueError, match="G and B must be positive and finite"):
+            PointInjectionSet(one, g, b, 5.0)
+    for p, q, shown in ((math.nan, 0.0, "p_pu must be finite, got nan"),
+                        (-0.1, math.inf, "q_pu must be finite, got inf"),
+                        (-math.inf, 0.0, "p_pu must be finite, got -inf")):
+        with pytest.raises(ValueError, match=f"xi=2.0: {shown}"):
+            PointInjectionSet([PointInjection(2.0, p, q)], G, B, 5.0)
 
 
 def test_injections_from_grid_includes_dispatched_stations(single_feeder):

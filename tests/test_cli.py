@@ -107,6 +107,10 @@ def test_malformed_yaml_is_io_error(tmp_path, capsys):
     path.write_text("segments: [\n")
     assert main(["run", "--grid", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+    # a byte that is not UTF-8 is unreadable input too, and the file is named
+    path.write_bytes(b"segments:\n  - id: \xff\n")
+    assert main(["run", "--grid", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: cannot read: 'utf-8' codec")
 
 
 def test_domain_error_from_run(tmp_path, capsys):

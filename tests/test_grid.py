@@ -171,6 +171,15 @@ def test_validate_rejects_unnamed_device():
                  "device s: p_min_pu must be finite, got -inf", id="station-p-min"),
     pytest.param({"station": {"p_min_pu": -0.1, "p_max_pu": INF}},
                  "device s: p_max_pu must be finite, got inf", id="station-p-max"),
+    pytest.param({"station": {"p_min_pu": -1e200, "p_max_pu": 1e200}},
+                 "device s: station bounds [-1e+200, 1e+200] overflow the power-factor cap",
+                 id="station-cap"),
+    pytest.param({"station": {"p_min_pu": -0.1, "p_max_pu": 1.4e154}},
+                 "device s: station bounds [-0.1, 1.4e+154] overflow the power-factor cap",
+                 id="station-cap-p-max"),
+    pytest.param({"station": {"p_min_pu": -1.4e154, "p_max_pu": 0.0}},
+                 "device s: station bounds [-1.4e+154, 0.0] overflow the power-factor cap",
+                 id="station-cap-p-min"),
 ])
 def test_validate_rejects_non_finite_numbers(changes, violation):
     grid = make_single([
@@ -179,6 +188,13 @@ def test_validate_rejects_non_finite_numbers(changes, violation):
                **changes.get("station", {"p_min_pu": -0.1, "p_max_pu": 0.1})),
     ], g=changes.get("g", 3.881), b=changes.get("b", 6.856))
     assert validate_grid(grid).violations == (violation,)
+
+
+def test_validate_accepts_station_bounds_just_below_the_cap_overflow():
+    # station_q_cap squares the derated bound: its overflow, past about
+    # 1.3e154 pu, is the limit, not a constant
+    grid = make_single([Device("station", "main", 2.0, "s", p_min_pu=-1.3e154, p_max_pu=1.3e154)])
+    assert validate_grid(grid).ok
 
 
 def test_validate_rejects_a_grid_with_no_segments():

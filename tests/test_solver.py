@@ -269,15 +269,16 @@ TAPPED_TREE = GridTree(
 )
 
 
-def mesh_nodes(grid, sigma):
+def mesh_nodes(grid, sigma, step_km=None):
     """The mesh buffer's positions, counted from the geometry: each segment
     is cut at its children's interior offsets, an edge of width w with step
-    min(length/2000, sigma/2) takes the fewest cells n (at least 2) whose
-    width is at most the step, up to rounding, and the edges of each width
-    bucket (n - 1).bit_length() take a row of the bucket's most cells + 1."""
+    step_km, or else min(length/2000, sigma/2), takes the fewest cells n (at
+    least 2) whose width is at most the step, up to rounding, and the edges
+    of each width bucket (n - 1).bit_length() take a row of the bucket's most
+    cells + 1."""
     rows, widest = {}, {}
     for s in grid.segments:
-        step = min(s.length_km / 2000.0, sigma / 2.0)
+        step = step_km or min(s.length_km / 2000.0, sigma / 2.0)
         taps = {c.offset_km for c in grid.segments if c.parent == s.id and c.offset_km < s.length_km}
         bounds = [0.0, *sorted(taps), s.length_km]
         for a, b in zip(bounds, bounds[1:]):
@@ -291,21 +292,24 @@ def mesh_nodes(grid, sigma):
 
 
 @settings(max_examples=40, deadline=None)
-@given(sigma=st.floats(1e-3, 1.0), slack=st.integers(-3, 3))
-def test_mesh_is_refused_exactly_above_the_node_limit(sigma, slack):
-    # a small limit around the counted size: nothing large is allocated
-    nodes = mesh_nodes(TAPPED_TREE, sigma)
+@given(sigma=st.floats(1e-3, 1.0), slack=st.integers(-3, 3),
+       share=st.one_of(st.none(), st.floats(0.25, 1.0)))
+def test_mesh_is_refused_exactly_above_the_node_limit(sigma, slack, share):
+    # a small limit around the counted size: nothing large is allocated;
+    # share draws an explicit step_km <= sigma/2, or None for the default
+    step = None if share is None else share * sigma / 2.0
+    nodes = mesh_nodes(TAPPED_TREE, sigma, step)
     limit = nodes + slack
     original = feederflow.solver.MAX_MESH_NODES
     feederflow.solver.MAX_MESH_NODES = limit
     try:
         if nodes > limit:
-            message = (f"sigma={sigma} km needs a mesh of {nodes:.4g} nodes, "
-                       f"more than MAX_MESH_NODES={limit}")
-            with pytest.raises(ValueError, match=re.escape(message) + "$"):
-                feederflow.solver._Mesh(TAPPED_TREE, SolverSettings(), sigma)
+            what = f"sigma={sigma} km" if step is None else f"step_km={step}"
+            message = f"{what} needs a mesh of {nodes:.4g} nodes, more than MAX_MESH_NODES={limit}"
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                feederflow.solver._Mesh(TAPPED_TREE, SolverSettings(step), sigma)
         else:
-            mesh = feederflow.solver._Mesh(TAPPED_TREE, SolverSettings(), sigma)
+            mesh = feederflow.solver._Mesh(TAPPED_TREE, SolverSettings(step), sigma)
             assert mesh.h_pos.size == nodes
     finally:
         feederflow.solver.MAX_MESH_NODES = original
