@@ -294,16 +294,16 @@ def _principle(prep, p, caps, q, ends, start=None, record=None):
     return q
 
 
-def _refine(bounds, p, order, p_run):
-    """Place p_run less each value of p (in station order), visiting stations
-    in `order` (bank-nearest first) and filling each up to its derated bounds.
+def _refine(prep, p, p_run):
+    """Place p_run less the grid's active pass (one sequential subtraction,
+    in station order), visiting stations bank-nearest first and filling each
+    up to its derated bounds.
 
-    Updates p in place and returns (what could not be placed, how many
-    stations of order it visited): the other stations keep their p.
+    Updates p, a copy of the pass, in place (the other stations keep their
+    p) and returns (what could not be placed, stations of order visited).
     """
-    for value in p:
-        p_run = p_run - value
-    for visited, k in enumerate(order):
+    p_run, bounds = float(np.subtract.reduce(prep.p, initial=p_run)), prep.bounds
+    for visited, k in enumerate(prep.order):
         if p_run == 0.0:
             return p_run, visited
         lo, hi = bounds[k]
@@ -316,7 +316,7 @@ def _refine(bounds, p, order, p_run):
         else:
             p[k] = p[k] + p_run
             p_run = 0.0
-    return p_run, len(order)
+    return p_run, len(prep.order)
 
 
 def _literal(prep, p, caps, trace, values, ends, start=None, record=None):
@@ -386,7 +386,7 @@ class _Prepared(NamedTuple):
     walks: tuple[tuple, ...]                 # per leg, the principle walk's events
     columns: tuple[tuple, ...]               # plan ids, xi_km, p_min_eff, p_max_eff
     bank_bounds: np.ndarray                  # (2, stations): derated lo, hi
-    p: tuple[float, ...]                     # the active pass's values, unrefined
+    p: np.ndarray                            # the active pass's values, unrefined
     seeds_p: tuple[tuple[str, float], ...]   # its seeds, as plan.seeds_p
     handoffs_p: tuple[tuple, ...]            # its hand-off columns
 
@@ -409,8 +409,8 @@ def _prepare(grid: GridTree) -> _Prepared:
                          tuple(leg.g / leg.b for leg in legs for _ in leg.stations),
                          _walks(legs),
                          (tuple(st.id for st in bank), tuple(st.xi_km for st in bank), lo, hi),
-                         np.array((lo, hi), dtype=float), tuple(p), tuple(zip(ids, seeds)),
-                         tuple(map(tuple, trace)))
+                         np.array((lo, hi), dtype=float), np.array(p, dtype=float),
+                         tuple(zip(ids, seeds)), tuple(map(tuple, trace)))
     return grid._cached("dispatch", None, build)
 
 
@@ -437,8 +437,8 @@ def _reactive_pass(grid: GridTree, prep: _Prepared, mode: str) -> _Reactive:
     """The mode's reactive pass on the grid's unrefined p, built once per
     grid and mode."""
     def build() -> _Reactive:
-        p = list(prep.p)
-        caps = station_q_caps(np.array(p, dtype=float))
+        p = prep.p.tolist()
+        caps = station_q_caps(prep.p)
         ends = [0.0] * len(prep.legs)
         state: list[tuple] = []
         if mode == "principle":
@@ -527,8 +527,8 @@ def synthesize_tree(grid: GridTree, p_ref: float, mode: str = "literal") -> Disp
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected 'literal' or 'principle'")
     prep = _prepare(grid)
-    p = list(prep.p)
-    leftover, visited = _refine(prep.bounds, p, prep.order, p_ref)
+    p = prep.p.tolist()
+    leftover, visited = _refine(prep, p, p_ref)
     p_vec = np.array(p, dtype=float)
     caps = station_q_caps(p_vec)    # once per plan: the reactive bounds and q_cap
     q, seeds_q, handoffs = _reactive(grid, prep, mode, p, caps, int(prep.reach[visited]))

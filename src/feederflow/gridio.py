@@ -251,6 +251,7 @@ def parse_grid(doc, source: str = "<grid>") -> GridTree:
         _fail(source, "devices: expected a list")
     devices = []
     counters = dict.fromkeys(_DEVICE_POWERS, 0)
+    named = {e["id"] for e in raw_devices if isinstance(e, dict) and isinstance(e.get("id"), str)}
     for k, entry in enumerate(raw_devices):
         where = f"devices[{k}]"
         _check_keys(entry, _DEVICE_KEYS, source, where)
@@ -260,6 +261,8 @@ def parse_grid(doc, source: str = "<grid>") -> GridTree:
         seg_ref = _name(entry, "segment", source, where)
         xi = _number(entry, "xi_km", source, where)
         counters[kind] += 1
+        while entry.get("id") is None and f"{kind}-{counters[kind]}" in named:    # taken
+            counters[kind] += 1
         dev_id = (f"{kind}-{counters[kind]}" if entry.get("id") is None
                   else _name(entry, "id", source, where))
         for key, applies_to in _REFUSED[kind]:

@@ -12,12 +12,12 @@ Every state lives in one flat buffer: edges are grouped into power-of-two
 width buckets, key (cells - 1).bit_length(), each a (rows, widest + 1)
 block whose rows hold an edge's node j and cell j at position j, so a row
 ends in a pad cell.  A sweep makes one call per elementwise operation and
-one cumsum per bucket whatever the number of edges; only the junction
-values (s, w at each edge's far end, v, theta at its start) come from
-scalar loops over the edges in post-order and pre-order.  Pad cells of a
-cumsum's input hold -0.0, the exact identity of IEEE addition, so every
-value is bit for bit what a cumsum over the edge alone gives.  s does not
-depend on v and theta does not feed back, so both are integrated once.
+one cumsum per bucket whatever the number of edges, and one accumulate
+per tree level for the junction values (s, w at each edge's far end, v,
+theta at its start; see _level_table).  Pad cells of a cumsum's input
+hold -0.0, the exact identity of IEEE addition, so every value is bit for
+bit what a cumsum over the edge alone gives.  s does not depend on v and
+theta does not feed back, so both are integrated once.
 The partially linearized system is the nonlinear one with the v feedback
 pinned at 1 (exact: 1.0**3 and x / 1.0 are exact), so it converges on the
 second sweep.
@@ -185,8 +185,8 @@ def _trapezoid_groups(node_ends) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 class _Mesh:
     """Edges in rows, segments in declared order and each segment's edges
     bank side first; kids[e] lists the rows fed from e's far end, the next
-    edge of its segment first, then tapped segments in declared order.
-    Rows are swept in the tree order of GridTree.post_order.
+    edge of its segment first, then tapped segments in declared order;
+    up and down are the junction passes' level tables (see _level_table).
 
     The buffer holds the width buckets in ascending order, each bucket's
     rows in declared order: blocks lists each bucket's (start, stop, span),
@@ -250,12 +250,30 @@ class _Mesh:
         for s in grid.segments:
             for c in grid.children_of(s.id):
                 kids[far_end[s.id][c.offset_km]].append(self.rows[c.id].start)
-        # any children-first order gives the same bits: the sweeps read kids
-        self.post = [e for s in grid.post_order() for e in reversed(self.rows[s.id])]
-        self.roots, self.kids, self.n, self.h = roots, kids, n, h
+        # the junction passes' level tables (see _level_table): one row per chain
+        # of edges that each continue into kids[e][0], where the walk's sums start
+        post = [e for s in grid.post_order() for e in reversed(self.rows[s.id])]
+        taps = {c: e for e, fed in enumerate(kids) for c in fed[1:]}    # chain head: its feeder
+        chains = {e: [e] for e in reversed(post) if e in taps or e in roots}    # feeders first
+        for edges in chains.values():
+            while kids[edges[-1]]:
+                edges.append(kids[edges[-1]][0])
+        height, depth, up, down = {}, {}, {}, {}
+        for head, edges in reversed(chains.items()):
+            height[head] = max((height[c] + 1 for e in edges for c in kids[e][1:]), default=0)
+            up.setdefault(height[head], []).append([slot for e in reversed(edges) for slot in (
+                *((c, False) for c in kids[e][1:]), (e, True))])
+        for head, edges in chains.items():
+            depth.update(dict.fromkeys(edges, depth[taps[head]] + 1 if head in taps else 0))
+            down.setdefault(depth[head], []).append(
+                [(taps.get(head, len(kids)), False), *((e, True) for e in edges)])
+        self.up = [_level_table(up[k], True, len(n)) for k in sorted(up)]
+        self.down = [_level_table(down[k], False, len(n)) for k in sorted(down)]
+        self.roots, self.kids, self.n, self.h = roots, kids, n, np.array(h)
         # buckets in ascending width, each bucket's rows in declared order
         self.order = np.array(sorted(range(len(n)), key=bucket.__getitem__), dtype=np.intp)
         self.span = np.array([span[bucket[e]] for e in self.order])
+        self.row_at = np.repeat(self.order, self.span)    # each position's row
         stops = np.cumsum([bucket.count(b) * w for b, w in span.items()]).tolist()
         self.blocks = list(zip([0, *stops[:-1]], stops, span.values()))
         self.first = np.empty(len(n), dtype=np.intp)
@@ -295,15 +313,24 @@ class _Mesh:
 
     def _spread(self, per_row) -> np.ndarray:
         """A per-row value (declared rows) at every position of its row."""
-        return np.repeat(np.asarray(per_row)[self.order], self.span)
+        return np.asarray(per_row)[self.row_at]
+
+    def _levels(self, tables, term: np.ndarray, seed: float) -> np.ndarray:
+        """Each row's value before its term, level by level (see _level_table)."""
+        vals = np.concatenate((term, term, [seed], term))    # terms, after, seed, before
+        for shape, put, take, read, write in tables:
+            flat = np.zeros(shape).ravel()
+            flat[put] = vals[take]
+            vals[write] = np.add.accumulate(flat.reshape(shape), axis=1).ravel()[read]
+        return vals[-term.size:]
 
     def _cumsum(self, f: np.ndarray, step: int) -> np.ndarray:
         """Row-wise cumulative sums of f, one call per bucket; step -1 sums
         from each row's far end."""
         out = np.empty_like(f)
         for a, b, w in self.blocks:
-            np.cumsum(f[a:b].reshape(-1, w)[:, ::step], axis=1,
-                      out=out[a:b].reshape(-1, w)[:, ::step])
+            np.add.accumulate(f[a:b].reshape(-1, w)[:, ::step], axis=1,
+                              out=out[a:b].reshape(-1, w)[:, ::step])
         return out
 
     def backward(self, f: np.ndarray) -> np.ndarray:
@@ -312,15 +339,7 @@ class _Mesh:
         Pad nodes repeat their row's far-end value."""
         f[self.pad] = -0.0
         rc = self._cumsum(f, -1)
-        total = rc[self.first].tolist()
-        end = [0.0] * len(total)
-        near = [0.0] * len(total)
-        for e in self.post:
-            acc = 0.0
-            for c in self.kids[e]:
-                acc += near[c]
-            end[e] = acc
-            near[e] = acc - self.h[e] * total[e]
+        end = self._levels(self.up, -self.h * rc[self.first], 0.0)
         out = np.empty(f.size + 1)
         out[:-1] = self._spread(end) - self.h_pos * rc
         out[-1] = 0.0
@@ -332,17 +351,30 @@ class _Mesh:
         their row's far-end value, so whole-buffer min and max stay exact."""
         f[self.pad] = -0.0
         cs = self._cumsum(f, 1)
-        total = cs[self.last].tolist()    # a pad cell adds -0.0 to the far end
-        h = self.h if scale else [1.0] * len(total)
-        start = [at_bank] * len(total)
-        for e in reversed(self.post):
-            end = start[e] + h[e] * total[e]
-            for c in self.kids[e]:
-                start[c] = end
+        total = cs[self.last]    # a pad cell adds -0.0 to the far end
+        start = self._levels(self.down, self.h * total if scale else total, at_bank)
         out = np.empty(f.size + 1)
         out[1:] = self._spread(start) + (self.h_pos * cs if scale else cs)
         out[self.first] = start
         return out
+
+
+def _level_table(rows, right: bool, n: int):
+    """One level of _Mesh._levels over n rows from each chain's (row,
+    is_term) entries, an input naming the row it follows (n: the seed): the
+    block shape, each entry's flat position and place in vals, and each
+    term's and its predecessor's.  Backward rows are right-aligned behind a
+    +0.0 column (a sum from +0.0 is never -0.0, so pads add nothing), and
+    forward rows left-aligned, so that a -0.0 seed stays -0.0."""
+    width, put, take, read, write = max(map(len, rows)) + right, [], [], [], []
+    for r, row in enumerate(rows):
+        for k, (e, term) in enumerate(row, r * width + (width - len(row) if right else 0)):
+            put.append(k)
+            take.append(e if term else n + e)
+            if term:
+                read += [k - 1, k]
+                write += [2 * n + 1 + e, n + e]
+    return (len(rows), width), *(np.array(a, dtype=np.intp) for a in (put, take, read, write))
 
 
 def _positions(index: np.ndarray):
@@ -392,7 +424,7 @@ def _solve(grid: GridTree, density: DensityField, settings: SolverSettings,
             v_min = float(v.min())
             if not v_min >= COLLAPSE_FLOOR_PU:    # a NaN state stops at its first sweep
                 raise VoltageCollapseError(v_min)
-            change = float(np.max(np.abs(v - v_old)))
+            change = float(np.maximum.reduce(np.abs(v - v_old)))
             if change <= TOL_V:
                 break
         else:
@@ -433,7 +465,7 @@ def _assemble_profile(mesh: _Mesh, states, sweeps: int, change: float) -> Voltag
 def _worst(residuals: np.ndarray) -> float:
     """The largest magnitude, 0.0 when there is none (a grid without
     junctions)."""
-    return float(np.max(np.abs(residuals), initial=0.0))
+    return float(np.maximum.reduce(np.abs(residuals), initial=0.0))
 
 
 def solve_nonlinear(grid: GridTree, density: DensityField,

@@ -92,6 +92,33 @@ def test_auto_ids(tmp_path):
     assert grid.stations()[0].id == "station-1"
 
 
+def test_auto_ids_skip_the_ids_the_file_gives(tmp_path):
+    # an unnamed device is numbered past any id another device names, of
+    # either kind; the numbering still counts every device of its kind
+    text = textwrap.dedent("""\
+        segments:
+          - {id: main, length_km: 5.0, g_pu_per_km: 1.0, b_pu_per_km: 2.0}
+        devices:
+          - {kind: load, segment: main, xi_km: 1.0, id: load-2, p_pu: -0.01}
+          - {kind: load, segment: main, xi_km: 1.5, p_pu: -0.01}
+          - {kind: station, segment: main, xi_km: 2.0, id: load-4, p_min_pu: -0.1, p_max_pu: 0.1}
+          - {kind: load, segment: main, xi_km: 2.5, p_pu: -0.01}
+          - {kind: station, segment: main, xi_km: 3.0, p_min_pu: -0.1, p_max_pu: 0.1}
+          - {kind: load, segment: main, xi_km: 3.5, p_pu: -0.01}
+        """)
+    grid = load_grid(write_tmp(tmp_path, text))
+    assert [d.id for d in grid.devices] == [
+        "load-2", "load-3", "load-4", "load-5", "station-2", "load-6"]
+    assert validate_grid(grid).ok
+    # a named load-2, then two unnamed loads: once refused as "device id
+    # 'load-2' is duplicated"
+    lines = text.splitlines(keepends=True)
+    two_unnamed = "".join(lines[:5] + lines[6:7])
+    grid = load_grid(write_tmp(tmp_path, two_unnamed))
+    assert [d.id for d in grid.devices] == ["load-2", "load-3", "load-4"]
+    assert validate_grid(grid).ok
+
+
 def test_missing_file_raises():
     with pytest.raises(GridFileError, match="cannot read"):
         load_grid("/nonexistent/grid.yaml")

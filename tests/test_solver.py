@@ -502,6 +502,93 @@ def test_property_splitting_a_feeder_keeps_its_profile(case):
         assert np.max(np.abs(joined - getattr(ref, name))) <= 1e-8, name
 
 
+# dyadic, so every tap offset, shifted offset and node is exact
+TREE_SPLIT_STEP_KM = 2.0 ** -6
+TREE_SPLIT_SIGMA_KM = 2.0 ** -5
+
+
+@st.composite
+def split_tapped_tree(draw):
+    """A random valid tree: a main segment of whole TREE_SPLIT_STEP_KM
+    cells with 2-4 laterals tapped at cell boundaries (its far end
+    included), each lateral with a device or two; the same tree with main
+    cut at a cell boundary between two taps, at least two cells (an edge's
+    least) from each, the part beyond the cut a
+    child "tail" fed from main's far end, carrying the laterals beyond the
+    cut (offsets shifted by the cut) and main's devices beyond it; and
+    station powers for both.  No device of main lies within a kernel
+    cut-off of the cut."""
+    step = TREE_SPLIT_STEP_KM
+    cells = draw(st.integers(60, 200))
+    taps = sorted(draw(st.lists(st.integers(8, cells), min_size=2, max_size=4, unique=True)))
+    # an edge has at least two cells, so the cut leaves two on either side
+    gap = draw(st.sampled_from([k for k in range(len(taps) - 1) if taps[k + 1] - taps[k] >= 4]
+                               or [None]))
+    if gap is None:
+        taps, gap = [8, cells], 0
+    cut = draw(st.integers(taps[gap] + 2, taps[gap + 1] - 2))
+    length, at = cells * step, cut * step
+    g, b = draw(st.floats(0.5, 8.0)), draw(st.floats(0.5, 8.0))
+    devices, power = [], {}
+
+    def device(seg_id, xi):
+        k = len(devices)
+        if draw(st.booleans()):
+            raw = draw(st.floats(0.001, 0.2))
+            devices.append(Device("station", seg_id, xi, f"d{k}", p_min_pu=-raw, p_max_pu=raw))
+            power[f"d{k}"] = (draw(st.floats(-raw, raw)), 0.0)
+        else:
+            devices.append(Device("load", seg_id, xi, f"d{k}", p_pu=-draw(st.floats(0.0, 0.2)),
+                                  q_pu=draw(st.floats(-0.1, 0.1))))
+
+    # main's devices sit mid-cell, five cells apart, clear of the cut
+    clear = KERNEL_CUTOFF_SIGMAS * TREE_SPLIT_SIGMA_KM + step
+    spots = [(j + 0.5) * step for j in range(2, cells - 2, 5)]
+    for xi in draw(st.lists(st.sampled_from([x for x in spots if abs(x - at) > clear]),
+                            min_size=1, max_size=4, unique=True)):
+        device("main", xi)
+    whole, split = [FeederSegment("main", length, g, b)], [
+        FeederSegment("main", at, g, b),
+        FeederSegment("tail", length - at, g, b, parent="main", offset_km=at)]
+    for k, tap in enumerate(taps):
+        lat_cells = draw(st.integers(20, 60))
+        lat_g, lat_b = draw(st.floats(0.5, 8.0)), draw(st.floats(0.5, 8.0))
+        whole.append(FeederSegment(f"lat{k}", lat_cells * step, lat_g, lat_b,
+                                   parent="main", offset_km=tap * step))
+        split.append(FeederSegment(f"lat{k}", lat_cells * step, lat_g, lat_b,
+                                   *(("main", tap * step) if tap < cut
+                                     else ("tail", (tap - cut) * step))))
+        for j in range(draw(st.integers(1, 2))):
+            device(f"lat{k}", (tap + (j + 1) * lat_cells / 3.0) * step)
+    base = PerUnitBase(1.0, 1.0)
+    moved = tuple(dataclasses.replace(d, segment="tail") if d.segment == "main" and d.xi_km > at
+                  else d for d in devices)
+    return GridTree(base, tuple(whole), tuple(devices)), GridTree(base, tuple(split), moved), power
+
+
+@settings(max_examples=30, deadline=None)
+@given(split_tapped_tree())
+def test_property_splitting_a_tapped_segment_between_its_taps_keeps_its_profile(case):
+    whole, split, power = case
+    mesh = SolverSettings(step_km=TREE_SPLIT_STEP_KM)
+    try:
+        ref = solve_nonlinear(whole, DensityField(whole, power, TREE_SPLIT_SIGMA_KM), mesh)
+    except (VoltageCollapseError, ConvergenceError):
+        return
+    got = solve_nonlinear(split, DensityField(split, power, TREE_SPLIT_SIGMA_KM), mesh)
+    # the meshes nest: main's nodes are the split main's and then the
+    # tail's after its first, which repeats the cut node with the same state
+    main, tail, ref_main = got.by_segment("main"), got.by_segment("tail"), ref.by_segment("main")
+    assert len(main.x_km) + len(tail.x_km) - 1 == len(ref_main.x_km)
+    for name in ("x_km", "theta_rad", "v_pu", "s", "w"):
+        joined = np.concatenate([getattr(main, name), getattr(tail, name)[1:]])
+        assert np.max(np.abs(joined - getattr(ref_main, name))) <= 1e-8, name
+        for lateral in ref.segment_ids[1:]:
+            want, have = (getattr(p.by_segment(lateral), name) for p in (ref, got))
+            assert want.shape == have.shape
+            assert np.max(np.abs(have - want)) <= 1e-8, (lateral, name)
+
+
 def loadability_limit(xi_km, g, b):
     """The largest unity-power-factor load that a line of g, b per km feeds
     at xi_km from v(0) = 1, the nose of its PV curve.

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import random
 import re
 import tempfile
 import warnings
@@ -1062,3 +1063,91 @@ def test_near_collapse_keeps_every_pad_and_straddle_finite(scale, sweeps, v_min)
     assert (profile.sweeps, repr(profile.v_min())) == (sweeps, v_min)
     for f in ("x_km", "theta_rad", "v_pu", "s", "w"):
         assert np.all(np.isfinite(getattr(profile, f)))
+
+
+# -- the junction passes against an edge-by-edge walk ---------------------------
+
+def _backward_edge_by_edge(mesh, post, f):
+    """_Mesh.backward as a walk over the edges in post order (the solver's
+    former loop)."""
+    f[mesh.pad] = -0.0
+    rc = mesh._cumsum(f, -1)
+    total = rc[mesh.first].tolist()
+    h = mesh.h.tolist()
+    end = [0.0] * len(total)
+    near = [0.0] * len(total)
+    for e in post:
+        acc = 0.0
+        for c in mesh.kids[e]:
+            acc += near[c]
+        end[e] = acc
+        near[e] = acc - h[e] * total[e]
+    out = np.empty(f.size + 1)
+    out[:-1] = mesh._spread(end) - mesh.h_pos * rc
+    out[-1] = 0.0
+    return out
+
+
+def _forward_edge_by_edge(mesh, post, f, at_bank, scale):
+    """_Mesh.forward as a walk over the edges in pre-order (the solver's
+    former loop)."""
+    f[mesh.pad] = -0.0
+    cs = mesh._cumsum(f, 1)
+    total = cs[mesh.last].tolist()    # a pad cell adds -0.0 to the far end
+    h = mesh.h.tolist() if scale else [1.0] * len(total)
+    start = [at_bank] * len(total)
+    for e in reversed(post):
+        end = start[e] + h[e] * total[e]
+        for c in mesh.kids[e]:
+            start[c] = end
+    out = np.empty(f.size + 1)
+    out[1:] = mesh._spread(start) + (mesh.h_pos * cs if scale else cs)
+    out[mesh.first] = start
+    return out
+
+
+def junction_tree(rng):
+    """1-10 segments: several roots, laterals tapped at a quarter, half or
+    the whole of their parent (so at its far end, and often at a cut point
+    another child shares), and parents drawn among the last three segments
+    (so chains run deep)."""
+    segs = []
+    for k in range(rng.randint(1, 10)):
+        length = rng.choice([0.3, 0.5, 0.75, 1.0])
+        g, b = rng.uniform(0.5, 8.0), rng.uniform(0.5, 8.0)
+        if k == 0 or rng.random() < 0.15:
+            segs.append(FeederSegment(f"s{k}", length, g, b))
+        else:
+            parent = segs[rng.randint(max(0, k - 3), k - 1)]
+            segs.append(FeederSegment(f"s{k}", length, g, b, parent=parent.id,
+                                      offset_km=parent.length_km * rng.choice([0.25, 0.5, 1.0])))
+    return GridTree(PerUnitBase(1.0, 1.0), tuple(segs)).validated()
+
+
+def test_junction_passes_match_an_edge_by_edge_walk_bit_for_bit():
+    seen = collections.Counter()
+    for seed in range(150):
+        rng = random.Random(seed)
+        grid = junction_tree(rng)
+        mesh = solver_module._mesh(grid, SolverSettings(step_km=0.05), 0.1)
+        post = [e for s in grid.post_order() for e in reversed(mesh.rows[s.id])]
+        offsets = [(s.parent, s.offset_km) for s in grid.segments if s.parent is not None]
+        seen["several roots"] += len(grid.roots()) > 1
+        seen["far-end tap"] += any(off == grid.segment(p).length_km for p, off in offsets)
+        seen["shared cut point"] += len(set(offsets)) < len(offsets)
+        seen["three levels or more"] += min(len(mesh.up), len(mesh.down)) >= 3
+        # values of every sign and size, with +0.0, -0.0 and whole rows of -0.0
+        f = np.random.default_rng(seed).normal(size=mesh.h_pos.size) * 10.0 ** rng.uniform(-3, 3)
+        f[rng.sample(range(f.size), f.size // 5)] = 0.0
+        f[rng.sample(range(f.size), f.size // 5)] = -0.0
+        for e in rng.sample(range(len(mesh.n)), (len(mesh.n) + 1) // 3):
+            f[mesh.first[e]:mesh.last[e] + 1] = -0.0
+        assert (mesh.backward(f.copy()).tobytes()
+                == _backward_edge_by_edge(mesh, post, f.copy()).tobytes()), seed
+        for at_bank in (1.0, 0.3, -0.0):
+            for scale in (True, False):
+                assert (mesh.forward(f.copy(), at_bank, scale).tobytes()
+                        == _forward_edge_by_edge(mesh, post, f.copy(), at_bank, scale).tobytes()
+                        ), (seed, at_bank, scale)
+    # every shape the level tables handle turned up
+    assert min(seen.values()) >= 10 and len(seen) == 4, seen
