@@ -421,13 +421,16 @@ def _check_sigma(sigma_km: float) -> None:
 class _Pairs(NamedTuple):
     """The (device, sample) pairs of one sampling, kept on the grid per
     sigma, runs and x.  They are device-major: device k, layout column
-    cols[k], owns the next kept[k] pairs, each a sample index idx and a
-    kernel value kern."""
+    cols[k], owns the next kept[k] pairs, each a sample index idx, a
+    kernel value kern and its device's column col (cols[k] repeated).
+    scratch is one pair-sized buffer that each replay overwrites."""
 
     idx: np.ndarray
     kern: np.ndarray
     cols: np.ndarray
     kept: np.ndarray
+    col: np.ndarray
+    scratch: np.ndarray
 
 
 class _Layout:
@@ -510,7 +513,7 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
     columns = [layout.columns.get(seg_id, none) for seg_id, _ in runs]
     n_dev = np.array([c.size for c in columns], dtype=np.intp)
     if x.size == 0 or not n_dev.any():
-        return _Pairs(np.empty(0, dtype=np.int32), np.empty(0), none, none)
+        return _Pairs(none, np.empty(0), none, none, none, np.empty(0))
     # each run's devices as layout columns, in declaration order
     cols = np.concatenate(columns)
     centres = layout.xpq[0, cols]
@@ -538,7 +541,7 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
     hi = np.searchsorted(keys, ckeys + cut + pad, side="right", sorter=order)
     counts = hi - lo
     found = int(counts.sum())
-    idx_all = np.empty(found, dtype=np.int32)
+    idx_all = np.empty(found, dtype=np.intp)
     kern_all = np.empty(found)
     kept = counts.copy()    # per device, once the |dx| <= cut test has run
     m = 0
@@ -561,7 +564,8 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
         idx_all[m:k] = idx
         kern_all[m:k] = norm * np.exp(-dx ** 2 / two_var)
         m = k
-    return _Pairs(idx_all[:m], kern_all[:m], cols, kept)
+    return _Pairs(idx_all[:m], kern_all[:m], cols, kept,
+                  np.repeat(cols, kept), np.empty(m))
 
 
 class DensityField:
@@ -584,7 +588,10 @@ class DensityField:
     them.  The (device, sample, kernel)
     pairs are kept on the grid per sigma, runs and x, and replayed with
     this field's powers, so a repeated solve of a new plan evaluates no
-    kernel.
+    kernel.  A replay writes its per-pair products into one scratch
+    buffer kept with the pairs, so it allocates nothing pair-sized; every
+    field of the grid shares it, and sampling one grid from two threads at
+    once is not supported.
     """
 
     def __init__(self, grid: GridTree, station_power, sigma_km: float):
@@ -639,10 +646,11 @@ class DensityField:
                                    lambda: _kernel_pairs(self._layout, self.sigma_km, runs, x_flat))
         pq = []
         for power in self._pq:
-            # each pair's device power times its kernel, device-major (in
-            # place: a third pair-sized array raises the peak RSS), added to
-            # its sample in pair order from 0.0
-            weights = np.repeat(power[pairs.cols], pairs.kept)
+            # each pair's device power times its kernel, in the pairs'
+            # scratch buffer (every column is a valid index, so "clip"
+            # clips nothing; the default "raise" would buffer out), added
+            # to its sample in pair order from 0.0
+            weights = np.take(power, pairs.col, out=pairs.scratch, mode="clip")
             weights *= pairs.kern
             pq.append(np.bincount(pairs.idx, weights, x.size).reshape(x.shape))
         return tuple(pq)

@@ -27,7 +27,14 @@ Grid files are YAML with three sections::
         p_max_pu: 0.0334
 
 Unknown and repeated keys are rejected so typos cannot silently change a
-study.  All writers emit platform-independent bytes: "\n" newlines, no
+study.  A plain document (untagged scalars, maps and sequences, scalar
+keys, no anchor or alias, one document, no key equal to an earlier one)
+is built straight from the YAML event stream, to the value yaml.load
+gives it.  Any other document, a malformed one, or one with a scalar
+that cannot be built (such as the date 2001-02-30) is loaded by PyYAML's
+full yaml.load, which then gives its value or its error.
+
+All writers emit platform-independent bytes: "\n" newlines, no
 timestamps, negative zero normalized; the CSV files give floats 12
 significant digits, the JSON files Python's shortest round-trip repr.
 """
@@ -87,6 +94,82 @@ class _UniqueKeys:
 
 class _GridLoader(_UniqueKeys, YAML_LOADER):
     """The loader of grid files."""
+
+
+class _NotPlain(Exception):
+    """The document is not plain: PyYAML's full load decides it."""
+
+
+_CLOSE = (yaml.MappingEndEvent, yaml.SequenceEndEvent)
+_NONE = object()    # no scalar built yet; no key pending in a map
+
+
+def _plain_document(text: str):
+    """The document of text, built straight from _GridLoader's events when
+    it is plain: untagged scalars, maps and sequences, scalar keys, no
+    anchor or alias, one document.  Each scalar is resolved and built as
+    the full load does (the loader's resolve and yaml_constructors entry),
+    and each map is filled key by key in document order.  Raises _NotPlain,
+    or what the parser or a constructor raised, for any other document."""
+    loader = _GridLoader(text)
+    try:
+        get, resolve, constructors = loader.get_event, loader.resolve, loader.yaml_constructors
+        node = yaml.ScalarNode(None, None)    # what a constructor reads: tag and value
+        built = {}    # (value, implicit) -> its scalar: a constructor is a pure function
+        get()    # the stream start
+        if isinstance(get(), yaml.StreamEndEvent):    # else the document start
+            return None
+        stack = []    # each open map or list, with a map's pending key
+        while True:
+            event = get()
+            if isinstance(event, _CLOSE):
+                value = stack.pop()[0]
+            elif event.anchor is not None or event.tag is not None:
+                raise _NotPlain    # an anchor, an alias (which has one) or an explicit tag
+            elif isinstance(event, yaml.ScalarEvent):
+                source = (event.value, event.implicit)
+                value = built.get(source, _NONE)
+                if value is _NONE:
+                    node.tag = resolve(yaml.ScalarNode, event.value, event.implicit)
+                    node.value = event.value
+                    if node.tag not in constructors:    # a merge key or "="
+                        raise _NotPlain
+                    value = built[source] = constructors[node.tag](loader, node)
+            else:
+                stack.append(({} if isinstance(event, yaml.MappingStartEvent) else [], _NONE))
+                continue
+            if not stack:
+                break
+            into, key = stack[-1]
+            if isinstance(into, list):
+                into.append(value)
+            elif key is _NONE:
+                if isinstance(value, (dict, list)):    # a map or list as a key
+                    raise _NotPlain
+                stack[-1] = (into, value)
+            else:
+                size = len(into)
+                into[key] = value
+                if len(into) == size:    # a key equal to an earlier one
+                    raise _NotPlain
+                stack[-1] = (into, _NONE)
+        if not (isinstance(get(), yaml.DocumentEndEvent)
+                and isinstance(get(), yaml.StreamEndEvent)):
+            raise _NotPlain    # a second document
+        return value
+    finally:
+        loader.dispose()
+
+
+def _load_yaml(text: str):
+    """The document of text, as yaml.load(text, Loader=_GridLoader) gives it:
+    built from the event stream when it is plain, else by that load, which
+    then also decides every error and its message."""
+    try:
+        return _plain_document(text)
+    except Exception:    # whatever failed: yaml.load composes the whole document
+        # before it builds any of it, so it alone says which error comes first
+        return yaml.load(text, Loader=_GridLoader)
 
 
 # The schema, one table per record; the allowed keys are derived from them.
@@ -189,7 +272,7 @@ def load_grid(path: str | Path) -> GridTree:
     except (OSError, UnicodeDecodeError) as exc:
         raise GridFileError(f"{path}: cannot read: {exc}") from exc
     try:
-        doc = yaml.load(text, Loader=_GridLoader)
+        doc = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise GridFileError(f"{path}: YAML syntax error: {exc}") from exc
     except GridFileError as exc:    # a repeated key
@@ -298,17 +381,17 @@ def write_profile_csv(path: str | Path, profile: VoltageProfile) -> None:
     Interior junction positions appear twice per hosting segment (far-side
     and bank-side s, w).  Each value is written as fmt_float writes it:
     adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is.
-    The five columns are formatted in one pass, next to each segment's id
-    repeated by its number of nodes."""
+    Every row is formatted by one % over one tuple that interleaves each
+    segment's id, repeated by its number of nodes, with the five columns
+    (% and f-strings format .12g alike)."""
     ends = profile.node_ends
     counts = [b - a for a, b in zip((0, *ends), ends)]
     ids = chain.from_iterable(map(repeat, profile.segment_ids, counts))
     cols = [(a + 0.0).tolist()
             for a in (profile.x_km, profile.theta_rad, profile.v_pu, profile.s, profile.w)]
-    lines = [PROFILE_HEADER]
-    lines += [f"{sid},{x:.12g},{th:.12g},{v:.12g},{s:.12g},{w:.12g}"
-              for sid, x, th, v, s, w in zip(ids, *cols)]
-    _write_lines(path, lines)
+    rows = ("%s,%.12g,%.12g,%.12g,%.12g,%.12g\n" * len(cols[0])) % tuple(
+        chain.from_iterable(zip(ids, *cols)))
+    Path(path).write_text(f"{PROFILE_HEADER}\n{rows}", encoding="utf-8", newline="\n")
 
 
 def write_dispatch_csv(path: str | Path, plan: DispatchPlan) -> None:

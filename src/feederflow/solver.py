@@ -251,18 +251,27 @@ class _Mesh:
             for c in grid.children_of(s.id):
                 kids[far_end[s.id][c.offset_km]].append(self.rows[c.id].start)
         # the junction passes' level tables (see _level_table): one row per chain
-        # of edges that each continue into kids[e][0], where the walk's sums start
+        # of edges, each continuing into the taller of its first two kids (the
+        # walk's sums start (0.0 + k0) + k1, which is (0.0 + k1) + k0 as no
+        # near-end value is -0.0), its other kids added in kids order;
+        # height[e] is the up level of the chain from e on
         post = [e for s in grid.post_order() for e in reversed(self.rows[s.id])]
-        taps = {c: e for e, fed in enumerate(kids) for c in fed[1:]}    # chain head: its feeder
+        height, onward, side = [0] * len(kids), {}, {}
+        for e in post:    # kids first
+            fed = kids[e]
+            if fed:
+                onward[e] = fed[1] if len(fed) > 1 and height[fed[1]] > height[fed[0]] else fed[0]
+                side[e] = [c for c in fed if c != onward[e]]
+                height[e] = max([height[onward[e]], *(height[c] + 1 for c in side[e])])
+        taps = {c: e for e, fed in side.items() for c in fed}    # chain head: its feeder
         chains = {e: [e] for e in reversed(post) if e in taps or e in roots}    # feeders first
         for edges in chains.values():
-            while kids[edges[-1]]:
-                edges.append(kids[edges[-1]][0])
-        height, depth, up, down = {}, {}, {}, {}
+            while edges[-1] in onward:
+                edges.append(onward[edges[-1]])
+        depth, up, down = {}, {}, {}
         for head, edges in reversed(chains.items()):
-            height[head] = max((height[c] + 1 for e in edges for c in kids[e][1:]), default=0)
             up.setdefault(height[head], []).append([slot for e in reversed(edges) for slot in (
-                *((c, False) for c in kids[e][1:]), (e, True))])
+                *((c, False) for c in side.get(e, ())), (e, True))])
         for head, edges in chains.items():
             depth.update(dict.fromkeys(edges, depth[taps[head]] + 1 if head in taps else 0))
             down.setdefault(depth[head], []).append(

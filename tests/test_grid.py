@@ -712,3 +712,65 @@ def test_property_batched_sample_equals_per_run_calls_bit_for_bit(case):
             ref = np.concatenate([part[k] for part in parts])
             assert np.array_equal(expected, ref)
             assert expected.tobytes() == ref.tobytes()    # the sign of zero counts
+
+
+# -- the replay of the cached pairs --------------------------------------------
+
+def _repeat_replay(pairs, power_rows, n):
+    """The former replay: each pair's power gathered by np.repeat over the
+    device-major columns, times its kernel, added by np.bincount over int32
+    sample indices."""
+    idx = pairs.idx.astype(np.int32)
+    return [np.bincount(idx, np.repeat(power[pairs.cols], pairs.kept) * pairs.kern, n)
+            for power in power_rows]
+
+
+@pytest.mark.filterwarnings("ignore:sigma=")
+@settings(max_examples=60, deadline=None)
+@given(sampled_runs())
+def test_property_take_replay_equals_the_repeat_replay_bit_for_bit(case):
+    # idle stations, +-0.0 powers, repeated and empty runs, runs on a
+    # segment without devices
+    grid, power, sigma, _kernels, runs, _many = case
+    field = DensityField(grid, power, sigma)
+    x = np.concatenate([x for _, x in runs])
+    p, q = field.sample([(seg_id, x.size) for seg_id, x in runs], x)
+    (pairs,) = grid._cache["pairs"].values()
+    assert pairs.idx.dtype == pairs.col.dtype == np.intp
+    assert pairs.col.tobytes() == np.repeat(pairs.cols, pairs.kept).tobytes()
+    assert pairs.scratch.size == pairs.kern.size == pairs.idx.size
+    p_ref, q_ref = _repeat_replay(pairs, field._pq, x.size)
+    assert p.tobytes() == p_ref.tobytes()    # the sign of zero counts
+    assert q.tobytes() == q_ref.tobytes()
+
+
+def test_fields_of_one_grid_share_the_scratch_buffer_without_leaking():
+    devices = [Device("station", "main", 0.5 + 0.25 * k, f"s{k}", p_min_pu=-1.0, p_max_pu=1.0)
+               for k in range(12)]
+    devices.append(Device("load", "main", 2.125, "l", p_pu=-0.2, q_pu=-0.1))
+    grid, twin = make_single(devices), make_single(devices)
+    x = np.linspace(0.0, 5.0, 401)
+    plans = ({f"s{k}": (0.01 * k, -0.005 * k) for k in range(12)},
+             {f"s{k}": (-0.02, 0.0) for k in range(0, 12, 3)})
+    alone = [DensityField(twin, plan, 0.05).sample("main", x) for plan in plans]
+    first, second = (DensityField(grid, plan, 0.05) for plan in plans)
+    a = first.sample("main", x)
+    b = second.sample("main", x)
+    (pairs,) = grid._cache["pairs"].values()
+    assert all(not np.shares_memory(out, pairs.scratch) for out in (*a, *b))
+    again = first.sample("main", x)
+    for got, ref in ((a, alone[0]), (b, alone[1]), (again, alone[0])):
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in ref]
+
+
+def test_empty_pairs_replay_to_zeros():
+    # no device on the sampled segment, and no sample at all: the pairs are empty
+    grid = make_single([Device("load", "main", 2.5, "l", p_pu=-0.1, q_pu=0.05)])
+    field = DensityField(grid, None, 0.05)
+    for runs, x in (("elsewhere", np.array([2.5, 2.5, 0.0])), ("main", np.array([]))):
+        for _ in range(2):    # built, then replayed from the cache
+            p, q = field.sample(runs, x)
+            assert p.tobytes() == q.tobytes() == np.zeros(x.size).tobytes()
+    for pairs in grid._cache["pairs"].values():
+        assert pairs.idx.dtype == pairs.col.dtype == np.intp
+        assert pairs.idx.size == pairs.kern.size == pairs.col.size == pairs.scratch.size == 0

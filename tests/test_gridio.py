@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from feederflow import (
     GridFileError,
@@ -299,6 +300,162 @@ def test_a_key_in_another_mapping_or_over_a_merge_is_not_repeated(tmp_path, monk
     assert len(grid.loads()) == 2
 
 
+# -- the event walk against PyYAML's full load -----------------------------------
+
+LOADERS = {"libyaml": getattr(yaml, "CSafeLoader", None), "python": yaml.SafeLoader}
+
+# every implicit scalar type of YAML 1.1, in the spellings the resolver and
+# the constructors treat apart, quoted numbers and scalars that refuse to build
+SCALARS = [
+    "0", "-42", "+7", "0x1F", "-0x_1f", "0o17", "017", "0b101", "1_000", "190:20:30",
+    "1" + "0" * 400, "1.5", "-0.0", "1e3", "1.0e+3", "6.8523015e+5", "685.230_15e+03",
+    "190:20:30.15", ".inf", "-.Inf", "+.INF", ".nan", ".NaN", "1_0.5", "1.",
+    "yes", "No", "on", "OFF", "true", "False", "y", "n",
+    "~", "null", "Null", "''", '""',
+    "2001-12-14", "2001-12-14t21:59:43.10-05:00", "2001-12-14 21:59:43.10 -5",
+    "2002-12-14 21:59:43.10", "2001-02-30", "2001-12-14T21:59:60",
+    "'1.5'", '"0x1F"', "'~'", "'yes'", '"2001-12-14"', "'<<'", "'='",
+    "abc", "load-1", "xi_km", "'a: b'", '"tab\\there"', "=", "<<",
+]
+
+# documents outside the plain subset, and streams with no or several documents
+SPECIAL = [
+    "", "---", "--- \n...\n", "# only a comment\n", "...\n", "42", "'quoted root'\n",
+    "a: 1\n---\nb: 2\n", "--- a\n--- b\n", "- 1\n...\n---\n- 2\n",
+    "a: &x 1\nb: *x\n", "a: *x\n", "- &x [1, 2]\n- *x\n", "&r {a: 1}\n",
+    "a: &x 1\nb: &x 2\n", "- !!str 5\n", "a: !!float 1\n", "a: !foo bar\n", "a: ! 12\n",
+    "!!map {a: 1}\n", "!!omap [a: 1]\n", "!!set {a, b}\n", "a: !!binary aGk=\n",
+    "- &m {x: 1, y: 2}\n- {<<: *m, y: 3}\n", "- &m {x: 1}\n- &n {z: 2}\n- {<<: [*m, *n]}\n",
+    "{<<: 5}\n", "<<: {a: 1}\n", "=: 1\n", "a: =\n", "a: <<\n",
+    "? [a, b]\n: 1\n", "{[1]: 2}\n", "? {a: 1}\n: 2\n", "? a\n",
+    "a: 1\na: 2\n", "{a: 1, 'a': 2}\n", "1: a\n1.0: b\n", "yes: a\n1: b\n", "~: a\nnull: b\n",
+    "0x1: a\n1: b\n", ".nan: a\n.nan: b\n", "[.nan, .nan]\n",
+    "a: [\n", "a: b: c\n", "{a: 1\n", "- a\nb: c\n", "\t- x\n", "a: 'unterminated\n",
+    "%YAML 1.1\n--- {a: 1}\n", "%YAML 2.0\n--- {a: 1}\n", "%TAG !e! tag:e.com,2000:\n--- !e!x 1\n",
+    "a: 2001-02-30\n", "a:\n  - b\n  -\n    c: d\n  - [e, {f: g}]\n",
+    "- [a, [b, [c, [d, [e]]]]]\n" * 3,
+]
+
+
+def _canonical(value):
+    """value as nested tuples that compare equal exactly when the values
+    are the same: types kept, floats by repr (so NaN and -0.0 compare),
+    maps as their ordered items."""
+    if isinstance(value, dict):
+        return ("map", [(_canonical(k), _canonical(v)) for k, v in value.items()])
+    if isinstance(value, (list, tuple, set)):
+        return (type(value).__name__, [_canonical(v) for v in value])
+    if isinstance(value, float):
+        return ("float", repr(value))
+    return (type(value).__name__, repr(value))
+
+
+def _outcome(load, text):
+    try:
+        return "value", _canonical(load(text))
+    except Exception as exc:    # the same type and message on both paths
+        return type(exc).__name__, str(exc)
+
+
+def _full_load(text):
+    return yaml.load(text, Loader=gridio._GridLoader)
+
+
+@pytest.fixture(params=list(LOADERS))
+def yaml_base(request, monkeypatch):
+    """Grid loading on the libyaml or the pure-Python base loader."""
+    base = LOADERS[request.param]
+    if base is None:
+        pytest.skip("PyYAML was built without libyaml")
+    monkeypatch.setattr(gridio, "_GridLoader",
+                        type("GridLoader", (gridio._UniqueKeys, base), {}))
+    return request.param
+
+
+def _render(tree, block, indent=""):
+    """A drawn tree as YAML source: a scalar is its source, a list or a map
+    (a list of key, value pairs, keys possibly repeated) is written in
+    block style when block and it is not empty, else in flow style."""
+    if isinstance(tree, str):
+        return tree
+    kind, items = tree
+    if not (block and items):
+        if kind == "seq":
+            return "[" + ", ".join(_render(v, False) for v in items) + "]"
+        return "{" + ", ".join(f"{_render(k, False)}: {_render(v, False)}" for k, v in items) + "}"
+    lines = []
+    for item in items:
+        lead, value = ("- ", item) if kind == "seq" else (f"{_render(item[0], False)}: ", item[1])
+        if isinstance(value, str) or not value[1]:
+            lines.append(f"{indent}{lead}{_render(value, False)}\n")
+        else:
+            lines.append(f"{indent}{lead.rstrip()}\n{_render(value, True, indent + '  ')}")
+    return "".join(lines)
+
+
+_trees = st.recursive(
+    st.sampled_from(SCALARS),
+    lambda inner: st.one_of(
+        st.tuples(st.just("seq"), st.lists(inner, max_size=4)),
+        st.tuples(st.just("map"), st.lists(st.tuples(st.sampled_from(SCALARS), inner), max_size=4)),
+    ),
+    max_leaves=12,
+)
+
+
+# the fixture only picks the base loader, which every drawn document shares
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tree=st.tuples(st.just("map"), st.lists(st.tuples(st.sampled_from(SCALARS), _trees),
+                                               max_size=5)) | _trees,
+       block=st.booleans())
+def test_property_event_walk_loads_as_pyyaml_does(yaml_base, tree, block):
+    text = _render(tree, block)
+    assert _outcome(gridio._load_yaml, text) == _outcome(_full_load, text), text
+
+
+@pytest.mark.parametrize("text", SPECIAL)
+def test_event_walk_loads_each_special_document_as_pyyaml_does(yaml_base, text):
+    assert _outcome(gridio._load_yaml, text) == _outcome(_full_load, text)
+
+
+@pytest.mark.parametrize("scalar", SCALARS)
+def test_event_walk_loads_each_scalar_as_pyyaml_does(yaml_base, scalar):
+    # alone, as a key and as a value, in block and in flow style
+    docs = [scalar] + [_render(("map", [(scalar, scalar), ("k", ("seq", [scalar]))]), block)
+                       for block in (True, False)]
+    for doc in docs:
+        assert _outcome(gridio._load_yaml, doc) == _outcome(_full_load, doc), doc
+
+
+def test_plain_documents_take_the_event_walk(yaml_base):
+    # the walk builds these itself; everything else is handed to the full load
+    for name in ("single_feeder", "feeder_tree"):
+        text = bundled_grid_path(name).read_text(encoding="utf-8")
+        assert _canonical(gridio._plain_document(text)) == _canonical(_full_load(text))
+    for text in ("", "---", "42", "[a, {b: [1, 2.5, .nan]}]", "a: {b: ~, c: [yes, '1']}\n",
+                 "2001-12-14: 0x1F\n'<<': 1\n'=': 2\n"):
+        assert _canonical(gridio._plain_document(text)) == _canonical(_full_load(text))
+    # one NaN object for every .nan, as in a full load
+    assert [id(v) for v in gridio._plain_document("[.nan, .nan]")] == [
+        id(v) for v in _full_load("[.nan, .nan]")]
+    for text in ("a: &x 1\n", "a: *x\n", "a: !!str 1\n", "<<: {a: 1}\n", "=: 1\n",
+                 "a: =\n", "? [a]\n: 1\n", "1: a\n1.0: b\n", "a: 1\na: 2\n", "a: 2001-02-30\n",
+                 "a: 1\n---\nb: 2\n", "a: [\n"):
+        with pytest.raises(Exception):
+            gridio._plain_document(text)
+
+
+def test_a_grid_with_an_anchor_loads_through_the_full_load(tmp_path, monkeypatch):
+    calls, full = [], yaml.load
+    monkeypatch.setattr(yaml, "load", lambda *a, **k: calls.append(a) or full(*a, **k))
+    grid = load_grid(write_tmp(tmp_path, GOOD))
+    assert calls == []
+    anchored = GOOD.replace("  - {id: main,", "  - &line {id: main,")
+    assert load_grid(write_tmp(tmp_path, anchored, "anchored.yaml")) == grid
+    assert len(calls) == 1
+
+
 REPO =Path(__file__).resolve().parents[1]
 
 
@@ -361,7 +518,9 @@ def test_profile_csv_bytes_match_fmt_float_per_value(tmp_path, name):
     w[:5] = (-0.0, 0.0, float("nan"), -float("inf"), -1e-300)
     theta = prof.theta_rad.copy()
     theta[0] = -0.0
-    prof = dataclasses.replace(prof, w=w, theta_rad=theta)
+    s = prof.s.copy()
+    s[:3] = (1e-320, 1e300, -1e300)    # a subnormal and the largest exponents
+    prof = dataclasses.replace(prof, w=w, theta_rad=theta, s=s)
     path = tmp_path / "profile.csv"
     write_profile_csv(path, prof)
     expected = [PROFILE_HEADER]

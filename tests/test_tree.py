@@ -1124,11 +1124,38 @@ def junction_tree(rng):
     return GridTree(PerUnitBase(1.0, 1.0), tuple(segs)).validated()
 
 
+def mid_tapped_chain(rng, count):
+    """count segments, each tapping its parent at a quarter, half or three
+    quarters of its length (so the chain's levels hinge on which kid of
+    each junction continues it), some with a far-end or a shared-cut lateral
+    beside the chain's next segment."""
+    segs = [FeederSegment("c0", 1.0, rng.uniform(0.5, 8.0), rng.uniform(0.5, 8.0))]
+    for k in range(1, count):
+        parent = segs[-1] if segs[-1].id.startswith("c") else segs[-2]
+        offset = parent.length_km * rng.choice([0.25, 0.5, 0.75])
+        segs.append(FeederSegment(f"c{k}", rng.choice([0.5, 1.0]), rng.uniform(0.5, 8.0),
+                                  rng.uniform(0.5, 8.0), parent=parent.id, offset_km=offset))
+        if rng.random() < 0.3:
+            at = rng.choice([offset, parent.length_km])
+            segs.append(FeederSegment(f"lat{k}", 0.5, 1.0, 2.0, parent=parent.id, offset_km=at))
+    return GridTree(PerUnitBase(1.0, 1.0), tuple(segs)).validated()
+
+
+def test_a_mid_tapped_chain_takes_two_levels_each_way():
+    # 1100 segments, each tapping its parent at mid-length: the chain runs on
+    # through every tapped segment, and each parent's far part hangs off it
+    segs = tuple(FeederSegment(f"s{k}", 0.01, 3.881, 6.856, parent=f"s{k - 1}" if k else None,
+                               offset_km=0.005 if k else 0.0) for k in range(1100))
+    grid = GridTree(PerUnitBase(1.0, 1.0), segs)
+    mesh = solver_module._mesh(grid, SolverSettings(step_km=0.0005), 0.001)
+    assert len(mesh.up) == len(mesh.down) == 2
+
+
 def test_junction_passes_match_an_edge_by_edge_walk_bit_for_bit():
     seen = collections.Counter()
-    for seed in range(150):
+    for seed in range(200):
         rng = random.Random(seed)
-        grid = junction_tree(rng)
+        grid = junction_tree(rng) if seed < 150 else mid_tapped_chain(rng, rng.randint(2, 40))
         mesh = solver_module._mesh(grid, SolverSettings(step_km=0.05), 0.1)
         post = [e for s in grid.post_order() for e in reversed(mesh.rows[s.id])]
         offsets = [(s.parent, s.offset_km) for s in grid.segments if s.parent is not None]
@@ -1136,12 +1163,19 @@ def test_junction_passes_match_an_edge_by_edge_walk_bit_for_bit():
         seen["far-end tap"] += any(off == grid.segment(p).length_km for p, off in offsets)
         seen["shared cut point"] += len(set(offsets)) < len(offsets)
         seen["three levels or more"] += min(len(mesh.up), len(mesh.down)) >= 3
-        # values of every sign and size, with +0.0, -0.0 and whole rows of -0.0
+        # a junction whose second kid leads further than its first, which
+        # then hangs off the chain
+        below = {}
+        for e in post:
+            below[e] = max((below[c] + 1 for c in mesh.kids[e]), default=0)
+        seen["second kid deeper"] += any(len(fed) > 1 and below[fed[1]] > below[fed[0]]
+                                         for fed in mesh.kids)
+        # values of every sign and size, with +0.0, -0.0 and whole rows of +-0.0
         f = np.random.default_rng(seed).normal(size=mesh.h_pos.size) * 10.0 ** rng.uniform(-3, 3)
         f[rng.sample(range(f.size), f.size // 5)] = 0.0
         f[rng.sample(range(f.size), f.size // 5)] = -0.0
         for e in rng.sample(range(len(mesh.n)), (len(mesh.n) + 1) // 3):
-            f[mesh.first[e]:mesh.last[e] + 1] = -0.0
+            f[mesh.first[e]:mesh.last[e] + 1] = rng.choice([0.0, -0.0])
         assert (mesh.backward(f.copy()).tobytes()
                 == _backward_edge_by_edge(mesh, post, f.copy()).tobytes()), seed
         for at_bank in (1.0, 0.3, -0.0):
@@ -1150,4 +1184,4 @@ def test_junction_passes_match_an_edge_by_edge_walk_bit_for_bit():
                         == _forward_edge_by_edge(mesh, post, f.copy(), at_bank, scale).tobytes()
                         ), (seed, at_bank, scale)
     # every shape the level tables handle turned up
-    assert min(seen.values()) >= 10 and len(seen) == 4, seen
+    assert min(seen.values()) >= 10 and len(seen) == 5, seen
