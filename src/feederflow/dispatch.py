@@ -38,16 +38,19 @@ every station before the first one it visits, in the far-to-near station
 order, keeps its unrefined p.  The reactive walk at a station reads only
 that station's p and cap and what it carries from the stations walked
 before, the legs' carries included, so up to that first station a
-request's reactive pass is the one over the unrefined p.  The grid keeps
-that pass per mode, with the start tuple its walk recorded before each
-station and the legs' carries, and a request resumes the walk from that
-tuple and a copy of the carries.  A plan holds its stations as columns: a
-request adds only its p, q and q_cap columns, with q_cap computed once as
-one vector from the final p, and the StationDispatch rows are built only
-when a caller reads plan.stations.  A caller with bare station and load
-lists builds a one-segment GridTree and calls synthesize.  Plans are keyed
-by device id, so devices built in code need a non-empty id; validate_grid
-rejects an unnamed one.
+request's reactive pass is the one over the unrefined p.  Both modes'
+walks keep one contract: each appends its stations' q in station order,
+returns their seeds and records, before every station, a start tuple that
+ends in the count of hand-offs logged so far.  The grid keeps each mode's
+pass with those tuples and the legs' carries, and a request resumes the
+walk from a tuple and a copy of the carries, after that many kept
+hand-offs.  A plan holds its stations as columns: a request adds only its
+p, q and q_cap columns, with q_cap computed once as one vector from the
+final p, and the StationDispatch rows are built only when a caller reads
+plan.stations.  A caller with bare station and load lists builds a
+one-segment GridTree and calls synthesize.  Plans are keyed by device id,
+so devices built in code need a non-empty id; validate_grid rejects an
+unnamed one.
 """
 from __future__ import annotations
 
@@ -256,21 +259,20 @@ def _walks(legs) -> tuple[tuple[tuple[int, object], ...], ...]:
     return tuple(walks)
 
 
-def _principle(prep, p, caps, q, ends, start=None, record=None):
-    """Per-station Q driving the running sum of g*P + b*Q beyond it to zero,
-    each clamped to its station's cap.
+def _principle(prep, p, caps, trace, values, ends, start=None, record=None):
+    """The principle reactive pass: per-station Q driving the running sum of
+    g*P + b*Q beyond it to zero, each clamped to its station's cap.
 
     The sum covers the whole subtree beyond the walk point, each device
     weighted with its own segment's parameters; the walk order is the
-    grid's (see _walks).  Each leg's sum at its near end is carried in
-    ends[leg], and a child tap adds its child's carry.  start = (leg, event
-    index, run) resumes the walk at that event of the leg's walk with the
-    running sum run, None at the start; q is filled from there on, and
-    ends must hold the carries of the legs before that leg.  record, when
-    given, gets that start tuple before every station walked and once past
-    the last.
+    grid's (see _walks), which meets the stations in station order.  Each
+    leg's sum at its near end is carried in ends[leg], and a child tap adds
+    its child's carry.  Called as _literal is, with start = (leg, event
+    index, run, hand-offs logged); nothing is forwarded, so trace gets no
+    hand-off and every station walked has seed 0.0.
     """
-    leg_index, at, run = start or (0, 0, 0.0)
+    leg_index, at, run, _logged = start or (0, 0, 0.0, 0)
+    caps, logged, first = caps.tolist(), len(trace[0]), len(values)
     walked = zip(prep.legs[leg_index:], prep.walks[leg_index:])
     for n, (leg, walk) in enumerate(walked, leg_index):
         g, b = leg.g, leg.b
@@ -282,16 +284,16 @@ def _principle(prep, p, caps, q, ends, start=None, record=None):
             else:
                 k, event = item
                 if record is not None:
-                    record.append((n, event, run))
+                    record.append((n, event, run, logged))
                 cap = caps[k]
                 raw = -(run + g * p[k]) / b
-                q[k] = min(max(raw, -cap), cap)
-                run += g * p[k] + b * q[k]
+                values.append(min(max(raw, -cap), cap))
+                run += g * p[k] + b * values[k]
         ends[n] = run
         at, run = 0, 0.0
     if record is not None:
-        record.append((len(prep.legs), 0, 0.0))
-    return q
+        record.append((len(prep.legs), 0, 0.0, logged))
+    return values, [0.0] * (len(values) - first)
 
 
 def _refine(prep, p, p_run):
@@ -420,10 +422,12 @@ _MODES = ("literal", "principle")
 class _Reactive(NamedTuple):
     """One mode's reactive pass over the unrefined active values.
 
-    The pass reads a station's own p and cap and what the walk carries from
-    the stations before it, so a request's pass equals this one up to the
-    first station its refinement visited, and resumes there from the start
-    tuple the walk recorded and a copy of the legs' carries."""
+    Either walk, _literal or _principle, reads a station's own p and cap and
+    what it carries from the stations before, so a request's pass equals
+    this one up to the first station its refinement visited, and resumes
+    there from the start tuple recorded and a copy of the legs' carries.
+    Every start tuple ends in the count of hand-offs logged before it: the
+    request keeps that many and logs its own after them."""
 
     q: tuple[float, ...]                    # station order
     seeds_q: tuple[tuple[str, float], ...]  # as plan.seeds_q
@@ -433,36 +437,25 @@ class _Reactive(NamedTuple):
     ends: tuple[float, ...]                 # each leg's near-end carry
 
 
-def _reactive_pass(grid: GridTree, prep: _Prepared, mode: str) -> _Reactive:
-    """The mode's reactive pass on the grid's unrefined p, built once per
-    grid and mode."""
-    def build() -> _Reactive:
-        p = prep.p.tolist()
-        caps = station_q_caps(prep.p)
-        ends = [0.0] * len(prep.legs)
-        state: list[tuple] = []
-        if mode == "principle":
-            q = _principle(prep, p, caps.tolist(), [0.0] * len(p), ends, record=state)
-            return _Reactive(tuple(q), tuple((sid, 0.0) for sid in prep.ids), prep.handoffs_p,
-                             tuple(state), tuple(ends))
-        trace = tuple(map(list, prep.handoffs_p))
-        q, seeds = _literal(prep, p, caps, trace, [], ends, record=state)
-        return _Reactive(tuple(q), tuple(zip(prep.ids, seeds)), tuple(map(tuple, trace)),
-                         tuple(state), tuple(ends))
-    return grid._cached("dispatch", mode, build)
-
-
 def _reactive(grid: GridTree, prep: _Prepared, mode: str, p, caps: np.ndarray, r: int):
     """(q, seeds_q, hand-off columns) of a request whose refinement left the
     stations before station r as the grid's active pass set them: the
-    grid's reactive pass up to r, resumed there."""
-    const = _reactive_pass(grid, prep, mode)
-    start, ends = const.state[r], list(const.ends)
-    if mode == "principle":
-        return (_principle(prep, p, caps.tolist(), list(const.q), ends, start=start),
-                const.seeds_q, const.handoffs)
-    trace: tuple[list, ...] = ([], [], [], [])
-    q, seeds = _literal(prep, p, caps, trace, list(const.q[:r]), ends, start=start)
+    mode's reactive pass on the unrefined p, built once per grid and mode,
+    up to r, and the walk resumed there."""
+    walk = _principle if mode == "principle" else _literal
+
+    def build() -> _Reactive:
+        trace = tuple(map(list, prep.handoffs_p))
+        ends = [0.0] * len(prep.legs)
+        state: list[tuple] = []
+        q, seeds = walk(prep, prep.p.tolist(), station_q_caps(prep.p), trace, [], ends,
+                        record=state)
+        return _Reactive(tuple(q), tuple(zip(prep.ids, seeds)), tuple(map(tuple, trace)),
+                         tuple(state), tuple(ends))
+
+    const = grid._cached("dispatch", mode, build)
+    start, trace = const.state[r], ([], [], [], [])
+    q, seeds = walk(prep, p, caps, trace, list(const.q[:r]), list(const.ends), start=start)
     logged = start[-1]
     return (q, const.seeds_q[:r] + tuple(zip(prep.ids[r:], seeds)),
             tuple(old[:logged] + tuple(new) for old, new in zip(const.handoffs, trace)))

@@ -649,10 +649,12 @@ class DensityField:
             # each pair's device power times its kernel, in the pairs'
             # scratch buffer (every column is a valid index, so "clip"
             # clips nothing; the default "raise" would buffer out), added
-            # to its sample in pair order from 0.0
+            # to its sample in pair order from 0.0 (with no pairs bincount
+            # counts in int64: the cast copies only then)
             weights = np.take(power, pairs.col, out=pairs.scratch, mode="clip")
             weights *= pairs.kern
-            pq.append(np.bincount(pairs.idx, weights, x.size).reshape(x.shape))
+            sums = np.bincount(pairs.idx, weights, x.size).astype(float, copy=False)
+            pq.append(sums.reshape(x.shape))
         return tuple(pq)
 
 

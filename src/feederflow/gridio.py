@@ -46,6 +46,7 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import NoReturn
 
+import numpy as np
 import yaml
 
 from .dispatch import DispatchPlan
@@ -371,38 +372,37 @@ def fmt_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_lines(path: str | Path, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _csv_rows(ids, columns) -> str:
+    """One CSV row per id: the id, then its value in each column.  Each
+    value is written as fmt_float writes it: adding 0.0 turns -0.0 into 0.0
+    and leaves every other value as it is.  The rows are formatted by one %
+    over one tuple that interleaves the ids with the columns (% and
+    f-strings format .12g alike)."""
+    cols = [(np.asarray(c, dtype=float) + 0.0).tolist() for c in columns]
+    row = "%s" + ",%.12g" * len(cols) + "\n"
+    return (row * len(cols[0])) % tuple(chain.from_iterable(zip(ids, *cols)))
 
 
 def write_profile_csv(path: str | Path, profile: VoltageProfile) -> None:
     """One row per mesh sample, segments in declared order, x ascending.
 
     Interior junction positions appear twice per hosting segment (far-side
-    and bank-side s, w).  Each value is written as fmt_float writes it:
-    adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is.
-    Every row is formatted by one % over one tuple that interleaves each
-    segment's id, repeated by its number of nodes, with the five columns
-    (% and f-strings format .12g alike)."""
+    and bank-side s, w).  Each segment's id is repeated by its number of
+    nodes."""
     ends = profile.node_ends
     counts = [b - a for a, b in zip((0, *ends), ends)]
     ids = chain.from_iterable(map(repeat, profile.segment_ids, counts))
-    cols = [(a + 0.0).tolist()
-            for a in (profile.x_km, profile.theta_rad, profile.v_pu, profile.s, profile.w)]
-    rows = ("%s,%.12g,%.12g,%.12g,%.12g,%.12g\n" * len(cols[0])) % tuple(
-        chain.from_iterable(zip(ids, *cols)))
+    rows = _csv_rows(ids, (profile.x_km, profile.theta_rad, profile.v_pu, profile.s, profile.w))
     Path(path).write_text(f"{PROFILE_HEADER}\n{rows}", encoding="utf-8", newline="\n")
 
 
 def write_dispatch_csv(path: str | Path, plan: DispatchPlan) -> None:
     """Stations bank-nearest first, then a TOTAL footer row carrying the
     delivered total in p_pu and the unplaced remainder in q_pu's column."""
-    lines = [DISPATCH_HEADER]
-    columns = (plan.xi_km, plan.p_pu, plan.q_pu, plan.p_min_eff, plan.p_max_eff, plan.q_cap)
-    lines += [",".join((sid, *map(fmt_float, values)))
-              for sid, *values in zip(plan.ids, *columns)]
-    lines.append(f"TOTAL,,{fmt_float(plan.total_p())},{fmt_float(plan.leftover_p)},,,")
-    _write_lines(path, lines)
+    rows = _csv_rows(plan.ids, (plan.xi_km, plan.p_pu, plan.q_pu, plan.p_min_eff,
+                                plan.p_max_eff, plan.q_cap))
+    total = f"TOTAL,,{fmt_float(plan.total_p())},{fmt_float(plan.leftover_p)},,,"
+    Path(path).write_text(f"{DISPATCH_HEADER}\n{rows}{total}\n", encoding="utf-8", newline="\n")
 
 
 def _plus_zero(value):

@@ -347,6 +347,7 @@ def test_density_kernels_stay_on_their_segment(feeder_tree):
     # trunk carries no devices; nothing may leak across the junction at 1.0
     p, q = field.sample("trunk", np.linspace(0.0, 1.0, 51))
     assert np.all(p == 0.0) and np.all(q == 0.0)
+    assert p.dtype == q.dtype == np.float64
 
 
 def test_density_rejects_bad_sigma():
@@ -771,6 +772,8 @@ def test_empty_pairs_replay_to_zeros():
         for _ in range(2):    # built, then replayed from the cache
             p, q = field.sample(runs, x)
             assert p.tobytes() == q.tobytes() == np.zeros(x.size).tobytes()
+            # int64 zeros have the same bytes; the dtype tells them apart
+            assert p.dtype == q.dtype == np.float64
     for pairs in grid._cache["pairs"].values():
         assert pairs.idx.dtype == pairs.col.dtype == np.intp
         assert pairs.idx.size == pairs.kern.size == pairs.col.size == pairs.scratch.size == 0

@@ -529,6 +529,21 @@ def test_profile_csv_bytes_match_fmt_float_per_value(tmp_path, name):
             expected.append(",".join([seg.segment_id, *map(fmt_float, row)]))
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
     assert b"-0," not in path.read_bytes()
+    # the dispatch writer formats its rows the same way
+    plan = synthesize_tree(grid, 0.1)
+    awkward = (-0.0, 1e-320, 1e300, -1e300, float("nan"))
+    q = (awkward * len(plan.ids))[:len(plan.ids)]
+    xi = (awkward[::-1] * len(plan.ids))[:len(plan.ids)]
+    plan = dataclasses.replace(plan, q_pu=q, xi_km=xi, leftover_p=-0.0)
+    path = tmp_path / "dispatch.csv"
+    write_dispatch_csv(path, plan)
+    expected = [DISPATCH_HEADER]
+    for row in zip(plan.ids, plan.xi_km, plan.p_pu, plan.q_pu, plan.p_min_eff, plan.p_max_eff,
+                   plan.q_cap):
+        expected.append(",".join([row[0], *map(fmt_float, row[1:])]))
+    expected.append(f"TOTAL,,{fmt_float(plan.total_p())},0,,,")
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+    assert b"-0," not in path.read_bytes() and b"nan" in path.read_bytes()
 
 
 def test_writers_are_byte_deterministic(tmp_path, single_feeder):

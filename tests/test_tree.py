@@ -2,6 +2,7 @@
 import collections
 import dataclasses
 import hashlib
+import importlib.util
 import math
 import pickle
 import random
@@ -653,6 +654,45 @@ def test_active_pass_runs_once_per_grid(monkeypatch):
         assert repr(plan) == repr(synthesize_tree(fresh, p_ref, "literal"))
     assert passes == {("P", False, False): 3, ("Q", False, True): 3, ("Q", True, False): 12,
                       ("principle", False, True): 1, ("principle", True, False): 4}
+
+
+def study_dense_feeder():
+    """The benchmark's seed-0 dense study feeder: 1000 stations and 1000
+    loads on one 50 km segment."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "grids.py"
+    spec = importlib.util.spec_from_file_location("perfbench_grids", path)
+    grids = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grids)
+    return parse_grid(grids.dense_feeder(0))
+
+
+@pytest.mark.parametrize("make", [load_feeder_tree, two_level, study_dense_feeder])
+@pytest.mark.parametrize("mode", ["literal", "principle"])
+def test_every_resume_point_reproduces_the_kept_pass(make, mode):
+    # resumed from any start tuple the kept pass recorded, the one past the
+    # last station included, with the unrefined p, either walk writes that
+    # pass's q, seeds and hand-offs again bit for bit
+    grid = make()
+    synthesize_tree(grid, 0.0, mode)
+    prep, kept = grid._cache["dispatch"][None], grid._cache["dispatch"][mode]
+    walk = {"literal": dispatch_module._literal, "principle": dispatch_module._principle}[mode]
+    p, caps = prep.p.tolist(), grid_module.station_q_caps(prep.p)
+
+    def bits(q, seeds_q, handoffs):
+        # == takes -0.0 for 0.0; the floats' bytes do not
+        return np.array([*q, *(seed for _sid, seed in seeds_q), *handoffs[1]]).tobytes()
+
+    want = (kept.q, kept.seeds_q, kept.handoffs)
+    assert len(kept.state) == len(prep.ids) + 1
+    for r, start in enumerate(kept.state):
+        trace = ([], [], [], [])
+        q, seeds = walk(prep, p, caps, trace, list(kept.q[:r]), list(kept.ends), start=start)
+        got = (tuple(q), kept.seeds_q[:r] + tuple(zip(prep.ids[r:], seeds)),
+               tuple(old[:start[-1]] + tuple(new) for old, new in zip(kept.handoffs, trace)))
+        assert got == want and bits(*got) == bits(*want)
+        q, seeds_q, handoffs = dispatch_module._reactive(grid, prep, mode, p, caps, r)
+        got = (tuple(q), seeds_q, handoffs)
+        assert got == want and bits(*got) == bits(*want)
 
 
 @pytest.mark.parametrize("make", [load_feeder_tree, two_level])
