@@ -187,19 +187,20 @@ def _forward(quantity, legs, bounds, update, trace, values, ends, start=None, re
     (in post order, the order their hand-offs were logged; adding a 0.0
     carry changes no bit, as a seed is never -0.0) plus the residual
     forwarded by the previous station.  It then absorbs the loads strictly
-    beyond it, value = update(value, k, load), until the value leaves
-    bounds[k] = (lo, hi), where it clamps and forwards the excess.  A
-    station that consumes no load keeps its seed unclamped.
+    beyond it, value = update(value, k, load), until the value leaves its
+    bounds (lo, hi), where it clamps and forwards the excess.  A station
+    that consumes no load keeps its seed unclamped.
 
     values holds the values of the stations before the walk's first one,
     which start = (leg, index in leg, residual, src, j, hand-offs logged)
-    places, None the first station; ends must hold the carries of the
-    legs before that leg.  Returns (values, seeds), the seeds of the
-    stations walked.  record, when given, gets that start tuple before
-    every station walked and once past the last.
+    places, None the first station, and bounds[i] the bounds of the i-th
+    station walked; ends must hold the carries of the legs before that
+    leg.  Returns (values, seeds), the seeds of the stations walked.
+    record, when given, gets that start tuple before every station walked
+    and once past the last.
     """
     leg_index, first, residual, src, j, _logged = start or (0, 0, 0.0, "", 0, 0)
-    seeds: list[float] = []
+    seeds, walked = [], len(values)
     for n, leg in enumerate(legs[leg_index:], leg_index):
         for i, st in enumerate(leg.stations[first:] if first else leg.stations, first):
             if record is not None:
@@ -213,7 +214,7 @@ def _forward(quantity, legs, bounds, update, trace, values, ends, start=None, re
                 seed = seed + residual
                 residual = 0.0
             seeds.append(seed)
-            lo, hi = bounds[k]
+            lo, hi = bounds[k - walked]
             value = seed
             while j < len(leg.loads) and leg.loads[j].xi_km > st.xi_km:
                 value = update(value, k, leg.loads[j])
@@ -272,7 +273,8 @@ def _principle(prep, p, caps, trace, values, ends, start=None, record=None):
     hand-off and every station walked has seed 0.0.
     """
     leg_index, at, run, _logged = start or (0, 0, 0.0, 0)
-    caps, logged, first = caps.tolist(), len(trace[0]), len(values)
+    logged, first = len(trace[0]), len(values)
+    caps = caps[first:].tolist()
     walked = zip(prep.legs[leg_index:], prep.walks[leg_index:])
     for n, (leg, walk) in enumerate(walked, leg_index):
         g, b = leg.g, leg.b
@@ -285,7 +287,7 @@ def _principle(prep, p, caps, trace, values, ends, start=None, record=None):
                 k, event = item
                 if record is not None:
                     record.append((n, event, run, logged))
-                cap = caps[k]
+                cap = caps[k - first]
                 raw = -(run + g * p[k]) / b
                 values.append(min(max(raw, -cap), cap))
                 run += g * p[k] + b * values[k]
@@ -324,7 +326,7 @@ def _refine(prep, p, p_run):
 def _literal(prep, p, caps, trace, values, ends, start=None, record=None):
     """The literal reactive pass: _forward over Q with the plain per-load
     update, inside each station's cap."""
-    g_over_b = prep.g_over_b
+    g_over_b, caps = prep.g_over_b, caps[len(values):]    # the stations walked
     return _forward("Q", prep.legs, list(zip((-caps).tolist(), caps.tolist())),
                     lambda _value, k, load: g_over_b[k] * (p[k] - load.p_pu), trace,
                     values, ends, start=start, record=record)

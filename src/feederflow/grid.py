@@ -62,8 +62,7 @@ KERNEL_CUTOFF_SIGMAS = 6.0
 # the 128 KiB above which glibc's malloc maps fresh pages for every array,
 # page faults that cost more than the kernels on a fine mesh.  The blocks
 # also bound the search's peak memory: on a 1000-station 50 km feeder (48k
-# pairs), one pass over all pairs takes the temporaries from 0.73 to 2.1 MB
-# and that study's peak RSS from 47.6 to 49.2 MB.
+# pairs), one pass over all pairs takes the temporaries from 0.76 to 2.2 MiB.
 DENSITY_BLOCK_PAIRS = 12288
 
 # A GridTree caches at most this many meshes, density layouts, ... of each
@@ -419,17 +418,19 @@ def _check_sigma(sigma_km: float) -> None:
 
 
 class _Pairs(NamedTuple):
-    """The (device, sample) pairs of one sampling, kept on the grid per
-    sigma, runs and x.  They are device-major: device k, layout column
-    cols[k], owns the next kept[k] pairs, each a sample index idx, a
-    kernel value kern and its device's column col (cols[k] repeated).
-    scratch is one pair-sized buffer that each replay overwrites."""
+    """The (device, sample) kernel pairs of one sampling, kept on the grid
+    per sigma, runs and x as a sample-major slot table: slot k of a sample
+    holds its k-th pair in device declaration order, a layout column in
+    cols and a kernel in kern, and an unused slot the zero column and 0.0.
+    Tier (start, width, column, n) is the C-order (width, n) block from
+    start, whose columns are output columns column.. column + n, one of
+    them spare; where picks each sample's.  scratch is one (2, cols.size)
+    buffer that each replay overwrites."""
 
-    idx: np.ndarray
-    kern: np.ndarray
     cols: np.ndarray
-    kept: np.ndarray
-    col: np.ndarray
+    kern: np.ndarray
+    tiers: tuple
+    where: slice | np.ndarray
     scratch: np.ndarray
 
 
@@ -438,7 +439,8 @@ class _Layout:
 
     xpq holds each column's centre and the loads' p and q, with 0.0 for the
     stations, whose values a density writes at slots: an idle station keeps
-    0.0 and adds +0.0 to each sum, which changes no bit.  columns maps each
+    0.0 and adds +0.0 to each sum, which changes no bit, as does the zero
+    column after the devices, for unused slots.  columns maps each
     segment to its loads' and stations' columns, in declaration order.
     stations are the grid's stations in declaration order, slots their
     columns (by position: an unvalidated grid may repeat an id), lo and hi
@@ -448,9 +450,10 @@ class _Layout:
     def __init__(self, grid: GridTree):
         self.stations = grid.stations()
         devices = grid.devices
-        self.xpq = np.array([[d.xi_km for d in devices],
-                             [d.p_pu if d.kind == "load" else 0.0 for d in devices],
-                             [d.q_pu if d.kind == "load" else 0.0 for d in devices]], dtype=float)
+        self.xpq = np.array([[d.xi_km for d in devices] + [0.0],
+                             [d.p_pu if d.kind == "load" else 0.0 for d in devices] + [0.0],
+                             [d.q_pu if d.kind == "load" else 0.0 for d in devices] + [0.0]],
+                            dtype=float)
         self.slots = np.array([k for k, d in enumerate(devices) if d.kind == "station"],
                               dtype=np.intp)
         cols: dict[str, list[int]] = {}
@@ -506,16 +509,13 @@ def _station_pq(p, q, index: np.ndarray) -> np.ndarray:
 
 def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -> _Pairs:
     """Every (device, sample) pair of x within the cut-off, each run's
-    samples against its own segment's columns, device-major with devices in
-    declaration order."""
+    samples against its own segment's columns, as a slot table."""
     n_run = np.array([n for _, n in runs], dtype=np.intp)
     none = np.empty(0, dtype=np.intp)
     columns = [layout.columns.get(seg_id, none) for seg_id, _ in runs]
     n_dev = np.array([c.size for c in columns], dtype=np.intp)
-    if x.size == 0 or not n_dev.any():
-        return _Pairs(none, np.empty(0), none, none, none, np.empty(0))
     # each run's devices as layout columns, in declaration order
-    cols = np.concatenate(columns)
+    cols = np.concatenate([none, *columns])
     centres = layout.xpq[0, cols]
     cut = KERNEL_CUTOFF_SIGMAS * sigma_km
     # On a tree the x ranges of segments overlap, so each run is shifted
@@ -525,7 +525,7 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
     # holds only its own run's samples; a sample of another run that
     # still falls in one fails the |dx| <= cut test, which uses the
     # unshifted positions.
-    reach = float(np.abs(centres).max()) + cut
+    reach = float(np.abs(centres).max(initial=0.0)) + cut
     shift = 2.0 ** math.ceil(math.log2(4.0 * reach)) * np.arange(len(columns), dtype=float)
     keys = np.repeat(shift, n_run)
     keys += x
@@ -541,10 +541,33 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
     hi = np.searchsorted(keys, ckeys + cut + pad, side="right", sorter=order)
     counts = hi - lo
     found = int(counts.sum())
-    idx_all = np.empty(found, dtype=np.intp)
-    kern_all = np.empty(found)
-    kept = counts.copy()    # per device, once the |dx| <= cut test has run
-    m = 0
+    # a slot per window over each sample (a pair that the |dx| <= cut test
+    # drops leaves its slot unused), in tiers widest first, each as wide as
+    # its first sample and ending where its padding would pass its pairs
+    # plus samples: widths halve from tier to tier, and the table is
+    # O(pairs + samples).  Each tier has a spare column, as numpy adds a
+    # one-column block pairwise, and a lone tier keeps the samples in order.
+    width = np.empty(x.size, dtype=np.intp)
+    width[order] = np.cumsum(np.bincount(lo, minlength=x.size + 1)
+                             - np.bincount(hi, minlength=x.size + 1))[:-1]
+    rank = np.argsort(-width)
+    w, bounds = width[rank], [0]
+    while bounds[-1] < x.size:
+        slack = np.cumsum(2 * w[bounds[-1]:] + 1 - w[bounds[-1]])
+        bounds.append(bounds[-1] + (int(np.argmax(slack < 0)) or slack.size))
+    if len(bounds) == 2:
+        rank = np.arange(x.size)
+    where, base, stride = np.empty((3, x.size), dtype=np.intp)    # slot k: base + k * stride
+    tiers, start = [], 0
+    for t, (a, b) in enumerate(pairwise(bounds)):
+        where[rank[a:b]] = np.arange(a + t, b + t)
+        base[rank[a:b]] = np.arange(start, start + b - a)
+        stride[rank[a:b]] = b - a + 1
+        tiers.append((start, int(w[a]), a + t, b - a + 1))
+        start += tiers[-1][1] * (b - a + 1)
+    table = _Pairs(np.full(start, layout.xpq.shape[1] - 1), np.zeros(start), tuple(tiers),
+                   slice(0, x.size) if len(tiers) < 2 else where, np.empty((2, start)))
+    taken = np.zeros(x.size, dtype=np.intp)    # per sorted position, by earlier blocks
     per_block = max(DENSITY_BLOCK_PAIRS * centres.size // max(found, 1), 1)
     for b in range(0, centres.size, per_block):
         blk = slice(b, b + per_block)
@@ -552,20 +575,31 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
         total = int(n.sum())
         if total == 0:
             continue
-        # flattened (device, sample) pairs, device-major
+        # flattened (device, sorted position) pairs, device-major; a pair's
+        # slot is its rank among its position's pairs in a stable sort by
+        # position (so in device order), after the earlier blocks' pairs
+        pos = np.repeat(lo[blk] - (np.cumsum(n) - n), n)
+        pos += np.arange(total)
+        here = np.bincount(pos, minlength=x.size)
+        at = np.empty_like(pos)
+        at[np.argsort(pos, kind="stable")] = np.arange(total)
+        at += (taken - np.cumsum(here) + here)[pos]
+        taken += here
+        idx = order[pos]
+        del pos    # the arrays of a block stay few: see DENSITY_BLOCK_PAIRS
+        at *= stride[idx]
+        at += base[idx]
         dev = np.repeat(np.arange(b, b + n.size), n)
-        idx = order[np.arange(total) + np.repeat(lo[blk] - (np.cumsum(n) - n), n)]
-        dx = x[idx] - centres[dev]
+        dx = x[idx]
+        dx -= centres[dev]
+        del idx
         keep = np.abs(dx) <= cut
         if not keep.all():    # only samples on or beyond a cut-off
-            dev, dx, idx = dev[keep], dx[keep], idx[keep]
-            kept[blk] = np.bincount(dev - b, minlength=n.size)
-        k = m + idx.size
-        idx_all[m:k] = idx
-        kern_all[m:k] = norm * np.exp(-dx ** 2 / two_var)
-        m = k
-    return _Pairs(idx_all[:m], kern_all[:m], cols, kept,
-                  np.repeat(cols, kept), np.empty(m))
+            at, dev, dx = at[keep], dev[keep], dx[keep]
+        table.cols[at] = cols[dev]
+        table.kern[at] = norm * np.exp(-dx ** 2 / two_var)
+        del at, dev, dx
+    return table
 
 
 class DensityField:
@@ -585,13 +619,14 @@ class DensityField:
     each device is evaluated only on the samples inside its own cut-off
     window.  One call can sample every segment of a tree, each segment's
     samples given as a run, with one sort and one kernel pass for all of
-    them.  The (device, sample, kernel)
-    pairs are kept on the grid per sigma, runs and x, and replayed with
-    this field's powers, so a repeated solve of a new plan evaluates no
-    kernel.  A replay writes its per-pair products into one scratch
-    buffer kept with the pairs, so it allocates nothing pair-sized; every
-    field of the grid shares it, and sampling one grid from two threads at
-    once is not supported.
+    them.  The (device, sample, kernel) pairs are kept on the grid per
+    sigma, runs and x, sample-major (see _Pairs), and replayed with this
+    field's powers, so a repeated solve of a new plan evaluates no kernel.
+    A replay gathers p and q, multiplies by the kernels and sums each
+    sample's slots from +0.0 in device order into one scratch buffer kept
+    with the pairs, so it allocates nothing pair-sized; every field of the
+    grid shares it, and sampling one grid from two threads at once is not
+    supported.
     """
 
     def __init__(self, grid: GridTree, station_power, sigma_km: float):
@@ -628,8 +663,9 @@ class DensityField:
 
         runs is a segment id, when every sample lies on that segment, or a
         sequence of (segment id, n_points) runs that covers x_km in order;
-        a segment may appear in several runs.  Within a run x_km may be in
-        any order and may repeat positions.  Each sample sums its own
+        a segment may appear in several runs, and a count that is negative
+        or not whole is refused.  Within a run x_km may be in any order and
+        may repeat positions.  Each sample sums its own
         segment's kernels in device declaration order, so the result does
         not depend on how the samples are ordered or grouped into runs or
         calls.
@@ -637,6 +673,10 @@ class DensityField:
         x = np.asarray(x_km, dtype=float)
         if isinstance(runs, str):
             runs = ((runs, x.size),)
+        runs = list(runs)
+        for seg_id, n in runs:
+            if not (n >= 0 and n % 1 == 0):
+                raise ValueError(f"run ({seg_id!r}, {n!r}): a count must be a whole number >= 0")
         runs = [(seg_id, int(n)) for seg_id, n in runs]
         covered = sum(n for _, n in runs)
         if covered != x.size:
@@ -644,18 +684,18 @@ class DensityField:
         x_flat = x.reshape(-1)
         pairs = self._grid._cached("pairs", (self.sigma_km, tuple(runs), x_flat.tobytes()),
                                    lambda: _kernel_pairs(self._layout, self.sigma_km, runs, x_flat))
-        pq = []
-        for power in self._pq:
-            # each pair's device power times its kernel, in the pairs'
-            # scratch buffer (every column is a valid index, so "clip"
-            # clips nothing; the default "raise" would buffer out), added
-            # to its sample in pair order from 0.0 (with no pairs bincount
-            # counts in int64: the cast copies only then)
-            weights = np.take(power, pairs.col, out=pairs.scratch, mode="clip")
-            weights *= pairs.kern
-            sums = np.bincount(pairs.idx, weights, x.size).astype(float, copy=False)
-            pq.append(sums.reshape(x.shape))
-        return tuple(pq)
+        # each slot's device p and q times its kernel, in the table's scratch
+        # buffer (every column is a valid index, so "clip" clips nothing;
+        # the default "raise" would buffer out), added up slot by slot from
+        # +0.0 down each column of a tier
+        weights = np.take(self._pq, pairs.cols, axis=1, out=pairs.scratch, mode="clip")
+        weights *= pairs.kern
+        sums = np.empty((2, x.size + len(pairs.tiers)))
+        for start, width, column, n in pairs.tiers:
+            np.add.reduce(weights[:, start:start + width * n].reshape(2, width, n), axis=1,
+                          out=sums[:, column:column + n], initial=0.0)
+        p, q = sums[:, pairs.where]
+        return p.reshape(x.shape), q.reshape(x.shape)
 
 
 def power_density(grid: GridTree, plan=None, sigma_km: float = 0.05) -> DensityField:

@@ -21,9 +21,10 @@ theta does not feed back, so both are integrated once.
 The partially linearized system is the nonlinear one with the v feedback
 pinned at 1 (exact: 1.0**3 and x / 1.0 are exact), so it converges on the
 second sweep.
-Densities are sampled at cell midpoints only, in one call per solve.  The
-mesh depends only on the grid, the step and sigma, so the grid keeps it
-and a repeated solve only samples and sweeps.
+Densities are sampled at cell midpoints in one call per solve: a gather, a
+multiply and an ordered reduce per tier of the grid's kernel pair table
+(see grid._Pairs).  The mesh depends only on the grid, the step and sigma,
+so the grid keeps it and a repeated solve only samples and sweeps.
 """
 from __future__ import annotations
 

@@ -547,10 +547,13 @@ def _dense_count(n_dev, span, sigma):
 
 def _spanned_blocks(grid):
     """At least how many blocks the pair search of the grid's one sampling
-    ran in: the pairs it kept, at most the pairs it found, size the blocks."""
-    (pairs,) = grid._cache["pairs"].values()
-    n = pairs.cols.size
-    return -(-n // max(grid_module.DENSITY_BLOCK_PAIRS * n // max(pairs.kern.size, 1), 1))
+    ran in: the devices of its runs and the pairs it kept, at most the
+    pairs it found, size the blocks."""
+    ((_sigma, runs, _x), pairs), = grid._cache["pairs"].items()
+    layout = grid._cache["layout"][None]
+    n = sum(layout.columns[seg_id].size for seg_id, _ in runs if seg_id in layout.columns)
+    kept = np.count_nonzero(pairs.cols != layout.xpq.shape[1] - 1)
+    return -(-n // max(grid_module.DENSITY_BLOCK_PAIRS * n // max(kept, 1), 1))
 
 
 @st.composite
@@ -610,8 +613,8 @@ def test_property_sample_equals_mask_loop_bit_for_bit(case):
 def test_kernel_pair_search_peak_memory_stays_in_blocks():
     # a 50 km feeder with a station and a load in each of 1000 slots: about
     # 48k pairs at sigma 0.05 km and step 0.025 km.  Searched in blocks of
-    # DENSITY_BLOCK_PAIRS pairs the temporaries peak at about 0.73 MB; in one
-    # pass over all pairs they would reach 2.1 MB.
+    # DENSITY_BLOCK_PAIRS pairs the temporaries peak at about 0.76 MiB; in one
+    # pass over all pairs they would reach 2.2 MiB.
     rng = np.random.default_rng(0)
     devices = []
     for k, x0 in enumerate(0.1 + 0.0498 * np.arange(1000)):
@@ -626,7 +629,7 @@ def test_kernel_pair_search_peak_memory_stays_in_blocks():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 47_000 < pairs.kern.size < 49_000
+    assert 47_000 < np.count_nonzero(pairs.cols != len(devices)) < 49_000
     assert peak - kept < 2 ** 20
 
 
@@ -717,12 +720,46 @@ def test_property_batched_sample_equals_per_run_calls_bit_for_bit(case):
 
 # -- the replay of the cached pairs --------------------------------------------
 
-def _repeat_replay(pairs, power_rows, n):
-    """The former replay: each pair's power gathered by np.repeat over the
-    device-major columns, times its kernel, added by np.bincount over int32
-    sample indices."""
-    idx = pairs.idx.astype(np.int32)
-    return [np.bincount(idx, np.repeat(power[pairs.cols], pairs.kept) * pairs.kern, n)
+def _table_pairs(pairs, zero, n):
+    """The (sample, column, kernel) pairs of a slot table, device-major,
+    after checking its layout: the tiers tile the table, where gives each
+    sample its own column and leaves one spare column per tier, an unused
+    slot holds the zero column with kernel 0.0, and each sample's used
+    slots hold its devices in declaration order."""
+    assert pairs.cols.dtype == np.intp and pairs.kern.dtype == np.float64
+    assert pairs.cols.shape == pairs.kern.shape and pairs.scratch.shape == (2, pairs.cols.size)
+    at = column = 0
+    sample_of = np.full(n + len(pairs.tiers), -1)
+    sample_of[pairs.where] = np.arange(n)
+    assert np.count_nonzero(sample_of >= 0) == n
+    idx, col, kern = [], [], []
+    for start, width, first, count in pairs.tiers:
+        assert (start, first) == (at, column)
+        assert count >= 2 or width == 0    # no one-column block of slots
+        cols = pairs.cols[start:start + width * count].reshape(width, count)
+        kerns = pairs.kern[start:start + width * count].reshape(width, count)
+        for j in range(count):
+            used = cols[:, j] != zero
+            assert not kerns[~used, j].any()
+            assert np.all(np.diff(cols[used, j]) > 0)
+            if sample_of[first + j] < 0:    # a tier's spare column
+                assert not used.any()
+            idx += [sample_of[first + j]] * int(used.sum())
+            col += cols[used, j].tolist()
+            kern += kerns[used, j].tolist()
+        at, column = start + width * count, first + count
+    assert (at, column) == (pairs.cols.size, n + len(pairs.tiers))
+    order = np.lexsort((idx, col))
+    return np.array(idx)[order], np.array(col, dtype=np.intp)[order], np.array(kern)[order]
+
+
+def _repeat_replay(pairs, zero, power_rows, n):
+    """The former replay over the table's pairs, device-major: each pair's
+    power gathered by np.repeat over the device columns, times its kernel,
+    added by np.bincount over int32 sample indices."""
+    idx, col, kern = _table_pairs(pairs, zero, n)
+    cols, kept = np.unique(col, return_counts=True)
+    return [np.bincount(idx.astype(np.int32), np.repeat(power[cols], kept) * kern, n)
             for power in power_rows]
 
 
@@ -737,10 +774,7 @@ def test_property_take_replay_equals_the_repeat_replay_bit_for_bit(case):
     x = np.concatenate([x for _, x in runs])
     p, q = field.sample([(seg_id, x.size) for seg_id, x in runs], x)
     (pairs,) = grid._cache["pairs"].values()
-    assert pairs.idx.dtype == pairs.col.dtype == np.intp
-    assert pairs.col.tobytes() == np.repeat(pairs.cols, pairs.kept).tobytes()
-    assert pairs.scratch.size == pairs.kern.size == pairs.idx.size
-    p_ref, q_ref = _repeat_replay(pairs, field._pq, x.size)
+    p_ref, q_ref = _repeat_replay(pairs, len(grid.devices), field._pq, x.size)
     assert p.tobytes() == p_ref.tobytes()    # the sign of zero counts
     assert q.tobytes() == q_ref.tobytes()
 
@@ -759,6 +793,7 @@ def test_fields_of_one_grid_share_the_scratch_buffer_without_leaking():
     b = second.sample("main", x)
     (pairs,) = grid._cache["pairs"].values()
     assert all(not np.shares_memory(out, pairs.scratch) for out in (*a, *b))
+    assert all(not np.shares_memory(out, other) for out in a for other in b)
     again = first.sample("main", x)
     for got, ref in ((a, alone[0]), (b, alone[1]), (again, alone[0])):
         assert [v.tobytes() for v in got] == [v.tobytes() for v in ref]
@@ -775,5 +810,91 @@ def test_empty_pairs_replay_to_zeros():
             # int64 zeros have the same bytes; the dtype tells them apart
             assert p.dtype == q.dtype == np.float64
     for pairs in grid._cache["pairs"].values():
-        assert pairs.idx.dtype == pairs.col.dtype == np.intp
-        assert pairs.idx.size == pairs.kern.size == pairs.col.size == pairs.scratch.size == 0
+        assert pairs.cols.dtype == np.intp
+        assert pairs.cols.size == pairs.kern.size == pairs.scratch.size == 0
+
+
+def _stack(n, xi, p0, q0, name="l"):
+    """n loads at xi with distinct p and q, and the kernels they make."""
+    devices = [Device("load", "main", xi, f"{name}{k}", p_pu=p0 * (1.0 + 0.37 * k),
+                      q_pu=q0 * (0.5 - 0.11 * k)) for k in range(n)]
+    return devices, [(d.xi_km, d.p_pu, d.q_pu) for d in devices]
+
+
+@pytest.mark.filterwarnings("ignore:sigma=")
+@pytest.mark.parametrize("x", [
+    np.array([2.5]),                          # one sample, 12 pairs
+    np.array(2.5),                            # the same, as a 0-d x
+    np.array([2.5, 2.5]),                     # two columns of 12 pairs
+    np.array([4.0, 2.5, 2.51]),               # 100, 12, 12 pairs: a tier of one sample
+    np.array([0.3, 2.5, 4.9, 2.51, 9.0]),     # samples with and without pairs
+    np.array([4.9]),                          # one sample with no pair
+])
+def test_replay_of_many_pairs_per_sample_equals_mask_loop(x):
+    # numpy adds the slots of a one-column block pairwise from 8 slots on:
+    # after a 1.0 the 1e-16 terms vanish one by one, but not in pairs
+    devices = [Device("station", "main", 2.5 + 1e-3 * k, f"s{k}", p_min_pu=-1.0, p_max_pu=1.0)
+               for k in range(12)]
+    power = {d.id: (1.0, -0.5) if k == 0 else (1e-16, -3e-17) for k, d in enumerate(devices)}
+    kernels = [(d.xi_km, *power[d.id]) for d in devices]
+    stack, more = _stack(100, 4.0, -1e-3, 5e-4)
+    field = DensityField(make_single(devices + stack), power, 0.05)
+    p_ref, q_ref = _mask_loop(kernels + more, 0.05, x.reshape(-1))
+    for _ in range(2):    # built, then replayed from the cache
+        p, q = field.sample("main", x)
+        assert p.shape == q.shape == x.shape
+        assert p.tobytes() == p_ref.tobytes() and q.tobytes() == q_ref.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:sigma=")
+def test_replay_of_signed_zero_powers_equals_mask_loop():
+    # +0.0 and -0.0 station powers on samples reached by them alone, and
+    # mixed with loads: every sum starts from +0.0, as the loop's does
+    devices = [Device("station", "main", 1.0 + 0.02 * k, f"s{k}", p_min_pu=-1.0, p_max_pu=1.0)
+               for k in range(10)]
+    devices.append(Device("load", "main", 1.05, "l", p_pu=-0.01, q_pu=0.0))
+    power = {f"s{k}": ((0.0, -0.0) if k % 2 else (-0.0, 0.0)) for k in range(10)}
+    kernels = [(d.xi_km, *power[d.id]) for d in devices[:10]] + [(1.05, -0.01, 0.0)]
+    x = np.array([0.75, 0.8, 1.0, 1.1, 1.3, 1.36, 1.4])
+    p, q = DensityField(make_single(devices), power, 0.05).sample("main", x)
+    p_ref, q_ref = _mask_loop(kernels, 0.05, x)
+    assert p.tobytes() == p_ref.tobytes() and q.tobytes() == q_ref.tobytes()
+    assert np.count_nonzero(p == 0.0) == 2 and not np.signbit(p[p == 0.0]).any()
+    assert not np.signbit(q).any()
+
+
+@pytest.mark.filterwarnings("ignore:sigma=")
+@pytest.mark.parametrize("isolated", [False, True])
+def test_a_device_stack_keeps_the_slot_table_in_pairs_plus_samples(isolated):
+    # 240 devices at one position on a 2400-sample mesh: a table as wide as
+    # the stack for every sample would hold 240 * 2400 slots.  With isolated,
+    # a second stack reaches only one sample.
+    devices, kernels = _stack(240, 7.3, -2e-4, 1e-4)
+    x = np.linspace(0.0, 30.0, 2400)
+    if isolated:
+        more, extra = _stack(60, 20.0, 3e-4, -2e-4, name="m")
+        devices, kernels = devices + more, kernels + extra
+        x = np.concatenate([x[np.abs(x - 20.0) > 0.5], [20.0]])
+    grid = make_single(devices, length=30.0)
+    p, q = DensityField(grid, None, 0.05).sample("main", x)
+    p_ref, q_ref = _mask_loop(kernels, 0.05, x)
+    assert p.tobytes() == p_ref.tobytes() and q.tobytes() == q_ref.tobytes()
+    (pairs,) = grid._cache["pairs"].values()
+    kept = np.count_nonzero(pairs.cols != len(devices))
+    assert kept == sum(np.count_nonzero(np.abs(x - xi) <= 6.0 * 0.05) for xi, _, _ in kernels)
+    assert len(pairs.tiers) >= 2
+    assert pairs.cols.size <= 2 * kept + 2 * x.size
+    assert pairs.scratch.size == 2 * pairs.cols.size
+
+
+@pytest.mark.parametrize("runs", [[("main", 2.7), ("main", 2.3)], [("main", -1), ("main", 5)],
+                                  [("main", float("nan")), ("main", 4)]])
+def test_a_run_count_that_is_not_a_whole_number_is_refused(runs):
+    grid = make_single([Device("load", "main", 2.5, "l", p_pu=-0.1)])
+    field = DensityField(grid, None, 0.05)
+    bad = next((seg_id, n) for seg_id, n in runs if not (n >= 0 and n % 1 == 0))
+    with pytest.raises(ValueError, match=re.escape(f"run {bad!r}")):
+        field.sample(runs, np.linspace(2.0, 3.0, 4))
+    assert not grid._cache.get("pairs")
+    p, q = field.sample([("main", 2.0), ("main", 2)], np.linspace(2.0, 3.0, 4))    # whole
+    assert p.shape == q.shape == (4,)
