@@ -273,8 +273,7 @@ def _principle(prep, p, caps, trace, values, ends, start=None, record=None):
     hand-off and every station walked has seed 0.0.
     """
     leg_index, at, run, _logged = start or (0, 0, 0.0, 0)
-    logged, first = len(trace[0]), len(values)
-    caps = caps[first:].tolist()
+    caps, logged, first = caps[len(values):].tolist(), len(trace[0]), len(values)
     walked = zip(prep.legs[leg_index:], prep.walks[leg_index:])
     for n, (leg, walk) in enumerate(walked, leg_index):
         g, b = leg.g, leg.b

@@ -420,17 +420,16 @@ def _check_sigma(sigma_km: float) -> None:
 class _Pairs(NamedTuple):
     """The (device, sample) kernel pairs of one sampling, kept on the grid
     per sigma, runs and x as a sample-major slot table: slot k of a sample
-    holds its k-th pair in device declaration order, a layout column in
-    cols and a kernel in kern, and an unused slot the zero column and 0.0.
-    Tier (start, width, column, n) is the C-order (width, n) block from
-    start, whose columns are output columns column.. column + n, one of
-    them spare; where picks each sample's.  scratch is one (2, cols.size)
-    buffer that each replay overwrites."""
+    holds its k-th pair in device order, a layout column in cols and a
+    kernel in kern, or the zero column and 0.0.  Tier (start, width,
+    column, n) is the C-order (width, n) block from start, summed into
+    output columns column.. column + n - 1, one of them spare; where picks
+    each sample's.  scratch is a (2, cols.size) buffer for every replay."""
 
     cols: np.ndarray
     kern: np.ndarray
     tiers: tuple
-    where: slice | np.ndarray
+    where: np.ndarray
     scratch: np.ndarray
 
 
@@ -440,8 +439,8 @@ class _Layout:
     xpq holds each column's centre and the loads' p and q, with 0.0 for the
     stations, whose values a density writes at slots: an idle station keeps
     0.0 and adds +0.0 to each sum, which changes no bit, as does the zero
-    column after the devices, for unused slots.  columns maps each
-    segment to its loads' and stations' columns, in declaration order.
+    column after the devices, for unused slots.  columns maps each segment
+    to its loads' and stations' columns, in declaration order.
     stations are the grid's stations in declaration order, slots their
     columns (by position: an unvalidated grid may repeat an id), lo and hi
     their derated bounds.
@@ -452,8 +451,7 @@ class _Layout:
         devices = grid.devices
         self.xpq = np.array([[d.xi_km for d in devices] + [0.0],
                              [d.p_pu if d.kind == "load" else 0.0 for d in devices] + [0.0],
-                             [d.q_pu if d.kind == "load" else 0.0 for d in devices] + [0.0]],
-                            dtype=float)
+                             [d.q_pu if d.kind == "load" else 0.0 for d in devices] + [0.0]])
         self.slots = np.array([k for k, d in enumerate(devices) if d.kind == "station"],
                               dtype=np.intp)
         cols: dict[str, list[int]] = {}
@@ -541,12 +539,10 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
     hi = np.searchsorted(keys, ckeys + cut + pad, side="right", sorter=order)
     counts = hi - lo
     found = int(counts.sum())
-    # a slot per window over each sample (a pair that the |dx| <= cut test
-    # drops leaves its slot unused), in tiers widest first, each as wide as
-    # its first sample and ending where its padding would pass its pairs
-    # plus samples: widths halve from tier to tier, and the table is
-    # O(pairs + samples).  Each tier has a spare column, as numpy adds a
-    # one-column block pairwise, and a lone tier keeps the samples in order.
+    # a slot per window over each sample, in tiers widest first, each as
+    # wide as its first sample and ending where its padding would pass its
+    # pairs plus samples, so the table is O(pairs + samples); numpy sums a
+    # one-column block pairwise, so each tier has a spare column
     width = np.empty(x.size, dtype=np.intp)
     width[order] = np.cumsum(np.bincount(lo, minlength=x.size + 1)
                              - np.bincount(hi, minlength=x.size + 1))[:-1]
@@ -555,8 +551,6 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
     while bounds[-1] < x.size:
         slack = np.cumsum(2 * w[bounds[-1]:] + 1 - w[bounds[-1]])
         bounds.append(bounds[-1] + (int(np.argmax(slack < 0)) or slack.size))
-    if len(bounds) == 2:
-        rank = np.arange(x.size)
     where, base, stride = np.empty((3, x.size), dtype=np.intp)    # slot k: base + k * stride
     tiers, start = [], 0
     for t, (a, b) in enumerate(pairwise(bounds)):
@@ -566,7 +560,7 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
         tiers.append((start, int(w[a]), a + t, b - a + 1))
         start += tiers[-1][1] * (b - a + 1)
     table = _Pairs(np.full(start, layout.xpq.shape[1] - 1), np.zeros(start), tuple(tiers),
-                   slice(0, x.size) if len(tiers) < 2 else where, np.empty((2, start)))
+                   where, np.empty((2, start)))
     taken = np.zeros(x.size, dtype=np.intp)    # per sorted position, by earlier blocks
     per_block = max(DENSITY_BLOCK_PAIRS * centres.size // max(found, 1), 1)
     for b in range(0, centres.size, per_block):
@@ -620,13 +614,12 @@ class DensityField:
     window.  One call can sample every segment of a tree, each segment's
     samples given as a run, with one sort and one kernel pass for all of
     them.  The (device, sample, kernel) pairs are kept on the grid per
-    sigma, runs and x, sample-major (see _Pairs), and replayed with this
+    sigma, runs and x as a slot table (see _Pairs) and replayed with this
     field's powers, so a repeated solve of a new plan evaluates no kernel.
-    A replay gathers p and q, multiplies by the kernels and sums each
-    sample's slots from +0.0 in device order into one scratch buffer kept
-    with the pairs, so it allocates nothing pair-sized; every field of the
-    grid shares it, and sampling one grid from two threads at once is not
-    supported.
+    A replay sums each sample's slots from +0.0 in device order through
+    one scratch buffer kept with the table, so it allocates nothing
+    pair-sized; every field of the grid shares it, and sampling one grid
+    from two threads at once is not supported.
     """
 
     def __init__(self, grid: GridTree, station_power, sigma_km: float):
@@ -665,16 +658,14 @@ class DensityField:
         sequence of (segment id, n_points) runs that covers x_km in order;
         a segment may appear in several runs, and a count that is negative
         or not whole is refused.  Within a run x_km may be in any order and
-        may repeat positions.  Each sample sums its own
-        segment's kernels in device declaration order, so the result does
-        not depend on how the samples are ordered or grouped into runs or
-        calls.
+        may repeat positions.  Each sample sums its own segment's kernels
+        in device declaration order, so the result does not depend on how
+        the samples are ordered or grouped into runs or calls.
         """
         x = np.asarray(x_km, dtype=float)
         if isinstance(runs, str):
             runs = ((runs, x.size),)
-        runs = list(runs)
-        for seg_id, n in runs:
+        for seg_id, n in (runs := list(runs)):
             if not (n >= 0 and n % 1 == 0):
                 raise ValueError(f"run ({seg_id!r}, {n!r}): a count must be a whole number >= 0")
         runs = [(seg_id, int(n)) for seg_id, n in runs]

@@ -728,6 +728,7 @@ def _table_pairs(pairs, zero, n):
     slots hold its devices in declaration order."""
     assert pairs.cols.dtype == np.intp and pairs.kern.dtype == np.float64
     assert pairs.cols.shape == pairs.kern.shape and pairs.scratch.shape == (2, pairs.cols.size)
+    assert pairs.where.dtype == np.intp and pairs.where.shape == (n,)
     at = column = 0
     sample_of = np.full(n + len(pairs.tiers), -1)
     sample_of[pairs.where] = np.arange(n)
