@@ -685,7 +685,7 @@ class DensityField:
         for start, width, column, n in pairs.tiers:
             np.add.reduce(weights[:, start:start + width * n].reshape(2, width, n), axis=1,
                           out=sums[:, column:column + n], initial=0.0)
-        p, q = sums[:, pairs.where]
+        p, q = np.take(sums, pairs.where, axis=1)
         return p.reshape(x.shape), q.reshape(x.shape)
 
 
