@@ -57,12 +57,12 @@ def station_q_caps(p: np.ndarray) -> np.ndarray:
 KERNEL_CUTOFF_SIGMAS = 6.0
 
 # The kernel pair search of DensityField.sample evaluates kernels a block of
-# devices at a time, sized so that a block holds about this many (device,
+# samples at a time, sized so that a block holds about this many (device,
 # sample) pairs on average.  Its arrays (96 KiB of float64) then stay below
 # the 128 KiB above which glibc's malloc maps fresh pages for every array,
 # page faults that cost more than the kernels on a fine mesh.  The blocks
 # also bound the search's peak memory: on a 1000-station 50 km feeder (48k
-# pairs), one pass over all pairs takes the temporaries from 0.76 to 2.2 MiB.
+# pairs), one pass over all pairs takes the temporaries from 0.75 to 2.4 MiB.
 DENSITY_BLOCK_PAIRS = 12288
 
 # A GridTree caches at most this many meshes, density layouts, ... of each
@@ -507,7 +507,9 @@ def _station_pq(p, q, index: np.ndarray) -> np.ndarray:
 
 def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -> _Pairs:
     """Every (device, sample) pair of x within the cut-off, each run's
-    samples against its own segment's columns, as a slot table."""
+    samples against its own segment's columns, as a slot table built a
+    block of whole samples at a time: a pair's slot is its rank in its own
+    sample's window, so nothing carries from one block to the next."""
     n_run = np.array([n for _, n in runs], dtype=np.intp)
     none = np.empty(0, dtype=np.intp)
     columns = [layout.columns.get(seg_id, none) for seg_id, _ in runs]
@@ -518,9 +520,9 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
     cut = KERNEL_CUTOFF_SIGMAS * sigma_km
     # On a tree the x ranges of segments overlap, so each run is shifted
     # by its own multiple of a power of two at least four times any
-    # |centre| plus the cut-off.  Shifted, the samples within reach of
-    # one run's kernels lie far from every other run's, so a window
-    # holds only its own run's samples; a sample of another run that
+    # |centre| plus the cut-off.  Shifted, the devices within reach of
+    # one run's samples lie far from every other run's, so a window
+    # holds only its own run's devices; a device of another run that
     # still falls in one fails the |dx| <= cut test, which uses the
     # unshifted positions.
     reach = float(np.abs(centres).max(initial=0.0)) + cut
@@ -528,24 +530,21 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
     keys = np.repeat(shift, n_run)
     keys += x
     ckeys = centres + np.repeat(shift, n_dev)
-    order = np.argsort(keys, kind="stable")
+    by_key = np.argsort(ckeys)
+    ckeys = ckeys[by_key]
     two_var = 2.0 * sigma_km ** 2
     norm = 1.0 / math.sqrt(2.0 * math.pi * sigma_km ** 2)
-    # windows are padded by a few ulps, so that rounding in the shift
-    # and in xi +- cut cannot drop a sample (or a copy of a repeated
-    # one) that the |dx| <= cut test below keeps
-    pad = 8.0 * np.spacing(np.abs(ckeys) + 2.0 * cut)
-    lo = np.searchsorted(keys, ckeys - cut - pad, side="left", sorter=order)
-    hi = np.searchsorted(keys, ckeys + cut + pad, side="right", sorter=order)
-    counts = hi - lo
-    found = int(counts.sum())
-    # a slot per window over each sample, in tiers widest first, each as
-    # wide as its first sample and ending where its padding would pass its
-    # pairs plus samples, so the table is O(pairs + samples); numpy sums a
-    # one-column block pairwise, so each tier has a spare column
-    width = np.empty(x.size, dtype=np.intp)
-    width[order] = np.cumsum(np.bincount(lo, minlength=x.size + 1)
-                             - np.bincount(hi, minlength=x.size + 1))[:-1]
+    # each sample's window over the sorted devices, padded by a few ulps so
+    # that rounding in the shift and in x +- cut cannot drop a device that
+    # the |dx| <= cut test below keeps; its length is the sample's width
+    pad = 8.0 * np.spacing(np.abs(keys) + 2.0 * cut)
+    lo = np.searchsorted(ckeys, keys - cut - pad, side="left")
+    width = np.searchsorted(ckeys, keys + cut + pad, side="right") - lo
+    found = int(width.sum())
+    # a slot per device in each sample's window, in tiers widest first, each
+    # as wide as its first sample and ending where its padding would pass
+    # its pairs plus samples, so the table is O(pairs + samples); numpy sums
+    # a one-column block pairwise, so each tier has a spare column
     rank = np.argsort(-width)
     w, bounds = width[rank], [0]
     while bounds[-1] < x.size:
@@ -561,35 +560,24 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
         start += tiers[-1][1] * (b - a + 1)
     table = _Pairs(np.full(start, layout.xpq.shape[1] - 1), np.zeros(start), tuple(tiers),
                    where, np.empty((2, start)))
-    taken = np.zeros(x.size, dtype=np.intp)    # per sorted position, by earlier blocks
-    per_block = max(DENSITY_BLOCK_PAIRS * centres.size // max(found, 1), 1)
-    for b in range(0, centres.size, per_block):
-        blk = slice(b, b + per_block)
-        n = counts[blk]
-        total = int(n.sum())
-        if total == 0:
-            continue
-        # flattened (device, sorted position) pairs, device-major; a pair's
-        # slot is its rank among its position's pairs in a stable sort by
-        # position (so in device order), after the earlier blocks' pairs
-        pos = np.repeat(lo[blk] - (np.cumsum(n) - n), n)
-        pos += np.arange(total)
-        here = np.bincount(pos, minlength=x.size)
-        at = np.empty_like(pos)
-        at[np.argsort(pos, kind="stable")] = np.arange(total)
-        at += (taken - np.cumsum(here) + here)[pos]
-        taken += here
-        idx = order[pos]
-        del pos    # the arrays of a block stay few: see DENSITY_BLOCK_PAIRS
-        at *= stride[idx]
-        at += base[idx]
-        dev = np.repeat(np.arange(b, b + n.size), n)
-        dx = x[idx]
+    per_block = max(DENSITY_BLOCK_PAIRS * x.size // max(found, 1), 1)
+    for b in range(0, x.size, per_block):
+        n = width[b:b + per_block]
+        # the block's pairs, sample-major: the k-th pair of a sample is the
+        # k-th device of its window, and after one sort by (sample, device)
+        # the k-th in device order, which takes slot k
+        k = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
+        smp = np.repeat(np.arange(b, b + n.size), n)
+        dev = by_key[lo[smp] + k]
+        dev = dev[np.argsort(smp * centres.size + dev)]
+        k *= stride[smp]
+        k += base[smp]
+        dx = x[smp]
         dx -= centres[dev]
-        del idx
+        del smp    # the arrays of a block stay few: see DENSITY_BLOCK_PAIRS
         keep = np.abs(dx) <= cut
-        if not keep.all():    # only samples on or beyond a cut-off
-            at, dev, dx = at[keep], dev[keep], dx[keep]
+        at, dev, dx = k[keep], dev[keep], dx[keep]
+        del k, keep
         table.cols[at] = cols[dev]
         table.kern[at] = norm * np.exp(-dx ** 2 / two_var)
         del at, dev, dx
@@ -609,15 +597,15 @@ class DensityField:
     station_power leaves out is idle, at 0.0, and an id of station_power
     that names no station of the grid is refused.  A NaN or infinite p or q
     is refused, naming the station; bounds and the cone are power_density's
-    checks.  Sampling costs O(devices x window), not O(devices x points):
-    each device is evaluated only on the samples inside its own cut-off
-    window.  One call can sample every segment of a tree, each segment's
-    samples given as a run, with one sort and one kernel pass for all of
-    them.  The (device, sample, kernel) pairs are kept on the grid per
-    sigma, runs and x as a slot table (see _Pairs) and replayed with this
-    field's powers, so a repeated solve of a new plan evaluates no kernel.
-    A replay sums each sample's slots from +0.0 in device order through
-    one scratch buffer kept with the table, so it allocates nothing
+    checks.  Sampling costs O(points x window), not O(devices x points):
+    each sample is evaluated only against the devices inside its own
+    cut-off window.  One call can sample every segment of a tree, each
+    segment's samples given as a run, with one sort and one kernel pass
+    for all of them.  The (device, sample, kernel) pairs are kept on the
+    grid per sigma, runs and x as a slot table (see _Pairs) and replayed
+    with this field's powers, so a repeated solve of a new plan evaluates
+    no kernel.  A replay sums each sample's slots from +0.0 in device order
+    through one scratch buffer kept with the table, so it allocates nothing
     pair-sized; every field of the grid shares it, and sampling one grid
     from two threads at once is not supported.
     """
@@ -656,17 +644,19 @@ class DensityField:
 
         runs is a segment id, when every sample lies on that segment, or a
         sequence of (segment id, n_points) runs that covers x_km in order;
-        a segment may appear in several runs, and a count that is negative
-        or not whole is refused.  Within a run x_km may be in any order and
-        may repeat positions.  Each sample sums its own segment's kernels
-        in device declaration order, so the result does not depend on how
-        the samples are ordered or grouped into runs or calls.
+        a segment may appear in several runs, and a count that is not a
+        whole number >= 0 (2.0 is one; True is not) is refused.  Within a
+        run x_km may be in any order and may repeat positions.  Each sample
+        sums its own segment's kernels in device declaration order, so the
+        result does not depend on how the samples are ordered or grouped
+        into runs or calls.
         """
         x = np.asarray(x_km, dtype=float)
         if isinstance(runs, str):
             runs = ((runs, x.size),)
         for seg_id, n in (runs := list(runs)):
-            if not (n >= 0 and n % 1 == 0):
+            number = type(n) is int or isinstance(n, (float, np.integer, np.floating))    # not a bool
+            if not (number and n >= 0 and n % 1 == 0):
                 raise ValueError(f"run ({seg_id!r}, {n!r}): a count must be a whole number >= 0")
         runs = [(seg_id, int(n)) for seg_id, n in runs]
         covered = sum(n for _, n in runs)

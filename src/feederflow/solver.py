@@ -294,8 +294,8 @@ class _Mesh:
         col = np.arange(self.h_pos.size) - self._spread(self.first)    # position in the row
         self.pad = np.flatnonzero(col >= self._spread(n))
         rows = [np.arange(a, a + k + 1) for a, k in zip(self.first, n)]    # each row's nodes
-        self.cells = _positions(np.concatenate([r[:-1] for r in rows]))
-        self.nodes = _positions(np.concatenate(rows))
+        self.cells = np.concatenate([r[:-1] for r in rows])
+        self.nodes = np.concatenate(rows)
         x = self._spread(x0) + self.h_pos * col
         self.x = x[self.nodes]
         # the density is sampled at cell midpoints, one run per segment
@@ -385,11 +385,6 @@ def _level_table(rows, right: bool, n: int):
                 read += [k - 1, k]
                 write += [2 * n + 1 + e, n + e]
     return (len(rows), width), *(np.array(a, dtype=np.intp) for a in (put, take, read, write))
-
-
-def _positions(index: np.ndarray):
-    """index, or the equal slice when it is 0, 1, 2, ... (no gather)."""
-    return slice(0, index.size) if np.array_equal(index, np.arange(index.size)) else index
 
 
 def _mid(a: np.ndarray) -> np.ndarray:

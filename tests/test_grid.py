@@ -547,11 +547,11 @@ def _dense_count(n_dev, span, sigma):
 
 def _spanned_blocks(grid):
     """At least how many blocks the pair search of the grid's one sampling
-    ran in: the devices of its runs and the pairs it kept, at most the
+    ran in: the samples of its runs and the pairs it kept, at most the
     pairs it found, size the blocks."""
     ((_sigma, runs, _x), pairs), = grid._cache["pairs"].items()
     layout = grid._cache["layout"][None]
-    n = sum(layout.columns[seg_id].size for seg_id, _ in runs if seg_id in layout.columns)
+    n = sum(count for _, count in runs)
     kept = np.count_nonzero(pairs.cols != layout.xpq.shape[1] - 1)
     return -(-n // max(grid_module.DENSITY_BLOCK_PAIRS * n // max(kept, 1), 1))
 
@@ -613,8 +613,8 @@ def test_property_sample_equals_mask_loop_bit_for_bit(case):
 def test_kernel_pair_search_peak_memory_stays_in_blocks():
     # a 50 km feeder with a station and a load in each of 1000 slots: about
     # 48k pairs at sigma 0.05 km and step 0.025 km.  Searched in blocks of
-    # DENSITY_BLOCK_PAIRS pairs the temporaries peak at about 0.76 MiB; in one
-    # pass over all pairs they would reach 2.2 MiB.
+    # DENSITY_BLOCK_PAIRS pairs the temporaries peak at about 0.75 MiB; in one
+    # pass over all pairs they would reach 2.4 MiB.
     rng = np.random.default_rng(0)
     devices = []
     for k, x0 in enumerate(0.1 + 0.0498 * np.arange(1000)):
@@ -889,11 +889,13 @@ def test_a_device_stack_keeps_the_slot_table_in_pairs_plus_samples(isolated):
 
 
 @pytest.mark.parametrize("runs", [[("main", 2.7), ("main", 2.3)], [("main", -1), ("main", 5)],
-                                  [("main", float("nan")), ("main", 4)]])
+                                  [("main", float("nan")), ("main", 4)], [("main", "4")],
+                                  [("main", None), ("main", 4)], [("main", 2 + 0j), ("main", 2)],
+                                  [("main", True), ("main", 3)]])
 def test_a_run_count_that_is_not_a_whole_number_is_refused(runs):
     grid = make_single([Device("load", "main", 2.5, "l", p_pu=-0.1)])
     field = DensityField(grid, None, 0.05)
-    bad = next((seg_id, n) for seg_id, n in runs if not (n >= 0 and n % 1 == 0))
+    bad = runs[0]    # each case's first run is the one refused
     with pytest.raises(ValueError, match=re.escape(f"run {bad!r}")):
         field.sample(runs, np.linspace(2.0, 3.0, 4))
     assert not grid._cache.get("pairs")
