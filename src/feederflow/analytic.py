@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _placement, _station_columns
+from .grid import _placed
 
 __all__ = ["PointInjection", "PointInjectionSet", "ClosedFormProfile", "injections_from_grid"]
 
@@ -66,19 +66,15 @@ class PointInjectionSet:
 
 
 def injections_from_grid(grid, plan=None) -> PointInjectionSet:
-    """Point injections of a single-feeder grid: loads plus dispatched stations."""
+    """Point injections of a single-feeder grid: its loads, and the stations
+    that plan places, at the p and q the density places them with (_placed)."""
     if not grid.is_single_feeder():
         raise ValueError("closed forms apply to a single straight feeder only")
     seg = grid.segments[0]
-    ids, p, q = _station_columns(plan)
-    _placement(grid, ids)    # refuses an id that names no station
-    power = dict(zip(ids, zip(p, q)))
-    pts = []
-    for d in grid.devices:
-        if d.kind == "load":
-            pts.append(PointInjection(d.xi_km, d.p_pu, d.q_pu))
-        elif d.id in power:
-            pts.append(PointInjection(d.xi_km, *power[d.id]))
+    layout, index, pq, _ = _placed(grid, plan)
+    pts = [PointInjection(d.xi_km, d.p_pu, d.q_pu) for d in grid.loads()]
+    pts += [PointInjection(d.xi_km, p, q)
+            for d, k, p, q in zip(layout.stations, index, *pq.tolist()) if k >= 0]
     return PointInjectionSet(pts, seg.g_pu_per_km, seg.b_pu_per_km, seg.length_km)
 
 

@@ -62,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 # station_q_cap, the one-station cap, stays importable from here
-from .grid import PF_FLOOR, Device, GridTree, station_q_cap, station_q_caps  # noqa: F401
+from .grid import PF_FLOOR, Device, GridTree, _check_real, station_q_cap, station_q_caps  # noqa: F401
 
 __all__ = [
     "HandOff",
@@ -481,8 +481,7 @@ def _clamp(share: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _check_request(p_ref: float) -> None:
-    if not math.isfinite(p_ref):
-        raise ValueError(f"requested power p_ref must be finite, got {p_ref}")
+    _check_real(p_ref, math.isfinite, "requested power p_ref must be finite")
 
 
 def synthesize(grid: GridTree, p_ref: float, mode: str = "literal") -> DispatchPlan:

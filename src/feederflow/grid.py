@@ -408,9 +408,17 @@ def validate_grid(grid: GridTree) -> GridValidationReport:
     return GridValidationReport(tuple(bad))
 
 
+def _check_real(value, in_range, message: str) -> None:
+    """ValueError(f"{message}, got {value}") unless value is a real number
+    of a type DensityField.sample takes as a run count (so no bool, str,
+    Fraction, ...) and in_range(value); a non-number shows its repr."""
+    real = type(value) is int or isinstance(value, (float, np.integer, np.floating))
+    if not (real and in_range(value)):
+        raise ValueError(f"{message}, got {value if real else repr(value)}")
+
+
 def _check_sigma(sigma_km: float) -> None:
-    if not (sigma_km > 0.0 and math.isfinite(sigma_km)):
-        raise ValueError(f"sigma must be positive and finite, got {sigma_km}")
+    _check_real(sigma_km, lambda s: 0.0 < s < math.inf, "sigma must be positive and finite")
     # the kernels square sigma (2 pi sigma^2 overflows above ~5e153) and shift
     # runs by powers of two above 24 sigma: keep both far inside float range
     if sigma_km > 1e150:
@@ -463,23 +471,19 @@ class _Layout:
         self.hi = np.array([d.p_max_eff for d in self.stations], dtype=float)
 
 
-def _station_columns(station_power) -> tuple[tuple, tuple, tuple]:
-    """The ids, p and q columns of a station power input: a DispatchPlan's
-    own columns, a mapping's keys and values, each value unpacked into
-    exactly (p, q), or nothing for None."""
+def _placed(grid: GridTree, station_power) -> tuple[_Layout, np.ndarray, np.ndarray, list]:
+    """The grid's layout, and where station_power (a DispatchPlan, a mapping
+    id -> exactly (p, q), or None) places its stations: each layout
+    station's position in its ids (the last of a repeated id) or -1 when it
+    is idle, their p and q as two rows (0.0 when idle), and each segment's
+    closest spacing of its loads and placed stations, kept on the grid per
+    tuple of ids.  An id that names no station of the grid is refused."""
     if hasattr(station_power, "p_pu"):    # a DispatchPlan
-        return station_power.ids, station_power.p_pu, station_power.q_pu
-    power = {} if station_power is None else dict(station_power)
-    p, q = zip(*power.values(), strict=True) if power else ((), ())
-    return tuple(power), p, q
-
-
-def _placement(grid: GridTree, ids: tuple) -> tuple[_Layout, np.ndarray, list]:
-    """The grid's layout, and, kept on the grid per tuple of ids, where the
-    stations with these ids are placed: each layout station's position in
-    ids (the last of a repeated id), or -1 when it is idle, and each
-    segment's closest spacing of its loads and placed stations.  An id
-    that names no station of the grid is refused, naming it."""
+        ids, p, q = station_power.ids, station_power.p_pu, station_power.q_pu
+    else:
+        power = {} if station_power is None else dict(station_power)
+        p, q = zip(*power.values(), strict=True) if power else ((), ())
+        ids = tuple(power)
     layout = grid._cached("layout", None, lambda: _Layout(grid))
 
     def build():
@@ -496,13 +500,10 @@ def _placement(grid: GridTree, ids: tuple) -> tuple[_Layout, np.ndarray, list]:
                 xs.setdefault(d.segment, []).append(d.xi_km)
         gaps = {seg_id: [b - a for a, b in pairwise(sorted(v))] for seg_id, v in xs.items()}
         return index, [(seg_id, min(g)) for seg_id, g in gaps.items() if g]
-    return (layout, *grid._cached("placement", ids, build))
-
-
-def _station_pq(p, q, index: np.ndarray) -> np.ndarray:
-    """The layout stations' p and q, as two rows, from the columns p and q:
-    index -1, an idle station, picks the 0.0 after each column."""
-    return np.fromiter(chain(p, (0.0,), q, (0.0,)), float).reshape(2, -1)[:, index]
+    index, min_gaps = grid._cached("placement", ids, build)
+    # index -1, an idle station, picks the 0.0 after each column
+    pq = np.fromiter(chain(p, (0.0,), q, (0.0,)), float).reshape(2, -1)[:, index]
+    return layout, index, pq, min_gaps
 
 
 def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -> _Pairs:
@@ -510,6 +511,8 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
     samples against its own segment's columns, as a slot table built a
     block of whole samples at a time: a pair's slot is its rank in its own
     sample's window, so nothing carries from one block to the next."""
+    if np.isnan(x).any():
+        raise ValueError(f"x_km[{int(np.argmax(np.isnan(x)))}] is NaN: a sample needs a position")
     n_run = np.array([n for _, n in runs], dtype=np.intp)
     none = np.empty(0, dtype=np.intp)
     columns = [layout.columns.get(seg_id, none) for seg_id, _ in runs]
@@ -592,29 +595,28 @@ class DensityField:
     junctions: a device's mass stays on its own segment, so positions closer
     than ~6 sigma to a segment end lose tail mass.
 
-    The columns come from the grid's cached layout, with every station, so
-    a construction only writes the stations' p and q; a station that
-    station_power leaves out is idle, at 0.0, and an id of station_power
-    that names no station of the grid is refused.  A NaN or infinite p or q
-    is refused, naming the station; bounds and the cone are power_density's
-    checks.  Sampling costs O(points x window), not O(devices x points):
-    each sample is evaluated only against the devices inside its own
-    cut-off window.  One call can sample every segment of a tree, each
-    segment's samples given as a run, with one sort and one kernel pass
-    for all of them.  The (device, sample, kernel) pairs are kept on the
-    grid per sigma, runs and x as a slot table (see _Pairs) and replayed
-    with this field's powers, so a repeated solve of a new plan evaluates
-    no kernel.  A replay sums each sample's slots from +0.0 in device order
-    through one scratch buffer kept with the table, so it allocates nothing
-    pair-sized; every field of the grid shares it, and sampling one grid
-    from two threads at once is not supported.
+    The columns come from the grid's cached layout, with every station, so a
+    construction only writes the stations' p and q, as _placed reads them
+    for power_density and analytic.injections_from_grid too: a station that
+    station_power leaves out is idle, at 0.0, and an id that names no
+    station of the grid is refused.  A NaN or infinite p or q is refused,
+    naming the station; bounds and the cone are power_density's checks.
+    Sampling costs O(points x window), not O(devices x points): each sample
+    is evaluated only against the devices inside its own cut-off window.  One
+    call can sample every segment of a tree, each segment's samples given as
+    a run, with one sort and one kernel pass for all of them.  The (device,
+    sample, kernel) pairs are kept on the grid per sigma, runs and x as a
+    slot table (see _Pairs) and replayed with this field's powers, so a
+    repeated solve of a new plan evaluates no kernel.  A replay sums each
+    sample's slots from +0.0 in device order through one scratch buffer kept
+    with the table, so it allocates nothing pair-sized; every field of the
+    grid shares it, and sampling one grid from two threads at once is not
+    supported.
     """
 
     def __init__(self, grid: GridTree, station_power, sigma_km: float):
         _check_sigma(sigma_km)
-        ids, p, q = _station_columns(station_power)
-        layout, index, min_gaps = _placement(grid, ids)
-        pq = _station_pq(p, q, index)
+        layout, _, pq, min_gaps = _placed(grid, station_power)
         bad = ~np.isfinite(pq).all(axis=0)    # an idle station's 0.0 is finite
         if bad.any():
             k = int(np.argmax(bad))
@@ -646,10 +648,11 @@ class DensityField:
         sequence of (segment id, n_points) runs that covers x_km in order;
         a segment may appear in several runs, and a count that is not a
         whole number >= 0 (2.0 is one; True is not) is refused.  Within a
-        run x_km may be in any order and may repeat positions.  Each sample
-        sums its own segment's kernels in device declaration order, so the
-        result does not depend on how the samples are ordered or grouped
-        into runs or calls.
+        run x_km may be in any order and may repeat positions; a NaN one is
+        refused, and +-inf lies beyond every kernel.  Each sample sums its
+        own segment's kernels in device declaration order, so the result
+        does not depend on how the samples are ordered or grouped into runs
+        or calls.
         """
         x = np.asarray(x_km, dtype=float)
         if isinstance(runs, str):
@@ -682,16 +685,15 @@ class DensityField:
 def power_density(grid: GridTree, plan=None, sigma_km: float = 0.05) -> DensityField:
     """Build the sampled density field for a validated grid.
 
-    plan may be a DispatchPlan or any mapping station-id -> (p_pu, q_pu);
-    None leaves every station idle, and an id that names no station of the
-    grid is refused.  Placed station values are checked against the derated
-    active bounds and the power-factor cone before being accepted; the
-    first offending station in declaration order is named, with the P
-    (bounds) or Q (cone) hand-offs that a DispatchPlan's trace sent it.
+    plan may be a DispatchPlan or any mapping station-id -> (p_pu, q_pu),
+    placed as DensityField and the closed form place it (one intake,
+    _placed); None leaves every station idle, and an id that names no
+    station of the grid is refused.  The placed values are checked against
+    the derated active bounds and the power-factor cone; the first
+    offending station in declaration order is named, with the P (bounds)
+    or Q (cone) hand-offs that a DispatchPlan's trace sent it.
     """
-    ids, p, q = _station_columns(plan)
-    layout, index, min_gaps = _placement(grid, ids)
-    pq = _station_pq(p, q, index)
+    layout, index, pq, min_gaps = _placed(grid, plan)
     tol = 1e-12
     out_of_bounds = ~((layout.lo - tol <= pq[0]) & (pq[0] <= layout.hi + tol))
     # the cone of station_q_cap; written so that a NaN q lies outside it
@@ -702,11 +704,11 @@ def power_density(grid: GridTree, plan=None, sigma_km: float = 0.05) -> DensityF
         d = layout.stations[k]
         if out_of_bounds[k]:
             quantity = "P"
-            msg = (f"station {d.id!r}: p={p[index[k]]} outside effective bounds "
+            msg = (f"station {d.id!r}: p={pq[0, k]} outside effective bounds "
                    f"[{d.p_min_eff}, {d.p_max_eff}]")
         else:
             quantity = "Q"
-            msg = f"station {d.id!r}: q={q[index[k]]} violates the power-factor cone"
+            msg = f"station {d.id!r}: q={pq[1, k]} violates the power-factor cone"
         # a synthesized plan names the residuals that seeded the station
         received = [f"{amount} from {source!r}"
                     for qty, amount, source, target in zip(*getattr(plan, "handoffs", ()))

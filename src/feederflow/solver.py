@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import DensityField, GridTree
+from .grid import DensityField, GridTree, _check_real
 
 __all__ = [
     "SolverSettings",
@@ -95,10 +95,10 @@ class SolverSettings:
     theta_bank_rad: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.step_km is not None and not 0.0 < self.step_km < math.inf:
-            raise ValueError(f"step_km must be positive and finite, got {self.step_km}")
-        if not math.isfinite(self.theta_bank_rad):
-            raise ValueError(f"theta_bank_rad must be finite, got {self.theta_bank_rad}")
+        if self.step_km is not None:
+            _check_real(self.step_km, lambda s: 0.0 < s < math.inf,
+                        "step_km must be positive and finite")
+        _check_real(self.theta_bank_rad, math.isfinite, "theta_bank_rad must be finite")
 
 
 @dataclass(frozen=True)

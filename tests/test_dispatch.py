@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -199,6 +202,18 @@ def test_uniform_needs_stations_and_sane_pf():
     grid = make_single([Device("load", "main", 1.0, "l", p_pu=-0.1)])
     with pytest.raises(ValueError, match="at least one station"):
         uniform_baseline(grid, 0.1)
+
+
+@pytest.mark.parametrize("p_ref", [True, np.True_, "0.1", None, 1 + 0j, Fraction(1, 10),
+                                   Decimal("0.1")], ids=repr)
+def test_a_request_that_is_no_real_number_is_refused(single_feeder, p_ref):
+    # True used to request 1 pu; a str or None raised a bare TypeError
+    message = re.escape(f"requested power p_ref must be finite, got {p_ref!r}")
+    for request in (synthesize, synthesize_tree, uniform_baseline):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            request(single_feeder, p_ref)
+    assert synthesize(single_feeder, np.float64(0.1)) == synthesize(single_feeder, 0.1)
+    assert synthesize(single_feeder, 0) == synthesize(single_feeder, 0.0)
 
 
 def test_unclamped_seed_quirk_is_preserved():

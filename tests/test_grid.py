@@ -1,29 +1,44 @@
+import importlib.util
 import math
 import re
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import feederflow.grid as grid_module
+import feederflow.solver as solver_module
 from feederflow import (
     Device,
+    FEEDER_TREE_PREF,
+    SINGLE_FEEDER_PREF,
     DensityField,
     FeederSegment,
     GridTree,
     PerUnitBase,
+    SolverSettings,
     injections_from_grid,
+    load_feeder_tree,
+    load_single_feeder,
+    parse_grid,
     power_density,
     station_q_cap,
     synthesize,
+    synthesize_tree,
     to_per_unit,
+    uniform_baseline,
     validate_grid,
 )
 
 INF = float("inf")
 NAN = float("nan")
+# values that are no real number: a bool is not 1 km, nor a string 0.1
+NOT_REAL = [True, np.True_, "0.1", None, 1 + 0j, Fraction(1, 10), Decimal("0.1")]
 
 
 def make_single(devices, length=5.0, g=3.881, b=6.856):
@@ -354,6 +369,16 @@ def test_density_rejects_bad_sigma():
     grid = make_single([Device("load", "main", 2.5, "l", p_pu=-0.1)])
     with pytest.raises(ValueError, match="sigma"):
         DensityField(grid, None, 0.0)
+    # a value that is no real number is refused, shown by its repr
+    for sigma in NOT_REAL:
+        message = re.escape(f"sigma must be positive and finite, got {sigma!r}")
+        for build in (lambda: power_density(grid, None, sigma_km=sigma),
+                      lambda: DensityField(grid, None, sigma)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
+    # numpy numbers and whole numbers are real
+    for sigma in (np.float64(0.05), np.int64(1), 1):
+        assert DensityField(grid, None, sigma).sample("main", np.array([2.5]))[0][0] < 0.0
 
 
 @pytest.mark.parametrize("sigma", [1e150, math.nextafter(1e150, INF), 1e200, 1e308, INF])
@@ -633,6 +658,20 @@ def test_kernel_pair_search_peak_memory_stays_in_blocks():
     assert peak - kept < 2 ** 20
 
 
+def test_a_nan_position_is_refused():
+    # a NaN used to read as a density of 0.0
+    grid = make_single([Device("load", "main", 2.5, "l", p_pu=-0.1)])
+    field = DensityField(grid, None, 0.05)
+    x = np.array([2.4, NAN, 2.5, NAN])
+    for runs in ("main", [("main", 2), ("elsewhere", 2)], [("elsewhere", 4)]):
+        with pytest.raises(ValueError, match=re.escape("x_km[1] is NaN")):
+            field.sample(runs, x)
+    assert not grid._cache.get("pairs")
+    # +-inf lies beyond every kernel
+    p, q = field.sample("main", np.array([-INF, 2.5, INF]))
+    assert p[0] == p[2] == 0.0 and p[1] < 0.0 and not q.any()
+
+
 def test_sample_empty_and_deviceless():
     grid = make_single([Device("load", "main", 2.5, "l", p_pu=-0.1)])
     field = DensityField(grid, None, 0.05)
@@ -901,3 +940,46 @@ def test_a_run_count_that_is_not_a_whole_number_is_refused(runs):
     assert not grid._cache.get("pairs")
     p, q = field.sample([("main", 2.0), ("main", 2)], np.linspace(2.0, 3.0, 4))    # whole
     assert p.shape == q.shape == (4,)
+
+
+# -- one intake for every form of station power ------------------------------
+
+def _study_grid(workload):
+    """The benchmark's seed-0 grid of a study workload, with its requests."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "grids.py"
+    spec = importlib.util.spec_from_file_location("perfbench_grids", path)
+    grids = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grids)
+    doc = grids.GENERATORS[workload](0)
+    return parse_grid(doc), sorted({pref for pref, _ in grids.study_inputs(doc, 0)})[:2]
+
+
+@pytest.mark.filterwarnings("ignore:sigma=0.05 km exceeds half:UserWarning")
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: (load_single_feeder(), [SINGLE_FEEDER_PREF]), id="single_feeder"),
+    pytest.param(lambda: (load_feeder_tree(), [FEEDER_TREE_PREF]), id="feeder_tree"),
+    pytest.param(lambda: _study_grid("study_dense_feeder"), id="study_dense_feeder"),
+    pytest.param(lambda: _study_grid("study_wide_tree"), id="study_wide_tree"),
+])
+def test_every_form_of_station_power_takes_the_one_intake(make):
+    """A plan, its power map and that map reversed place the same stations
+    at the same bits, in the density at the mesh midpoints and, on a single
+    feeder, in the closed form's injections; None and {} leave all idle."""
+    grid, prefs = make()
+    mesh = solver_module._mesh(grid.validated(), SolverSettings(), 0.05)
+    plans = [synthesize_tree(grid, pref, mode) for pref in prefs
+             for mode in ("literal", "principle")]
+    plans += [uniform_baseline(grid, pref) for pref in prefs]
+    for plan in [None, *plans]:
+        if plan is None:
+            forms = [None, {}]
+        else:
+            power = plan.as_power_map()
+            forms = [plan, power, dict(reversed(power.items()))]
+        densities = {np.concatenate(power_density(grid, form, 0.05).sample(
+            mesh.runs, mesh.x_mid)).tobytes() for form in forms}
+        assert len(densities) == 1
+        if grid.is_single_feeder():
+            injections = {np.array([(i.xi_km, i.p_pu, i.q_pu) for i in injections_from_grid(
+                grid, form).injections]).tobytes() for form in forms}
+            assert len(injections) == 1

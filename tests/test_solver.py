@@ -2,6 +2,8 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -218,6 +220,20 @@ def test_settings_validation():
     for step_km in (math.nan, math.inf, -math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match=f"^step_km must be positive and finite, got {step_km}$"):
             SolverSettings(step_km=step_km)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0.1", None, 1 + 0j, Fraction(1, 10),
+                                   Decimal("0.1")], ids=repr)
+def test_a_setting_that_is_no_real_number_is_refused(value):
+    # True used to be accepted as a 1 km step; a str or None raised a bare
+    # TypeError (None is step_km's default: the step that sigma sets)
+    for name, message in (("step_km", "step_km must be positive and finite"),
+                          ("theta_bank_rad", "theta_bank_rad must be finite")):
+        if value is None and name == "step_km":
+            continue
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{message}, got {value!r}')}$"):
+            SolverSettings(**{name: value})
+    SolverSettings(step_km=np.float32(0.01), theta_bank_rad=np.int64(0))
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
