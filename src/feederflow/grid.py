@@ -411,9 +411,14 @@ def validate_grid(grid: GridTree) -> GridValidationReport:
 def _check_real(value, in_range, message: str) -> None:
     """ValueError(f"{message}, got {value}") unless value is a real number
     of a type DensityField.sample takes as a run count (so no bool, str,
-    Fraction, ...) and in_range(value); a non-number shows its repr."""
+    Fraction, ...) and in_range(float(value)); every range is finite, so an
+    int beyond the float range fails.  A non-number shows its repr."""
     real = type(value) is int or isinstance(value, (float, np.integer, np.floating))
-    if not (real and in_range(value)):
+    try:
+        fine = real and in_range(float(value))
+    except OverflowError:    # an int beyond the float range
+        fine = False
+    if not fine:
         raise ValueError(f"{message}, got {value if real else repr(value)}")
 
 
@@ -421,7 +426,7 @@ def _check_sigma(sigma_km: float) -> None:
     _check_real(sigma_km, lambda s: 0.0 < s < math.inf, "sigma must be positive and finite")
     # the kernels square sigma (2 pi sigma^2 overflows above ~5e153) and shift
     # runs by powers of two above 24 sigma: keep both far inside float range
-    if sigma_km > 1e150:
+    if float(sigma_km) > 1e150:
         raise ValueError(f"sigma must be at most 1e+150 km, got {sigma_km}")
 
 
@@ -587,6 +592,24 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
     return table
 
 
+class _Runs(tuple):
+    """Sample runs as (segment id, int count) pairs, checked against the
+    positions x they cover, with the "pairs" key of DensityField.sample
+    built from them and x's bytes.  A solver mesh keeps one over its
+    read-only cell midpoints, which sample takes as given with that very x."""
+
+    def __new__(cls, runs, x: np.ndarray):
+        for seg_id, n in (runs := tuple(runs)):
+            number = type(n) is int or isinstance(n, (float, np.integer, np.floating))    # not a bool
+            if not (number and n >= 0 and n % 1 == 0):
+                raise ValueError(f"run ({seg_id!r}, {n!r}): a count must be a whole number >= 0")
+        self = super().__new__(cls, ((seg_id, int(n)) for seg_id, n in runs))
+        if (covered := sum(n for _, n in self)) != x.size:
+            raise ValueError(f"runs cover {covered} samples, x_km has {x.size}")
+        self.x, self.key = x, (tuple(self), x.tobytes())
+        return self
+
+
 class DensityField:
     """Per-segment coarse-grained p(x), q(x) built from point devices.
 
@@ -628,7 +651,7 @@ class DensityField:
                sigma_km: float) -> None:
         """Take the layout's columns with its stations at pq; the spacing
         warnings point at the caller of DensityField or power_density."""
-        self.sigma_km = sigma_km
+        self.sigma_km = float(sigma_km)    # a numpy sigma would round the kernels to its type
         self._grid, self._layout = grid, layout
         self._pq = layout.xpq[1:].copy()
         self._pq[:, layout.slots] = pq
@@ -654,20 +677,12 @@ class DensityField:
         does not depend on how the samples are ordered or grouped into runs
         or calls.
         """
-        x = np.asarray(x_km, dtype=float)
-        if isinstance(runs, str):
-            runs = ((runs, x.size),)
-        for seg_id, n in (runs := list(runs)):
-            number = type(n) is int or isinstance(n, (float, np.integer, np.floating))    # not a bool
-            if not (number and n >= 0 and n % 1 == 0):
-                raise ValueError(f"run ({seg_id!r}, {n!r}): a count must be a whole number >= 0")
-        runs = [(seg_id, int(n)) for seg_id, n in runs]
-        covered = sum(n for _, n in runs)
-        if covered != x.size:
-            raise ValueError(f"runs cover {covered} samples, x_km has {x.size}")
-        x_flat = x.reshape(-1)
-        pairs = self._grid._cached("pairs", (self.sigma_km, tuple(runs), x_flat.tobytes()),
-                                   lambda: _kernel_pairs(self._layout, self.sigma_km, runs, x_flat))
+        if not (type(runs) is _Runs and x_km is runs.x):    # else checked when built
+            x = np.asarray(x_km, dtype=float)
+            runs = _Runs(((runs, x.size),) if isinstance(runs, str) else runs, x)
+        x = runs.x
+        pairs = self._grid._cached("pairs", (self.sigma_km, *runs.key), lambda: _kernel_pairs(
+            self._layout, self.sigma_km, runs, x.reshape(-1)))
         # each slot's device p and q times its kernel, in the table's scratch
         # buffer (every column is a valid index, so "clip" clips nothing;
         # the default "raise" would buffer out), added up slot by slot from

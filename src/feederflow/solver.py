@@ -11,20 +11,23 @@ Segments are split at interior taps into edges with a uniform mesh each.
 Every state lives in one flat buffer: edges are grouped into power-of-two
 width buckets, key (cells - 1).bit_length(), each a (rows, widest + 1)
 block whose rows hold an edge's node j and cell j at position j, so a row
-ends in a pad cell.  A sweep makes one call per elementwise operation and
-one cumsum per bucket whatever the number of edges, and one accumulate
-per tree level for the junction values (s, w at each edge's far end, v,
-theta at its start; see _level_table).  Pad cells of a cumsum's input
-hold -0.0, the exact identity of IEEE addition, so every value is bit for
-bit what a cumsum over the edge alone gives.  s does not depend on v and
-theta does not feed back, so both are integrated once.
+ends in a pad cell.  Each solve sweeps in a workspace of its own (see
+_Mesh.workspace): a sweep makes one call per elementwise operation, writing
+into its buffers, one accumulate per bucket whatever the number of edges,
+and one gather and one accumulate per tree level for the junction values
+(s, w at each edge's far end, v, theta at its start; see _level_table).
+Pad cells of an accumulate's input hold -0.0, the exact identity of IEEE
+addition, so every value is bit for bit what a cumsum over the edge alone
+gives.  s does not depend on v and theta does not feed back, so both are
+integrated once.
 The partially linearized system is the nonlinear one with the v feedback
 pinned at 1 (exact: 1.0**3 and x / 1.0 are exact), so it converges on the
 second sweep.
 Densities are sampled at cell midpoints in one call per solve: a gather, a
 multiply and an ordered reduce per tier of the grid's kernel pair table
 (see grid._Pairs).  The mesh depends only on the grid, the step and sigma,
-so the grid keeps it and a repeated solve only samples and sweeps.
+so the grid keeps it and a repeated solve only samples and sweeps; its
+runs were checked, and their table's key built, when it was (grid._Runs).
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import DensityField, GridTree, _check_real
+from .grid import DensityField, GridTree, _check_real, _Runs
 
 __all__ = [
     "SolverSettings",
@@ -187,7 +190,8 @@ class _Mesh:
     """Edges in rows, segments in declared order and each segment's edges
     bank side first; kids[e] lists the rows fed from e's far end, the next
     edge of its segment first, then tapped segments in declared order;
-    up and down are the junction passes' level tables (see _level_table).
+    up and down are the junction passes' level tables and up_before and
+    down_before where each row's result lies in them (see _level_table).
 
     The buffer holds the width buckets in ascending order, each bucket's
     rows in declared order: blocks lists each bucket's (start, stop, span),
@@ -197,13 +201,15 @@ class _Mesh:
 
     A mesh depends only on the grid, step_km and sigma, so the grid keeps
     it (see _mesh) with what every solve reads off it: the density's sample
-    runs and cell midpoints, the positions of the real cells and nodes,
-    where each segment's nodes end in the flattened profile and their
-    trapezoid groups, and the leaf rows (with their segments) and junction
-    rows (with their children) that the residual diagnostics read.  Every
-    edge's cell count is known before anything is allocated.  A mesh whose
-    buffer holds more than MAX_MESH_NODES positions is refused, and so is
-    one whose step exceeds sigma/2: a refused mesh is never cached.
+    runs, checked and keyed over the read-only cell midpoints x_mid, the
+    positions of the real cells and nodes, where each segment's nodes end
+    in the flattened profile and their trapezoid groups, and the leaf rows
+    (with their segments) and junction rows (with their children) that the
+    residual diagnostics read.  It holds nothing a solve writes: each solve
+    sweeps in a workspace of its own.  Every edge's cell count is known
+    before anything is allocated.  A mesh whose buffer holds more than
+    MAX_MESH_NODES positions is refused, and so is one whose step exceeds
+    sigma/2: a refused mesh is never cached.
     """
 
     def __init__(self, grid: GridTree, settings: SolverSettings, sigma_km: float):
@@ -277,8 +283,8 @@ class _Mesh:
             depth.update(dict.fromkeys(edges, depth[taps[head]] + 1 if head in taps else 0))
             down.setdefault(depth[head], []).append(
                 [(taps.get(head, len(kids)), False), *((e, True) for e in edges)])
-        self.up = [_level_table(up[k], True, len(n)) for k in sorted(up)]
-        self.down = [_level_table(down[k], False, len(n)) for k in sorted(down)]
+        self.up, self.up_before = _level_table([up[k] for k in sorted(up)], True, len(n))
+        self.down, self.down_before = _level_table([down[k] for k in sorted(down)], False, len(n))
         self.roots, self.kids, self.n, self.h = roots, kids, n, np.array(h)
         # buckets in ascending width, each bucket's rows in declared order
         self.order = np.array(sorted(range(len(n)), key=bucket.__getitem__), dtype=np.intp)
@@ -300,8 +306,10 @@ class _Mesh:
         self.x = x[self.nodes]
         # the density is sampled at cell midpoints, one run per segment
         ends = self._segment_ends(n)
-        self.runs = [(seg_id, b - a) for seg_id, a, b in zip(self.rows, [0, *ends], ends)]
         self.x_mid = (x + 0.5 * self.h_pos)[self.cells]
+        self.x_mid.flags.writeable = False    # the runs' key holds its bytes
+        self.runs = _Runs([(seg_id, b - a) for seg_id, a, b in zip(self.rows, [0, *ends], ends)],
+                          self.x_mid)
         self.segment_ids = tuple(self.rows)
         self.node_ends = tuple(self._segment_ends([k + 1 for k in n]))
         self.trapezoid_groups = _trapezoid_groups(self.node_ends)
@@ -325,70 +333,85 @@ class _Mesh:
         """A per-row value (declared rows) at every position of its row."""
         return np.asarray(per_row)[self.row_at]
 
-    def _levels(self, tables, term: np.ndarray, seed: float) -> np.ndarray:
+    def _levels(self, tables, before: np.ndarray, term: np.ndarray, seed: float) -> np.ndarray:
         """Each row's value before its term, level by level (see _level_table)."""
-        vals = np.concatenate((term, term, [seed], term))    # terms, after, seed, before
-        for shape, put, take, read, write in tables:
-            flat = np.zeros(shape).ravel()
-            flat[put] = vals[take]
-            vals[write] = np.add.accumulate(flat.reshape(shape), axis=1).ravel()[read]
-        return vals[-term.size:]
+        vals = np.empty(tables[-1][2])
+        vals[:term.size] = term
+        vals[term.size:term.size + 2] = 0.0, seed
+        for gather, start, stop in tables:
+            np.add.accumulate(vals[gather], axis=1, out=vals[start:stop].reshape(gather.shape))
+        return vals[before]
 
-    def _cumsum(self, f: np.ndarray, step: int) -> np.ndarray:
-        """Row-wise cumulative sums of f, one call per bucket; step -1 sums
-        from each row's far end."""
-        out = np.empty_like(f)
-        for a, b, w in self.blocks:
-            np.add.accumulate(f[a:b].reshape(-1, w)[:, ::step], axis=1,
-                              out=out[a:b].reshape(-1, w)[:, ::step])
-        return out
+    def workspace(self) -> tuple:
+        """One solve's buffers: the integrand f and its running sums, per
+        position, with each width bucket's (rows, span) views of both, from
+        the near ends and from the far ends.  Each solve builds its own."""
+        f, sums = np.empty((2, self.h_pos.size))
+        outward = [(f[a:b].reshape(-1, w), sums[a:b].reshape(-1, w)) for a, b, w in self.blocks]
+        return f, sums, outward, [(fb[:, ::-1], sb[:, ::-1]) for fb, sb in outward]
 
-    def backward(self, f: np.ndarray) -> np.ndarray:
-        """Integrate f (per cell) from every far end toward the bank; an
-        edge's far-end value is the sum of its children's near-end values.
-        Pad nodes repeat their row's far-end value."""
+    def backward(self, ws: tuple, out: np.ndarray) -> np.ndarray:
+        """Integrate the workspace's f (per cell) from every far end toward
+        the bank into out (per node); an edge's far-end value is the sum of
+        its children's near-end values.  Pad nodes repeat their row's
+        far-end value."""
+        f, sums, _, inward = ws
         f[self.pad] = -0.0
-        rc = self._cumsum(f, -1)
-        end = self._levels(self.up, -self.h * rc[self.first], 0.0)
-        out = np.empty(f.size + 1)
-        out[:-1] = self._spread(end) - self.h_pos * rc
+        for fb, sb in inward:
+            np.add.accumulate(fb, axis=1, out=sb)
+        end = self._levels(self.up, self.up_before, -self.h * sums[self.first], 0.0)
+        sums *= self.h_pos
+        np.take(end, self.row_at, out=out[:-1], mode="clip")
+        out[:-1] -= sums
         out[-1] = 0.0
         return out
 
-    def forward(self, f: np.ndarray, at_bank: float, scale: bool) -> np.ndarray:
-        """Integrate f (per cell, times h if scale) from the bank outward;
-        an edge starts at its parent's far-end value.  Pad nodes repeat
-        their row's far-end value, so whole-buffer min and max stay exact."""
+    def forward(self, ws: tuple, at_bank: float, scale: bool, out: np.ndarray) -> np.ndarray:
+        """Integrate the workspace's f (per cell, times h if scale) from the
+        bank outward into out (per node); an edge starts at its parent's
+        far-end value.  Pad nodes repeat their row's far-end value, so
+        whole-buffer min and max stay exact."""
+        f, sums, outward, _ = ws
         f[self.pad] = -0.0
-        cs = self._cumsum(f, 1)
-        total = cs[self.last]    # a pad cell adds -0.0 to the far end
-        start = self._levels(self.down, self.h * total if scale else total, at_bank)
-        out = np.empty(f.size + 1)
-        out[1:] = self._spread(start) + (self.h_pos * cs if scale else cs)
+        for fb, sb in outward:
+            np.add.accumulate(fb, axis=1, out=sb)
+        total = sums[self.last]    # a pad cell adds -0.0 to the far end
+        start = self._levels(self.down, self.down_before, self.h * total if scale else total,
+                             at_bank)
+        if scale:
+            sums *= self.h_pos
+        np.take(start, self.row_at, out=out[1:], mode="clip")
+        out[1:] += sums
         out[self.first] = start
         return out
 
 
-def _level_table(rows, right: bool, n: int):
-    """One level of _Mesh._levels over n rows from each chain's (row,
-    is_term) entries, an input naming the row it follows (n: the seed): the
-    block shape, each entry's flat position and place in vals, and each
-    term's and its predecessor's.  Backward rows are right-aligned behind a
-    +0.0 column (a sum from +0.0 is never -0.0, so pads add nothing), and
-    forward rows left-aligned, so that a -0.0 seed stays -0.0."""
-    width, put, take, read, write = max(map(len, rows)) + right, [], [], [], []
-    for r, row in enumerate(rows):
-        for k, (e, term) in enumerate(row, r * width + (width - len(row) if right else 0)):
-            put.append(k)
-            take.append(e if term else n + e)
-            if term:
-                read += [k - 1, k]
-                write += [2 * n + 1 + e, n + e]
-    return (len(rows), width), *(np.array(a, dtype=np.intp) for a in (put, take, read, write))
+def _level_table(levels, right: bool, n: int):
+    """The tables of _Mesh._levels over n rows, from each level's chains of
+    (row, is_term) entries, an input naming the row it follows (n: the
+    seed).  vals holds the terms, a +0.0, the seed, then each level's
+    accumulated (chains, width) block; a level gathers its block from vals,
+    a term or an earlier row's value after its term, and its pads read the
+    +0.0 (a sum from +0.0 is never -0.0, so pads add nothing).  Backward
+    rows are right-aligned behind a pad column, forward rows left-aligned,
+    so that a -0.0 seed stays -0.0.  Returns each level's (gather, start,
+    stop) in vals and where each row's value before its term lies."""
+    tables, after, before, start = [], {n: n + 1}, [0] * n, n + 2
+    for rows in levels:
+        width = max(map(len, rows)) + right
+        gather = np.full((len(rows), width), n, dtype=np.intp)
+        for r, row in enumerate(rows):    # an input's row lies on an earlier level
+            for k, (e, term) in enumerate(row, width - len(row) if right else 0):
+                gather[r, k] = e if term else after[e]
+                if term:
+                    before[e], after[e] = start + r * width + k - 1, start + r * width + k
+        tables.append((gather, start, start + gather.size))
+        start += gather.size
+    return tables, np.array(before, dtype=np.intp)
 
 
-def _mid(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a[:-1] + a[1:])
+def _mid(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.multiply(np.add(a[:-1], a[1:], out=out), 0.5, out=out)
 
 
 def _mesh(grid: GridTree, settings: SolverSettings, sigma_km: float) -> _Mesh:
@@ -397,47 +420,49 @@ def _mesh(grid: GridTree, settings: SolverSettings, sigma_km: float) -> _Mesh:
                         lambda: _Mesh(grid, settings, sigma_km))
 
 
-def _sample_density(mesh: _Mesh, density: DensityField):
-    """Sample every segment's density at the midpoints of all its edges'
-    cells, one run per segment in a single call; pad cells stay 0."""
-    p = np.zeros(mesh.h_pos.size)
-    q = np.zeros_like(p)
-    p[mesh.cells], q[mesh.cells] = density.sample(mesh.runs, mesh.x_mid)
-    return p, q
-
-
 def _solve(grid: GridTree, density: DensityField, settings: SolverSettings,
            nonlinear: bool) -> VoltageProfile:
     grid.validated()
     mesh = _mesh(grid, settings, density.sigma_km)
-    p, q = _sample_density(mesh, density)
+    # every segment's density at its cell midpoints in one call; pad cells stay 0
+    p, q = np.zeros((2, mesh.h_pos.size))
+    p[mesh.cells], q[mesh.cells] = density.sample(mesh.runs, mesh.x_mid)
     gp_bq = mesh.g * p + mesh.b * q
+    ws = mesh.workspace()
+    f, tmp = ws[0], np.empty_like(ws[0])
     # a subnormal |z|^2 may drive the states to inf or NaN; the collapse
     # check below stops that sweep, so numpy need not warn about it first
     with np.errstate(over="ignore", invalid="ignore"):
-        s = mesh.backward((mesh.b * p - mesh.g * q) / mesh.z2)
+        np.divide(mesh.b * p - mesh.g * q, mesh.z2, out=f)
+        s = mesh.backward(ws, np.empty(f.size + 1))
         s_mid = _mid(s)
         s_mid2 = s_mid ** 2
-        v = np.ones_like(s)
+        v, dv, w = np.ones((3, f.size + 1))
         v_mid = np.ones_like(s_mid)       # the linearized system's fixed feedback
 
         for sweeps in range(1, MAX_SWEEPS + 1):    # MAX_SWEEPS >= 1 sets both names
             if nonlinear:
-                v_mid = _mid(v)
-            w = mesh.backward(s_mid2 / v_mid ** 3 - gp_bq / (v_mid * mesh.z2))
-            v_old, v = v, mesh.forward(_mid(w), 1.0, scale=True)
+                _mid(v, out=v_mid)
+            # s_mid2 / v_mid**3 - gp_bq / (v_mid * z2), term by term
+            np.divide(s_mid2, np.power(v_mid, 3, out=f), out=f)
+            np.divide(gp_bq, np.multiply(v_mid, mesh.z2, out=tmp), out=tmp)
+            f -= tmp
+            mesh.backward(ws, w)
+            _mid(w, out=f)
+            v, dv = mesh.forward(ws, 1.0, True, dv), v    # dv: the sweep before, then |change|
             v_min = float(v.min())
             if not v_min >= COLLAPSE_FLOOR_PU:    # a NaN state stops at its first sweep
                 raise VoltageCollapseError(v_min)
-            change = float(np.maximum.reduce(np.abs(v - v_old)))
+            change = float(np.maximum.reduce(np.abs(np.subtract(v, dv, out=dv), out=dv)))
             if change <= TOL_V:
                 break
         else:
             raise ConvergenceError(MAX_SWEEPS, change)
 
     if nonlinear:
-        v_mid = _mid(v)
-    theta = mesh.forward(-mesh.h_pos * s_mid / v_mid ** 2, settings.theta_bank_rad, scale=False)
+        _mid(v, out=v_mid)
+    np.divide(-mesh.h_pos * s_mid, v_mid ** 2, out=f)
+    theta = mesh.forward(ws, settings.theta_bank_rad, False, np.empty(f.size + 1))
     return _assemble_profile(mesh, (theta, v, s, w), sweeps, change)
 
 

@@ -205,9 +205,11 @@ def test_uniform_needs_stations_and_sane_pf():
 
 
 @pytest.mark.parametrize("p_ref", [True, np.True_, "0.1", None, 1 + 0j, Fraction(1, 10),
-                                   Decimal("0.1")], ids=repr)
+                                   Decimal("0.1"), pytest.param(10**400, id="10**400"),
+                                   pytest.param(-10**400, id="-10**400")], ids=repr)
 def test_a_request_that_is_no_real_number_is_refused(single_feeder, p_ref):
-    # True used to request 1 pu; a str or None raised a bare TypeError
+    # True used to request 1 pu; a str or None raised a bare TypeError, and
+    # an int beyond the float range an OverflowError
     message = re.escape(f"requested power p_ref must be finite, got {p_ref!r}")
     for request in (synthesize, synthesize_tree, uniform_baseline):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import math
 import re
@@ -377,8 +378,19 @@ def test_density_rejects_bad_sigma():
             with pytest.raises(ValueError, match=f"^{message}$"):
                 build()
     # numpy numbers and whole numbers are real
-    for sigma in (np.float64(0.05), np.int64(1), 1):
+    for sigma in (np.float64(0.05), np.int64(1), 1, np.float32(0.05)):
         assert DensityField(grid, None, sigma).sample("main", np.array([2.5]))[0][0] < 0.0
+    # a np.float32 sigma used to warn of an overflow in its comparison with
+    # 1e150, and its kernels were rounded to float32: it is the float it holds
+    densities = set()
+    for sigma in (np.float32(0.05), float(np.float32(0.05))):
+        for build in (power_density, DensityField):
+            # each on a grid of its own, so that no kernel table is shared
+            grid = make_single([Device("load", "main", 2.5, "l", p_pu=-0.1),
+                                Device("load", "main", 2.7, "m", p_pu=-0.2, q_pu=0.05)])
+            densities.add(np.concatenate(build(grid, None, sigma).sample(
+                "main", np.linspace(0.0, 5.0, 2001))).tobytes())
+    assert len(densities) == 1
 
 
 @pytest.mark.parametrize("sigma", [1e150, math.nextafter(1e150, INF), 1e200, 1e308, INF])
@@ -954,13 +966,17 @@ def _study_grid(workload):
     return parse_grid(doc), sorted({pref for pref, _ in grids.study_inputs(doc, 0)})[:2]
 
 
-@pytest.mark.filterwarnings("ignore:sigma=0.05 km exceeds half:UserWarning")
-@pytest.mark.parametrize("make", [
+# the bundled grids and the seed-0 study grids, each with its requests
+GRIDS_WITH_REQUESTS = [
     pytest.param(lambda: (load_single_feeder(), [SINGLE_FEEDER_PREF]), id="single_feeder"),
     pytest.param(lambda: (load_feeder_tree(), [FEEDER_TREE_PREF]), id="feeder_tree"),
     pytest.param(lambda: _study_grid("study_dense_feeder"), id="study_dense_feeder"),
     pytest.param(lambda: _study_grid("study_wide_tree"), id="study_wide_tree"),
-])
+]
+
+
+@pytest.mark.filterwarnings("ignore:sigma=0.05 km exceeds half:UserWarning")
+@pytest.mark.parametrize("make", GRIDS_WITH_REQUESTS)
 def test_every_form_of_station_power_takes_the_one_intake(make):
     """A plan, its power map and that map reversed place the same stations
     at the same bits, in the density at the mesh midpoints and, on a single
@@ -983,3 +999,40 @@ def test_every_form_of_station_power_takes_the_one_intake(make):
             injections = {np.array([(i.xi_km, i.p_pu, i.q_pu) for i in injections_from_grid(
                 grid, form).injections]).tobytes() for form in forms}
             assert len(injections) == 1
+
+
+@pytest.mark.filterwarnings("ignore:sigma=0.05 km exceeds half:UserWarning")
+@pytest.mark.parametrize("make", GRIDS_WITH_REQUESTS)
+def test_the_mesh_samples_through_runs_checked_once(make, monkeypatch):
+    """The mesh's runs and its read-only midpoints skip the run checks and
+    give the bits of the same runs and positions given any other way;
+    anything but those two objects is checked."""
+    grid, prefs = make()
+    mesh = solver_module._mesh(grid.validated(), SolverSettings(), 0.05)
+    checked = []
+    check = grid_module._Runs.__new__
+    monkeypatch.setattr(grid_module._Runs, "__new__", staticmethod(
+        lambda cls, runs, x: checked.append(1) or check(cls, runs, x)))
+    plan = uniform_baseline(grid, prefs[0])
+
+    def sample(grid, runs, x):
+        checked.clear()
+        p, q = power_density(grid, plan, 0.05).sample(runs, x)
+        return np.concatenate((p, q)).tobytes(), len(checked)
+
+    given, calls = sample(grid, mesh.runs, mesh.x_mid)
+    assert calls == 0
+    # the same key: the table the mesh's call built
+    assert sample(grid, list(mesh.runs), mesh.x_mid.copy()) == (given, 1)
+    assert sample(grid, mesh.runs, mesh.x_mid.copy()) == (given, 1)
+    assert sample(grid, list(mesh.runs), mesh.x_mid) == (given, 1)
+    # a table built from the copies alone, on a copy of the grid
+    assert sample(copy.copy(grid), list(mesh.runs), mesh.x_mid.copy()) == (given, 1)
+    with pytest.raises(ValueError, match=f"^runs cover {mesh.x_mid.size} samples, "
+                                         f"x_km has {mesh.x_mid.size - 1}$"):
+        power_density(grid, plan, 0.05).sample(mesh.runs, mesh.x_mid[:-1])
+    seg_id, n = mesh.runs[-1]
+    with pytest.raises(ValueError, match="a count must be a whole number >= 0"):
+        power_density(grid, plan, 0.05).sample([*mesh.runs[:-1], (seg_id, n - 0.5)], mesh.x_mid)
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.x_mid[0] = 0.0

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import feederflow.solver
 from feederflow import (
+    FEEDER_TREE_PREF,
     ConvergenceError,
     DensityField,
     Device,
@@ -23,6 +24,7 @@ from feederflow import (
     solve_linearized,
     solve_nonlinear,
     synthesize,
+    synthesize_tree,
     uniform_baseline,
 )
 from feederflow.grid import KERNEL_CUTOFF_SIGMAS
@@ -143,6 +145,25 @@ def test_a_nan_state_collapses_at_the_first_sweep(monkeypatch):
     assert len(sweeps) == 1
 
 
+def test_a_solve_leaves_nothing_behind(feeder_tree):
+    # each solve sweeps in buffers of its own: solving plan A, then B, then A
+    # again on one grid gives A's bits both times, and B's solve leaves A's
+    # first profile as it was
+    plan_a = uniform_baseline(feeder_tree, FEEDER_TREE_PREF)
+    plan_b = synthesize_tree(feeder_tree, 2.0 * FEEDER_TREE_PREF, "principle")
+
+    def bits(profile):
+        columns = (profile.x_km, profile.theta_rad, profile.v_pu, profile.s, profile.w)
+        return b"".join(c.tobytes() for c in columns), profile.sweeps, profile.last_change
+
+    first = solve_nonlinear(feeder_tree, power_density(feeder_tree, plan_a))
+    before = bits(first)
+    other = solve_nonlinear(feeder_tree, power_density(feeder_tree, plan_b))
+    again = solve_nonlinear(feeder_tree, power_density(feeder_tree, plan_a))
+    assert bits(other)[0] != before[0]
+    assert bits(first) == bits(again) == before
+
+
 def test_solve_refuses_a_grid_with_no_segments():
     grid = GridTree(PerUnitBase(1.0, 1.0), ())
     with pytest.raises(ValueError, match="^invalid grid: a grid needs at least one segment$"):
@@ -223,10 +244,13 @@ def test_settings_validation():
 
 
 @pytest.mark.parametrize("value", [True, np.True_, "0.1", None, 1 + 0j, Fraction(1, 10),
-                                   Decimal("0.1")], ids=repr)
+                                   Decimal("0.1"), pytest.param(10**400, id="10**400"),
+                                   pytest.param(-10**400, id="-10**400")], ids=repr)
 def test_a_setting_that_is_no_real_number_is_refused(value):
     # True used to be accepted as a 1 km step; a str or None raised a bare
-    # TypeError (None is step_km's default: the step that sigma sets)
+    # TypeError (None is step_km's default: the step that sigma sets), and an
+    # int beyond the float range an OverflowError, or for step_km one inside
+    # the mesh
     for name, message in (("step_km", "step_km must be positive and finite"),
                           ("theta_bank_rad", "theta_bank_rad must be finite")):
         if value is None and name == "step_km":
