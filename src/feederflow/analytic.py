@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _placed
+from .grid import _float, _placed, _z2
 
 __all__ = ["PointInjection", "PointInjectionSet", "ClosedFormProfile", "injections_from_grid"]
 
@@ -39,27 +39,28 @@ class PointInjectionSet:
     """Injections on a feeder of given length, ordered far end first."""
 
     def __init__(self, injections, g_pu_per_km: float, b_pu_per_km: float, length_km: float):
-        if not 0.0 < length_km < math.inf:
+        g, b, length = _float(g_pu_per_km), _float(b_pu_per_km), _float(length_km)
+        if not 0.0 < length < math.inf:
             raise ValueError(f"feeder length must be positive and finite, got {length_km}")
-        if not (0.0 < g_pu_per_km < math.inf and 0.0 < b_pu_per_km < math.inf):
+        if not (0.0 < g < math.inf and 0.0 < b < math.inf):
             raise ValueError("G and B must be positive and finite, "
                              f"got {g_pu_per_km}, {b_pu_per_km}")
+        if not 0.0 < (z2 := _z2(g, b)) < math.inf:
+            raise ValueError("|z|^2 = G^2 + B^2 must be positive and finite, "
+                             f"got G={g_pu_per_km}, B={b_pu_per_km}")
         items = sorted(injections, key=lambda inj: -inj.xi_km)
         for inj in items:
-            if not (0.0 < inj.xi_km < length_km):
+            if not (0.0 < inj.xi_km < length):
                 raise ValueError(f"injection at xi={inj.xi_km} outside (0, {length_km})")
             for field in ("p_pu", "q_pu"):
-                if not math.isfinite(value := getattr(inj, field)):
+                if not math.isfinite(_float(value := getattr(inj, field))):
                     raise ValueError(f"injection at xi={inj.xi_km}: {field} must be finite, "
                                      f"got {value}")
-        for a, b in zip(items, items[1:]):
-            if a.xi_km == b.xi_km:
-                raise ValueError(f"two injections share xi={a.xi_km}; merge them first")
+        for near, far in zip(items[1:], items):
+            if near.xi_km == far.xi_km:
+                raise ValueError(f"two injections share xi={far.xi_km}; merge them first")
         self.injections: tuple[PointInjection, ...] = tuple(items)
-        self.g = g_pu_per_km
-        self.b = b_pu_per_km
-        self.length_km = length_km
-        self.z2 = g_pu_per_km ** 2 + b_pu_per_km ** 2
+        self.g, self.b, self.length_km, self.z2 = g, b, length, z2
 
     def __len__(self) -> int:
         return len(self.injections)

@@ -29,8 +29,8 @@ explicitly dropped at the bank.  The log is kept as columns too, and the
 HandOff records are built only when a caller reads plan.trace.
 
 The passes read the grid's own Device records.  What no request changes
-is built once per grid and kept on it: the legs, the station order and
-bounds, the plan's id, position and bound columns, each load's principle
+is built once per grid and kept on it: the legs, the station order, the
+plan's id, position and bound columns, each load's principle
 term g*P + b*Q, and the active pass, which never reads the request: its
 values, seeds_p and P hand-offs, which each request copies.  The refinement
 changes stations bank-nearest first and stops once the request is met, so
@@ -159,7 +159,6 @@ class DispatchPlan:
 class _Leg(NamedTuple):
     """One segment's share of a dispatch."""
 
-    id: str
     stations: tuple[Device, ...]       # far end first
     loads: tuple[Device, ...]          # far end first
     g: float
@@ -305,11 +304,10 @@ def _refine(prep, p, p_run):
     Updates p, a copy of the pass, in place (the other stations keep their
     p) and returns (what could not be placed, stations of order visited).
     """
-    p_run, bounds = float(np.subtract.reduce(prep.p, initial=p_run)), prep.bounds
-    for visited, k in enumerate(prep.order):
+    p_run = float(np.subtract.reduce(prep.p, initial=p_run))
+    for visited, (k, lo, hi) in enumerate(zip(prep.order, *prep.columns[2:])):
         if p_run == 0.0:
             return p_run, visited
-        lo, hi = bounds[k]
         if p[k] + p_run > hi:
             p_run = p_run - hi + p[k]
             p[k] = hi
@@ -363,7 +361,7 @@ def _legs(grid: GridTree) -> list[_Leg]:
         if target is not None:
             assert rank[target.segment] > n, "a residual must arrive before its target is walked"
             arrivals.setdefault(target.id, []).append(n)
-    return [_Leg(seg.id, tuple(stations[seg.id]), tuple(loads[seg.id]),
+    return [_Leg(tuple(stations[seg.id]), tuple(loads[seg.id]),
                  seg.g_pu_per_km, seg.b_pu_per_km,
                  tuple((grid.segment_start_km(c.id), rank[c.id])
                        for c in grid.children_of(seg.id)),
@@ -380,7 +378,6 @@ class _Prepared(NamedTuple):
 
     legs: tuple[_Leg, ...]
     ids: tuple[str, ...]                     # station order
-    bounds: tuple[tuple[float, float], ...]  # derated (lo, hi) per station
     order: tuple[int, ...]                   # station indices, bank-nearest first
     index: np.ndarray                        # order, as an index array
     # reach[m]: the least station index among order[:m], or the station count
@@ -407,7 +404,7 @@ def _prepare(grid: GridTree) -> _Prepared:
         trace: tuple[list, ...] = ([], [], [], [])
         p, seeds = _forward("P", legs, bounds, lambda value, _k, load: value - load.p_pu, trace,
                             [], [0.0] * len(legs))
-        return _Prepared(legs, ids, bounds, tuple(order), np.array(order, dtype=np.intp),
+        return _Prepared(legs, ids, tuple(order), np.array(order, dtype=np.intp),
                          np.minimum.accumulate(np.array([len(ids), *order], dtype=np.intp)),
                          tuple(leg.g / leg.b for leg in legs for _ in leg.stations),
                          _walks(legs),

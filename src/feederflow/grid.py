@@ -36,6 +36,15 @@ EFFECTIVE_BOUND_FACTOR = 0.9
 PF_FLOOR = 0.9
 
 
+def _float(value) -> float:
+    """float(value), with an int beyond the float range read as +-inf, as a
+    grid file reads 1.0e400: the one reader of numbers given from outside."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def station_q_cap(p_pu: float) -> float:
     """Reactive limit so that power factor stays >= 0.9 at active power p."""
     pe = p_pu / PF_FLOOR
@@ -78,9 +87,9 @@ class PerUnitBase:
     voltage_v: float
 
     def __post_init__(self) -> None:
-        if not (self.power_va > 0.0 and math.isfinite(self.power_va)):
+        if not 0.0 < _float(self.power_va) < math.inf:
             raise ValueError(f"base power must be positive, got {self.power_va}")
-        if not (self.voltage_v > 0.0 and math.isfinite(self.voltage_v)):
+        if not 0.0 < _float(self.voltage_v) < math.inf:
             raise ValueError(f"base voltage must be positive, got {self.voltage_v}")
 
     @property
@@ -94,13 +103,14 @@ def to_per_unit(r_ohm_per_km: float, x_ohm_per_km: float, base: PerUnitBase) -> 
     The per-length admittance of the conductor is 1/(R + jX); its real and
     (magnitude of) imaginary parts are scaled by the base impedance.
     """
-    if r_ohm_per_km < 0.0 or x_ohm_per_km < 0.0:
+    r, x = _float(r_ohm_per_km), _float(x_ohm_per_km)
+    if r < 0.0 or x < 0.0:
         raise ValueError("conductor R and X must be non-negative")
-    denom = r_ohm_per_km * r_ohm_per_km + x_ohm_per_km * x_ohm_per_km
+    denom = r * r + x * x
     if denom == 0.0:
         raise ValueError("degenerate conductor: R and X are both zero")
     zb = base.impedance_ohm
-    return r_ohm_per_km / denom * zb, x_ohm_per_km / denom * zb
+    return r / denom * zb, x / denom * zb
 
 
 @dataclass(frozen=True)
@@ -121,7 +131,7 @@ class FeederSegment:
 
     @property
     def z2(self) -> float:
-        return self.g_pu_per_km ** 2 + self.b_pu_per_km ** 2
+        return _z2(self.g_pu_per_km, self.b_pu_per_km)
 
 
 @dataclass(frozen=True)
@@ -186,8 +196,8 @@ class GridTree:
       loads and placed stations, for the spacing warnings (a tuple with an
       id that names no station is refused, and nothing is kept);
     - the dispatch legs, each station's arrivals (the legs whose near-end
-      residual it takes), station order and bounds, a plan's bank-nearest
-      id, position and bound columns, and the active pass's result; and
+      residual it takes), station order, a plan's bank-nearest id,
+      position and bound columns, and the active pass's result; and
       per reactive mode, the reactive pass over the unrefined active
       values with the start tuple its walk recorded before each station
       and each leg's near-end carry, from which a request resumes at the
@@ -229,7 +239,7 @@ class GridTree:
             if done:
                 post.append(s)
             elif s.id not in start:
-                start[s.id] = 0.0 if s.parent is None else start[s.parent] + s.offset_km
+                start[s.id] = 0.0 if s.parent is None else start[s.parent] + _float(s.offset_km)
                 stack.append((s, True))
                 stack.extend((c, False) for c in reversed(children[s.id]))
         object.__setattr__(self, "_start_km", start)
@@ -265,7 +275,7 @@ class GridTree:
         return self._start_km[seg_id]
 
     def segment_end_km(self, seg_id: str) -> float:
-        return self._start_km[seg_id] + self._seg_by_id[seg_id].length_km
+        return self._start_km[seg_id] + _float(self._seg_by_id[seg_id].length_km)
 
     def children_of(self, seg_id: str) -> tuple[FeederSegment, ...]:
         return tuple(self._children.get(seg_id, ()))
@@ -305,17 +315,18 @@ class GridTree:
 def _nonfinite(what: str, item, names: tuple[str, ...]) -> list[str]:
     """A violation for each of item's named numbers that is nan or infinite."""
     return [f"{what}: {name} must be finite, got {getattr(item, name)}"
-            for name in names if not math.isfinite(getattr(item, name))]
+            for name in names if not math.isfinite(_float(getattr(item, name)))]
 
 
 # characters that would break an id written unquoted into a CSV file
 CSV_UNSAFE = frozenset(',"\r\n')
 
 
-def _z2(s: FeederSegment) -> float:
-    """s.z2, or inf where the float power overflows (it raises, not rounds)."""
+def _z2(g, b) -> float:
+    """|z|^2 = g^2 + b^2, or inf where the float power overflows (it raises,
+    not rounds)."""
     try:
-        return s.z2
+        return _float(g) ** 2 + _float(b) ** 2
     except OverflowError:
         return math.inf
 
@@ -330,13 +341,13 @@ def validate_grid(grid: GridTree) -> GridValidationReport:
         elif not CSV_UNSAFE.isdisjoint(s.id):
             bad.append(f"segment id {s.id!r} holds a comma, quote or line break")
         seen_ids.add(s.id)
-        if not (s.length_km > 0.0 and math.isfinite(s.length_km)):
+        if not 0.0 < _float(s.length_km) < math.inf:
             bad.append(f"segment {s.id!r}: length must be positive, got {s.length_km}")
-        if not (math.isfinite(s.g_pu_per_km) and math.isfinite(s.b_pu_per_km)):
-            bad += _nonfinite(f"segment {s.id!r}", s, ("g_pu_per_km", "b_pu_per_km"))
+        if nonfinite := _nonfinite(f"segment {s.id!r}", s, ("g_pu_per_km", "b_pu_per_km")):
+            bad += nonfinite
         elif not (s.g_pu_per_km > 0.0 and s.b_pu_per_km > 0.0):
             bad.append(f"segment {s.id!r}: G and B must be positive")
-        elif not 0.0 < _z2(s) < math.inf:
+        elif not 0.0 < s.z2 < math.inf:
             bad.append(f"segment {s.id!r}: |z|^2 = G^2 + B^2 must be positive and finite, "
                        f"got G={s.g_pu_per_km}, B={s.b_pu_per_km}")
         if s.parent is not None:
@@ -386,13 +397,13 @@ def validate_grid(grid: GridTree) -> GridValidationReport:
             )
         positions.setdefault(d.segment, []).append((d.xi_km, label))
         if d.kind == "load":
-            if not (math.isfinite(d.p_pu) and math.isfinite(d.q_pu)):
-                bad += _nonfinite(f"device {label}", d, ("p_pu", "q_pu"))
+            if nonfinite := _nonfinite(f"device {label}", d, ("p_pu", "q_pu")):
+                bad += nonfinite
             elif d.p_pu > 0.0:
                 bad.append(f"device {label}: load active power must be <= 0, got {d.p_pu}")
         else:
-            if not (math.isfinite(d.p_min_pu) and math.isfinite(d.p_max_pu)):
-                bad += _nonfinite(f"device {label}", d, ("p_min_pu", "p_max_pu"))
+            if nonfinite := _nonfinite(f"device {label}", d, ("p_min_pu", "p_max_pu")):
+                bad += nonfinite
             elif not (d.p_min_pu <= 0.0 <= d.p_max_pu):
                 bad.append(
                     f"device {label}: station bounds [{d.p_min_pu}, {d.p_max_pu}] must straddle 0"
@@ -410,15 +421,11 @@ def validate_grid(grid: GridTree) -> GridValidationReport:
 
 def _check_real(value, in_range, message: str) -> None:
     """ValueError(f"{message}, got {value}") unless value is a real number
-    of a type DensityField.sample takes as a run count (so no bool, str,
-    Fraction, ...) and in_range(float(value)); every range is finite, so an
-    int beyond the float range fails.  A non-number shows its repr."""
+    (an int, float or numpy number: no bool, str, Fraction, ...) and
+    in_range(_float(value)); every range is finite, so an int beyond the
+    float range fails.  A non-number shows its repr."""
     real = type(value) is int or isinstance(value, (float, np.integer, np.floating))
-    try:
-        fine = real and in_range(float(value))
-    except OverflowError:    # an int beyond the float range
-        fine = False
-    if not fine:
+    if not (real and in_range(_float(value))):
         raise ValueError(f"{message}, got {value if real else repr(value)}")
 
 
@@ -488,7 +495,7 @@ def _placed(grid: GridTree, station_power) -> tuple[_Layout, np.ndarray, np.ndar
     else:
         power = {} if station_power is None else dict(station_power)
         p, q = zip(*power.values(), strict=True) if power else ((), ())
-        ids = tuple(power)
+        p, q, ids = map(_float, p), map(_float, q), tuple(power)
     layout = grid._cached("layout", None, lambda: _Layout(grid))
 
     def build():
@@ -600,9 +607,8 @@ class _Runs(tuple):
 
     def __new__(cls, runs, x: np.ndarray):
         for seg_id, n in (runs := tuple(runs)):
-            number = type(n) is int or isinstance(n, (float, np.integer, np.floating))    # not a bool
-            if not (number and n >= 0 and n % 1 == 0):
-                raise ValueError(f"run ({seg_id!r}, {n!r}): a count must be a whole number >= 0")
+            _check_real(n, lambda c: c >= 0.0 and c % 1.0 == 0.0,
+                        f"run ({seg_id!r}, {n!r}): a count must be a whole number >= 0")
         self = super().__new__(cls, ((seg_id, int(n)) for seg_id, n in runs))
         if (covered := sum(n for _, n in self)) != x.size:
             raise ValueError(f"runs cover {covered} samples, x_km has {x.size}")

@@ -41,7 +41,6 @@ significant digits, the JSON files Python's shortest round-trip repr.
 from __future__ import annotations
 
 import json
-import math
 from itertools import chain, repeat
 from pathlib import Path
 from typing import NoReturn
@@ -50,7 +49,7 @@ import numpy as np
 import yaml
 
 from .dispatch import DispatchPlan
-from .grid import Device, FeederSegment, GridTree, PerUnitBase, to_per_unit
+from .grid import Device, FeederSegment, GridTree, PerUnitBase, _float, to_per_unit
 from .metrics import MetricsReport
 from .solver import VoltageProfile
 
@@ -202,10 +201,7 @@ def _num(value, source: str, where: str) -> float:
     if isinstance(value, bool) or value is None:
         _fail(source, f"{where}: expected a number, got {value!r}")
     if isinstance(value, (int, float)):
-        try:
-            return float(value)
-        except OverflowError:   # an int beyond the float range, read as 1.0e400 is
-            return math.inf if value > 0 else -math.inf
+        return _float(value)    # an int beyond the float range reads as 1.0e400 does
     if isinstance(value, str):
         # YAML 1.1 reads e.g. "12e6" as a string; accept it as a number
         try:

@@ -1,7 +1,7 @@
 """Voltage-quality metrics for comparing dispatch strategies."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,14 +20,7 @@ class MetricsReport:
     leftover_p: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "max_dev": self.max_dev,
-            "l2_dev": self.l2_dev,
-            "min_terminal_v": self.min_terminal_v,
-            "w_flatness": dict(self.w_flatness),
-            "total_p": self.total_p,
-            "leftover_p": self.leftover_p,
-        }
+        return asdict(self)
 
 
 def compute_metrics(profile: VoltageProfile, plan: DispatchPlan | None = None) -> MetricsReport:

@@ -1,7 +1,6 @@
 """Bundled study grids and their reference service requests."""
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from .grid import GridTree
@@ -25,7 +24,7 @@ _NAMES = ("single_feeder", "feeder_tree")
 def bundled_grid_path(name: str) -> Path:
     if name not in _NAMES:
         raise KeyError(f"unknown bundled grid {name!r}; available: {_NAMES}")
-    return Path(str(resources.files("feederflow").joinpath("data", f"{name}.yaml")))
+    return Path(__file__).with_name("data") / f"{name}.yaml"
 
 
 def load_single_feeder() -> GridTree:

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,8 @@ from feederflow import (
     FeederSegment,
     GridTree,
     PerUnitBase,
+    PointInjection,
+    PointInjectionSet,
     SolverSettings,
     injections_from_grid,
     load_feeder_tree,
@@ -313,6 +316,94 @@ def test_device_partition(single_feeder):
     assert len(single_feeder.loads()) == 5
     assert len(single_feeder.stations()) == 4
     assert all(d.kind == "load" for d in single_feeder.loads())
+
+
+# -- an int beyond the float range, given in code ----------------------------
+
+BIG = 10 ** 400
+LOAD = Device("load", "main", 2.0, "l", p_pu=-0.1)
+STATION = Device("station", "main", 3.0, "s", p_min_pu=-0.5, p_max_pu=0.5)
+
+
+def _conductor_r(r):
+    """to_per_unit reads R as inf, and validate_grid names the G it gives."""
+    base = PerUnitBase(12.0e6, 6600.0)
+    (g, b), (inf_g, inf_b) = to_per_unit(r, 0.3, base), to_per_unit(INF, 0.3, base)
+    assert math.isnan(g) and math.isnan(inf_g) and b == inf_b
+    return validate_grid(make_single([LOAD], g=g, b=b))
+
+
+def _lateral_at(offset):
+    return validate_grid(GridTree(PerUnitBase(12.0e6, 6600.0), (
+        FeederSegment("main", 5.0, 3.881, 6.856),
+        FeederSegment("lat", 2.0, 3.881, 6.856, parent="main", offset_km=offset)),
+        (Device("load", "lat", 3.0, "l", p_pu=-0.1),)))
+
+
+def _device(kind, **numbers):
+    return validate_grid(make_single([LOAD, replace(STATION if kind == "station" else LOAD,
+                                                    xi_km=4.0, id="d", **numbers)]))
+
+
+def _mapped(intake, p, q):
+    return intake(make_single([LOAD, STATION]), {"s": (p, q)})
+
+
+def _cases():
+    """(id, intake, value, a pattern that its ValueError or violation matches)."""
+    cases = [
+        ("PerUnitBase.power_va", lambda v: PerUnitBase(v, 6600.0), BIG, "base power must be"),
+        ("PerUnitBase.voltage_v", lambda v: PerUnitBase(12.0e6, v), BIG, "base voltage must be"),
+        ("to_per_unit.R", _conductor_r, BIG, "g_pu_per_km must be finite"),
+        ("GridTree.offset_km", _lateral_at, BIG, "'lat': attachment offset"),
+        ("segment.length_km", lambda v: validate_grid(make_single([LOAD], length=v)), BIG,
+         "'main': length must be positive"),
+        ("segment.g_pu_per_km", lambda v: validate_grid(make_single([LOAD], g=v)), BIG,
+         "g_pu_per_km must be finite"),
+        ("segment.b_pu_per_km", lambda v: validate_grid(make_single([LOAD], b=v)), BIG,
+         "b_pu_per_km must be finite"),
+        ("PointInjectionSet.G", lambda v: PointInjectionSet([], v, 6.856, 5.0), BIG,
+         "G and B must be positive and finite"),
+        ("PointInjectionSet.G", lambda v: PointInjectionSet([], v, 6.856, 5.0), 1e200,
+         re.escape("|z|^2 = G^2 + B^2 must be positive and finite, got G=1e+200")),
+        ("PointInjectionSet.length_km", lambda v: PointInjectionSet([], 3.881, 6.856, v), BIG,
+         "feeder length must be positive"),
+    ]
+    for kind, field, values in [("load", "p_pu", (BIG, -BIG)), ("load", "q_pu", (BIG,)),
+                                ("station", "p_min_pu", (BIG, -BIG)),
+                                ("station", "p_max_pu", (BIG,))]:
+        cases += [(f"{kind}.{field}", lambda v, k=kind, f=field: _device(k, **{f: v}), value,
+                   f"device d: {field} must be finite") for value in values]
+    cases += [("PointInjection.p_pu",
+               lambda v: PointInjectionSet([PointInjection(2.0, v)], 3.881, 6.856, 5.0),
+               value, "xi=2.0: p_pu must be finite") for value in (BIG, -BIG)]
+    # a station-power mapping: each intake names the p or q it read as +-inf
+    shown = {"DensityField": (lambda grid, power: DensityField(grid, power, 0.05),
+                              r"\b{}={}inf"),
+             "power_density": (power_density, r"\b{}={}inf"),
+             "injections_from_grid": (injections_from_grid, r"\b{}_pu must be finite, got {}inf")}
+    for name, (intake, pattern) in shown.items():
+        for value, sign in ((BIG, ""), (-BIG, "-")):
+            cases += [(f"{name}.p", lambda v, i=intake: _mapped(i, v, 0.0), value,
+                       pattern.format("p", sign)),
+                      (f"{name}.q", lambda v, i=intake: _mapped(i, 0.0, v), value,
+                       pattern.format("q", sign))]
+    label = {BIG: "10**400", -BIG: "-10**400"}
+    return [pytest.param(intake, value, pattern, id=f"{name}={label.get(value, value)}")
+            for name, intake, value, pattern in cases]
+
+
+@pytest.mark.parametrize("intake, value, pattern", _cases())
+def test_an_int_beyond_the_float_range_is_refused_by_name(intake, value, pattern):
+    # each intake reads 10**400 as inf, as a grid file reads 1.0e400, and no
+    # OverflowError escapes
+    try:
+        report = intake(value)
+    except ValueError as err:
+        assert re.search(pattern, str(err)), str(err)
+    else:
+        assert isinstance(report, grid_module.GridValidationReport)
+        assert any(re.search(pattern, v) for v in report.violations), report.violations
 
 
 # -- coarse-grained density --------------------------------------------------
