@@ -205,6 +205,8 @@ class GridTree:
 
     Each kind keeps at most CACHED_PER_KIND entries.  The cache cannot go
     stale: segments and devices are stored as frozen records in tuples.
+    No call writes into an entry once built, and each call owns what it
+    writes, so threads may share a grid and at worst build a value twice.
     A ``dataclasses.replace`` copy, a pickle and a ``copy`` start with an
     empty cache.
     """
@@ -444,13 +446,12 @@ class _Pairs(NamedTuple):
     kernel in kern, or the zero column and 0.0.  Tier (start, width,
     column, n) is the C-order (width, n) block from start, summed into
     output columns column.. column + n - 1, one of them spare; where picks
-    each sample's.  scratch is a (2, cols.size) buffer for every replay."""
+    each sample's.  cols, kern and where are read-only once built."""
 
     cols: np.ndarray
     kern: np.ndarray
     tiers: tuple
     where: np.ndarray
-    scratch: np.ndarray
 
 
 class _Layout:
@@ -469,9 +470,9 @@ class _Layout:
     def __init__(self, grid: GridTree):
         self.stations = grid.stations()
         devices = grid.devices
-        self.xpq = np.array([[d.xi_km for d in devices] + [0.0],
-                             [d.p_pu if d.kind == "load" else 0.0 for d in devices] + [0.0],
-                             [d.q_pu if d.kind == "load" else 0.0 for d in devices] + [0.0]])
+        self.xpq = np.array([[*map(_float, row), 0.0] for row in (
+            [d.xi_km for d in devices], [d.p_pu if d.kind == "load" else 0.0 for d in devices],
+            [d.q_pu if d.kind == "load" else 0.0 for d in devices])])
         self.slots = np.array([k for k, d in enumerate(devices) if d.kind == "station"],
                               dtype=np.intp)
         cols: dict[str, list[int]] = {}
@@ -573,8 +574,7 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
         stride[rank[a:b]] = b - a + 1
         tiers.append((start, int(w[a]), a + t, b - a + 1))
         start += tiers[-1][1] * (b - a + 1)
-    table = _Pairs(np.full(start, layout.xpq.shape[1] - 1), np.zeros(start), tuple(tiers),
-                   where, np.empty((2, start)))
+    table = _Pairs(np.full(start, layout.xpq.shape[1] - 1), np.zeros(start), tuple(tiers), where)
     per_block = max(DENSITY_BLOCK_PAIRS * x.size // max(found, 1), 1)
     for b in range(0, x.size, per_block):
         n = width[b:b + per_block]
@@ -596,6 +596,7 @@ def _kernel_pairs(layout: _Layout, sigma_km: float, runs: list, x: np.ndarray) -
         table.cols[at] = cols[dev]
         table.kern[at] = norm * np.exp(-dx ** 2 / two_var)
         del at, dev, dx
+    table.cols.flags.writeable = table.kern.flags.writeable = where.flags.writeable = False
     return table
 
 
@@ -637,10 +638,8 @@ class DensityField:
     sample, kernel) pairs are kept on the grid per sigma, runs and x as a
     slot table (see _Pairs) and replayed with this field's powers, so a
     repeated solve of a new plan evaluates no kernel.  A replay sums each
-    sample's slots from +0.0 in device order through one scratch buffer kept
-    with the table, so it allocates nothing pair-sized; every field of the
-    grid shares it, and sampling one grid from two threads at once is not
-    supported.
+    sample's slots from +0.0 in device order into arrays of its own, so
+    threads may sample and solve one grid at once (see GridTree).
     """
 
     def __init__(self, grid: GridTree, station_power, sigma_km: float):
@@ -678,22 +677,23 @@ class DensityField:
         a segment may appear in several runs, and a count that is not a
         whole number >= 0 (2.0 is one; True is not) is refused.  Within a
         run x_km may be in any order and may repeat positions; a NaN one is
-        refused, and +-inf lies beyond every kernel.  Each sample sums its
-        own segment's kernels in device declaration order, so the result
-        does not depend on how the samples are ordered or grouped into runs
-        or calls.
+        refused, and +-inf (an int beyond the float range reads as one)
+        lies beyond every kernel.  Each sample sums its own segment's
+        kernels in device declaration order, so the result does not depend
+        on how the samples are ordered or grouped into runs or calls.
         """
         if not (type(runs) is _Runs and x_km is runs.x):    # else checked when built
-            x = np.asarray(x_km, dtype=float)
+            try:
+                x = np.asarray(x_km, dtype=float)
+            except OverflowError:    # an int beyond the float range reads as +-inf
+                x = np.vectorize(_float, otypes=[float])(np.array(x_km, dtype=object))
             runs = _Runs(((runs, x.size),) if isinstance(runs, str) else runs, x)
         x = runs.x
         pairs = self._grid._cached("pairs", (self.sigma_km, *runs.key), lambda: _kernel_pairs(
             self._layout, self.sigma_km, runs, x.reshape(-1)))
-        # each slot's device p and q times its kernel, in the table's scratch
-        # buffer (every column is a valid index, so "clip" clips nothing;
-        # the default "raise" would buffer out), added up slot by slot from
-        # +0.0 down each column of a tier
-        weights = np.take(self._pq, pairs.cols, axis=1, out=pairs.scratch, mode="clip")
+        # each slot's device p and q times its kernel, added up slot by slot
+        # from +0.0 down each column of a tier
+        weights = np.take(self._pq, pairs.cols, axis=1)
         weights *= pairs.kern
         sums = np.empty((2, x.size + len(pairs.tiers)))
         for start, width, column, n in pairs.tiers:

@@ -775,6 +775,30 @@ def test_a_nan_position_is_refused():
     assert p[0] == p[2] == 0.0 and p[1] < 0.0 and not q.any()
 
 
+def test_a_position_beyond_the_float_range_reads_as_inf():
+    # a sequence x_km holding 10**400 samples as one holding inf does
+    devices = [Device("load", "main", 2.5, "l", p_pu=-0.1, q_pu=0.05)]
+    for big, inf in ((10 ** 400, INF), (-10 ** 400, -INF)):
+        p, q = DensityField(make_single(devices), None, 0.05).sample("main", [2.5, big])
+        ref = DensityField(make_single(devices), None, 0.05).sample("main", [2.5, inf])
+        assert p[1] == q[1] == 0.0 and p[0] < 0.0
+        assert [p.tobytes(), q.tobytes()] == [v.tobytes() for v in ref]
+
+
+@pytest.mark.parametrize("field", ["p_pu", "q_pu"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_load_power_beyond_the_float_range_samples_as_inf(field, sign):
+    # an unvalidated grid's loads are read as a grid file reads 1.0e400
+    x = np.linspace(2.0, 3.0, 11)
+
+    def sampled(value):
+        load = Device("load", "main", 2.5, "l", **{"p_pu": -0.1, "q_pu": 0.05, field: value})
+        p, q = DensityField(make_single([load]), None, 0.05).sample("main", x)
+        return p.tobytes(), q.tobytes()
+
+    assert sampled(sign * 10 ** 400) == sampled(sign * INF)
+
+
 def test_sample_empty_and_deviceless():
     grid = make_single([Device("load", "main", 2.5, "l", p_pu=-0.1)])
     field = DensityField(grid, None, 0.05)
@@ -869,7 +893,8 @@ def _table_pairs(pairs, zero, n):
     slot holds the zero column with kernel 0.0, and each sample's used
     slots hold its devices in declaration order."""
     assert pairs.cols.dtype == np.intp and pairs.kern.dtype == np.float64
-    assert pairs.cols.shape == pairs.kern.shape and pairs.scratch.shape == (2, pairs.cols.size)
+    assert pairs.cols.shape == pairs.kern.shape
+    assert not any(a.flags.writeable for a in (pairs.cols, pairs.kern, pairs.where))
     assert pairs.where.dtype == np.intp and pairs.where.shape == (n,)
     at = column = 0
     sample_of = np.full(n + len(pairs.tiers), -1)
@@ -922,7 +947,7 @@ def test_property_take_replay_equals_the_repeat_replay_bit_for_bit(case):
     assert q.tobytes() == q_ref.tobytes()
 
 
-def test_fields_of_one_grid_share_the_scratch_buffer_without_leaking():
+def test_fields_of_one_grid_share_the_kernel_pairs_without_leaking():
     devices = [Device("station", "main", 0.5 + 0.25 * k, f"s{k}", p_min_pu=-1.0, p_max_pu=1.0)
                for k in range(12)]
     devices.append(Device("load", "main", 2.125, "l", p_pu=-0.2, q_pu=-0.1))
@@ -935,7 +960,8 @@ def test_fields_of_one_grid_share_the_scratch_buffer_without_leaking():
     a = first.sample("main", x)
     b = second.sample("main", x)
     (pairs,) = grid._cache["pairs"].values()
-    assert all(not np.shares_memory(out, pairs.scratch) for out in (*a, *b))
+    assert all(not np.shares_memory(out, table) for out in (*a, *b)
+               for table in (pairs.cols, pairs.kern, pairs.where))
     assert all(not np.shares_memory(out, other) for out in a for other in b)
     again = first.sample("main", x)
     for got, ref in ((a, alone[0]), (b, alone[1]), (again, alone[0])):
@@ -954,7 +980,7 @@ def test_empty_pairs_replay_to_zeros():
             assert p.dtype == q.dtype == np.float64
     for pairs in grid._cache["pairs"].values():
         assert pairs.cols.dtype == np.intp
-        assert pairs.cols.size == pairs.kern.size == pairs.scratch.size == 0
+        assert pairs.cols.size == pairs.kern.size == 0
 
 
 def _stack(n, xi, p0, q0, name="l"):
@@ -1027,7 +1053,6 @@ def test_a_device_stack_keeps_the_slot_table_in_pairs_plus_samples(isolated):
     assert kept == sum(np.count_nonzero(np.abs(x - xi) <= 6.0 * 0.05) for xi, _, _ in kernels)
     assert len(pairs.tiers) >= 2
     assert pairs.cols.size <= 2 * kept + 2 * x.size
-    assert pairs.scratch.size == 2 * pairs.cols.size
 
 
 @pytest.mark.parametrize("runs", [[("main", 2.7), ("main", 2.3)], [("main", -1), ("main", 5)],

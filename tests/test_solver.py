@@ -1,7 +1,9 @@
 import dataclasses
 import math
 import re
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 
@@ -12,14 +14,19 @@ from hypothesis import given, settings, strategies as st
 import feederflow.solver
 from feederflow import (
     FEEDER_TREE_PREF,
+    SINGLE_FEEDER_PREF,
     ConvergenceError,
     DensityField,
     Device,
     FeederSegment,
     GridTree,
     PerUnitBase,
+    PointInjectionSet,
     SolverSettings,
     VoltageCollapseError,
+    injections_from_grid,
+    load_feeder_tree,
+    load_single_feeder,
     power_density,
     solve_linearized,
     solve_nonlinear,
@@ -162,6 +169,82 @@ def test_a_solve_leaves_nothing_behind(feeder_tree):
     again = solve_nonlinear(feeder_tree, power_density(feeder_tree, plan_a))
     assert bits(other)[0] != before[0]
     assert bits(first) == bits(again) == before
+
+
+@pytest.mark.filterwarnings("ignore:sigma=")
+def test_threads_sharing_one_grid_get_the_serial_profiles():
+    # 200 stations and 200 loads, 12.5 m apart on a 6 km feeder: each solve
+    # replays the same cached kernel pairs, and 4 threads solving at once
+    # get every plan's serial bits
+    grid = make_single([Device("station", "main", 0.0125 * k, f"s{k}", p_min_pu=-0.01,
+                               p_max_pu=0.01) if k % 2 else
+                        Device("load", "main", 0.0125 * k, f"l{k}", p_pu=-2e-4 * (1 + k % 7),
+                               q_pu=-1e-4 * (k % 5)) for k in range(1, 401)], length=6.0)
+    plans = [synthesize(grid, 0.3, "literal"), synthesize(grid, -0.5, "principle"),
+             uniform_baseline(grid, 0.8), synthesize(grid, 1.2, "principle")]
+
+    def solve(plan):
+        return solve_nonlinear(grid, power_density(grid, plan)).v_pu.tobytes()
+
+    serial = [solve(plan) for plan in plans]
+    assert len(set(serial)) == len(plans)
+
+    def worker(t):
+        return [(k % len(plans), solve(plans[k % len(plans)])) for k in range(t, t + 15)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)    # switch threads often, inside each replay too
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = [got for batch in pool.map(worker, range(4), timeout=60) for got in batch]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(runs) == 60
+    assert [k for k, v_pu in runs if v_pu != serial[k]] == []
+    (pairs,) = grid._cache["pairs"].values()
+    assert not any(a.flags.writeable for a in (pairs.cols, pairs.kern, pairs.where))
+
+
+def _freeze(value, seen) -> None:
+    """Make every array that value holds read-only."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _freeze(item, seen)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _freeze(item, seen)
+    if hasattr(value, "__dict__"):
+        _freeze(vars(value), seen)
+
+
+@pytest.mark.parametrize("load, pref", [(load_single_feeder, SINGLE_FEEDER_PREF),
+                                         (load_feeder_tree, FEEDER_TREE_PREF)])
+def test_no_request_writes_into_the_grid_cache(load, pref):
+    # each call owns what it writes: with every array the grid has cached
+    # made read-only, the same requests give the same bits
+    grid = load()
+
+    def requests():
+        out = []
+        for mode in ("literal", "principle"):
+            plan = synthesize_tree(grid, 1.5 * pref, mode)
+            out.append(solve_nonlinear(grid, power_density(grid, plan)))
+        plan = uniform_baseline(grid, pref)
+        out.append(solve_nonlinear(grid, DensityField(grid, plan, 0.05)))
+        if grid.is_single_feeder():
+            out.append(solve_linearized(grid, power_density(grid, plan)))
+            out.append(injections_from_grid(grid, plan))
+        return [repr(v.injections) if isinstance(v, PointInjectionSet) else
+                (v.sweeps, v.x_km.tobytes(), v.v_pu.tobytes(), v.s.tobytes()) for v in out]
+
+    first = requests()
+    _freeze(grid._cache, set())
+    assert requests() == first
 
 
 def test_solve_refuses_a_grid_with_no_segments():
